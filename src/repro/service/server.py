@@ -23,6 +23,9 @@ server kill -9       next server resumes every session from its
                      checkpoint; finished sessions re-deliver their
                      **stored** verdict (never recomputed)
 second server        store lease conflict: refuses to start
+checkpoint save      chunk not ACKed, connection dropped, session
+fails                evicted anyway; RESUME continues from the last
+                     checkpoint that landed (``checkpoint_errors``)
 ===================  ====================================================
 
 Backpressure is a single global credit: bytes of chunk payloads accepted
@@ -74,8 +77,6 @@ class ServerConfig:
     """Hint sent with BUSY frames."""
     idle_timeout_s: float = 30.0
     """A connection silent this long is a stalled client: suspend+close."""
-    checkpoint_every: int = 1
-    """Checkpoint the session every N applied chunks (1 = every chunk)."""
     live_monitor: bool = True
     """Feed an incremental monitor and push violations on ACKs; the
     final verdict never depends on this."""
@@ -110,6 +111,7 @@ class TraceIngestServer:
         self.stalled_clients = 0
         self.verdicts_issued = 0
         self.verdicts_replayed = 0
+        self.checkpoint_errors = 0
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> None:
@@ -137,11 +139,14 @@ class TraceIngestServer:
             writer.close()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        # Checkpoint whatever is still live so a restart resumes it.
-        for session in list(self.sessions.values()):
-            self._suspend(session)
-        self.shards.shutdown()
-        self.store.release()
+        # Checkpoint whatever is still live so a restart resumes it; a
+        # failed save must not keep the shards or the lease alive.
+        try:
+            for session in list(self.sessions.values()):
+                self._suspend(session)
+        finally:
+            self.shards.shutdown()
+            self.store.release()
 
     async def __aenter__(self) -> "TraceIngestServer":
         await self.start()
@@ -203,7 +208,9 @@ class TraceIngestServer:
             pass  # peer vanished; same handling as truncation
         finally:
             self._writers.discard(writer)
-            if session is not None and not session.finished:
+            # A session still bound here is live: unfinished, or
+            # finished with a verdict whose save failed (never sent).
+            if session is not None:
                 self._suspend(session)
             writer.close()
             try:
@@ -224,7 +231,7 @@ class TraceIngestServer:
                 "message": f"session {session_id!r} is already streaming "
                            "on another connection", "fatal": True})
             return None
-        if self.store.load(session_id) is not None:
+        if self.store.manifest(session_id) is not None:
             # The session has history.  Never silently restart it — that
             # is how a verdict gets computed twice.  The client must
             # RESUME (and gets the cursor or the stored verdict).
@@ -254,7 +261,11 @@ class TraceIngestServer:
                 "message": f"session {session_id!r} is already streaming "
                            "on another connection", "fatal": True})
             return None
-        checkpoint = self.store.load(session_id)
+        # The manifest alone answers a finished session; only an
+        # unfinished one needs its records decoded.
+        checkpoint = self.store.manifest(session_id)
+        if checkpoint is not None and not checkpoint.finished:
+            checkpoint = self.store.load(session_id)
         if checkpoint is None:
             # Nothing on disk (never seen, or an unreadable checkpoint
             # dropped as garbage): resume degrades to a fresh start.
@@ -319,8 +330,7 @@ class TraceIngestServer:
                     "seq": seq, "next_seq": session.next_seq,
                     "duplicate": True, "violations": []})
                 return
-            if session.next_seq % max(self.config.checkpoint_every, 1) == 0:
-                self._checkpoint(session)
+            self._checkpoint(session)
             await self._send(writer, FrameType.ACK, {
                 "seq": seq, "next_seq": session.next_seq,
                 "duplicate": False,
@@ -347,11 +357,9 @@ class TraceIngestServer:
         # Persist BEFORE sending: if the VERDICT frame is lost to a
         # disconnect, the resume re-delivers this stored verdict — the
         # client can never observe two different verdicts for one
-        # session.
-        self.store.save(session.session_id, meta=session.meta,
-                        record_bytes=trace_bytes,
-                        next_seq=session.next_seq, finished=True,
-                        verdict=verdict)
+        # session.  Every chunk was checkpointed before its ACK, so this
+        # rewrites the manifest alone.
+        self._checkpoint(session)
         self.aggregates.record_session(
             verdict, verdict_latency_s=time.perf_counter() - t0)
         self.verdicts_issued += 1
@@ -369,18 +377,37 @@ class TraceIngestServer:
         session.monitor = None
 
     def _checkpoint(self, session: SessionState) -> None:
-        self.store.save(session.session_id, meta=session.meta,
-                        record_bytes=session.assemble_bytes(),
-                        next_seq=session.next_seq,
-                        finished=False, verdict=None)
-        session.buffered_bytes = 0
+        """Append the session's pending chunks and rewrite its manifest.
+
+        On failure the pending chunks stay queued for the next attempt
+        and the error is counted and re-raised.
+        """
+        try:
+            self.store.save(session.session_id, meta=session.meta,
+                            segments=session.pending,
+                            next_seq=session.next_seq,
+                            finished=session.finished,
+                            verdict=session.verdict)
+        except OSError:
+            self.checkpoint_errors += 1
+            raise
+        session.pending = []
 
     def _suspend(self, session: SessionState) -> None:
-        """Disconnect path: checkpoint, then forget the live state."""
-        self._checkpoint(session)
-        self.sessions.pop(session.session_id, None)
-        self._release_monitor(session)
-        self.suspends += 1
+        """Disconnect path: checkpoint, then forget the live state.
+
+        The session is evicted even when the checkpoint fails (disk
+        full, permissions): the store still holds its previous
+        consistent checkpoint, which a RESUME continues from.
+        """
+        try:
+            self._checkpoint(session)
+        except OSError:
+            pass  # counted in _checkpoint; the older checkpoint stands
+        finally:
+            self.sessions.pop(session.session_id, None)
+            self._release_monitor(session)
+            self.suspends += 1
 
     # -- introspection -----------------------------------------------------
     def status(self) -> dict:
@@ -403,6 +430,7 @@ class TraceIngestServer:
                 "stalled_clients": self.stalled_clients,
                 "verdicts_issued": self.verdicts_issued,
                 "verdicts_replayed": self.verdicts_replayed,
+                "checkpoint_errors": self.checkpoint_errors,
             },
             "inflight_bytes": self._inflight_bytes,
         }

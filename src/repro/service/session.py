@@ -4,7 +4,10 @@ A session is one trace streamed by one client.  The server keeps, per
 session:
 
 * the **record log** — every record received so far, in order (this is
-  what checkpoints persist and what the final verdict is scored from);
+  what the final verdict is scored from);
+* the **pending chunks** — the ``(seq, payload)`` pairs accepted since
+  the last checkpoint, exactly as received: a checkpoint appends these
+  to the store, so it costs O(chunk), never a re-encode of the log;
 * an **incremental monitor** — a pooled
   :class:`~repro.core.monitor.OnlineMonitor` fed as chunks arrive, so
   violation episodes are pushed to the client *live*, long before the
@@ -139,9 +142,9 @@ class SessionState:
         self.finished = False
         self.verdict: dict | None = None
         self.live_violations: list[Violation] = []
-        self.buffered_bytes = 0
-        """Wire bytes accepted but not yet checkpointed (backpressure
-        accounting)."""
+        self.pending: list[tuple[int, bytes]] = []
+        """Chunks accepted but not yet checkpointed, as ``(seq,
+        payload)``; the server's checkpoint persists and clears them."""
 
     # -- ingest ---------------------------------------------------------
     def apply_chunk(self, seq: int, payload: bytes) -> list[Violation] | None:
@@ -179,7 +182,7 @@ class SessionState:
                 closed.extend(self.monitor.feed(record))
         self.records.extend(records)
         self.next_seq = seq + 1
-        self.buffered_bytes += len(payload)
+        self.pending.append((seq, payload))
         self.live_violations.extend(closed)
         return closed
 

@@ -2,17 +2,29 @@
 
 Generalizes the campaign checkpoint machinery (PR 2's
 :class:`~repro.experiments.cache.CheckpointManifest`) to streaming
-sessions: each session persists a small JSON manifest (cursor, finished
-flag, the verdict once issued) next to a binary payload of the records
-received so far.  Both are written atomically (tmp + rename), so a
-killed server leaves either the previous consistent checkpoint or the
-new one — never a torn pair the next server mis-resumes from.
+sessions.  A session's checkpoint is append-only:
+
+* one **segment** ``<id>.<seq:06d>.seg.npz`` per accepted chunk, holding
+  the chunk's payload exactly as it arrived (a version-stamped binary
+  trace the session already decoded and checked), and
+* a small JSON **manifest** ``<id>.session.json``: metadata, the cursor
+  ``next_seq``, the finished flag and the verdict once issued.
+
+Every file is written atomically (tmp + rename), segments before the
+manifest that counts them, so a killed server leaves a manifest whose
+cursor undersells the segments on disk (the client resends a chunk that
+is deduplicated on seq), never one that oversells them.  The records are
+segments ``0..next_seq-1``; anything beyond the cursor is a leftover of
+an interrupted write or an earlier incarnation of the session id and is
+never read.  A checkpoint therefore costs O(chunk), not O(session).
 
 Exactly-once verdicts rest on this store: the verdict is persisted
 *before* it is sent, so a client that disconnects mid-VERDICT and
 resumes gets the **same** stored verdict — recomputation (which could
 drift if code changed between server runs) never happens for a finished
-session.
+session.  Reading it back needs only the manifest
+(:meth:`SessionStore.manifest`), so stores written before the segment
+layout still replay their finished verdicts.
 
 The whole store directory is guarded by an advisory
 :class:`~repro.locking.FileLease` (same machinery as the campaign
@@ -25,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterable
 from pathlib import Path
 
 from repro.experiments.cache import default_cache_dir
@@ -36,7 +49,7 @@ __all__ = ["LeaseConflict", "SessionCheckpoint", "SessionStore",
            "default_store_dir"]
 
 _MANIFEST_SUFFIX = ".session.json"
-_RECORDS_SUFFIX = ".records.npz"
+_SEGMENT_SUFFIX = ".seg.npz"
 
 
 def default_store_dir() -> Path:
@@ -48,13 +61,17 @@ def default_store_dir() -> Path:
 
 
 class SessionCheckpoint:
-    """One session's persisted state, as loaded from disk."""
+    """One session's persisted state, as loaded from disk.
+
+    ``records`` is ``None`` when only the manifest was read
+    (:meth:`SessionStore.manifest`).
+    """
 
     __slots__ = ("session_id", "meta", "records", "next_seq", "finished",
                  "verdict")
 
     def __init__(self, session_id: str, meta: TraceMeta,
-                 records: list[TraceRecord], next_seq: int,
+                 records: list[TraceRecord] | None, next_seq: int,
                  finished: bool, verdict: dict | None):
         self.session_id = session_id
         self.meta = meta
@@ -93,8 +110,17 @@ class SessionStore:
     def _manifest_path(self, session_id: str) -> Path:
         return self.root / (self._safe_id(session_id) + _MANIFEST_SUFFIX)
 
-    def _records_path(self, session_id: str) -> Path:
-        return self.root / (self._safe_id(session_id) + _RECORDS_SUFFIX)
+    def _segment_path(self, session_id: str, seq: int) -> Path:
+        return self.root / (
+            f"{self._safe_id(session_id)}.{seq:06d}{_SEGMENT_SUFFIX}")
+
+    def _segment_paths(self, session_id: str) -> list[Path]:
+        """Every segment file of the session on disk, cursor or not."""
+        prefix = self._safe_id(session_id) + "."
+        # The glob also matches ids that extend this one ("veh" vs
+        # "veh.1"); only an all-digit sequence field is ours.
+        return [p for p in self.root.glob(prefix + "*" + _SEGMENT_SUFFIX)
+                if p.name[len(prefix):-len(_SEGMENT_SUFFIX)].isdigit()]
 
     # -- persistence -----------------------------------------------------
     def _atomic_write(self, path: Path, data: bytes) -> None:
@@ -103,18 +129,19 @@ class SessionStore:
         os.replace(tmp, path)
 
     def save(self, session_id: str, *, meta: TraceMeta,
-             record_bytes: bytes, next_seq: int, finished: bool,
-             verdict: dict | None) -> None:
-        """Persist one session's state (records payload + manifest).
+             segments: Iterable[tuple[int, bytes]], next_seq: int,
+             finished: bool, verdict: dict | None) -> None:
+        """Append ``(seq, payload)`` segments, then rewrite the manifest.
 
-        The records payload is written first: a crash between the two
-        writes leaves a manifest that undersells the payload (safe — the
-        client just resends a chunk that will be deduplicated on seq),
-        never one that oversells it.
+        Segments are written first: a crash before the manifest lands
+        leaves the old cursor, which undersells what is on disk (safe —
+        the client resends a chunk that is deduplicated on seq), never
+        one that counts a segment that was not written.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         self.lease.refresh()
-        self._atomic_write(self._records_path(session_id), record_bytes)
+        for seq, payload in segments:
+            self._atomic_write(self._segment_path(session_id, seq), payload)
         manifest = {
             "session_id": session_id,
             "meta": meta.to_dict(),
@@ -127,35 +154,56 @@ class SessionStore:
             (json.dumps(manifest) + "\n").encode("utf-8"))
         self.writes += 1
 
+    def manifest(self, session_id: str) -> SessionCheckpoint | None:
+        """The session's manifest alone (``records`` is ``None``), or
+        ``None`` if absent or unreadable.  Decodes no records: enough to
+        tell whether a session has history and to replay its verdict."""
+        try:
+            manifest = json.loads(
+                self._manifest_path(session_id).read_text(encoding="utf-8"))
+            return SessionCheckpoint(
+                session_id=manifest.get("session_id", session_id),
+                meta=TraceMeta.from_dict(manifest.get("meta", {})),
+                records=None,
+                next_seq=int(manifest.get("next_seq", 0)),
+                finished=bool(manifest.get("finished", False)),
+                verdict=manifest.get("verdict"),
+            )
+        except (OSError, ValueError):
+            return None
+
     def load(self, session_id: str) -> SessionCheckpoint | None:
-        """The session's checkpoint, or ``None`` if absent or unreadable.
+        """The session's checkpoint with its records, or ``None`` if the
+        manifest or any segment inside its cursor is absent or unreadable.
 
         An unreadable checkpoint (torn write survived by the machine
-        dying mid-rename, bit rot) is treated as absent: the client is
-        told to restart the stream, which costs a resend, not
-        correctness.
+        dying mid-rename, bit rot, a store from before the segment
+        layout) is treated as absent: the client is told to restart the
+        stream, which costs a resend, not correctness — never a
+        shortened trace.
         """
-        manifest_path = self._manifest_path(session_id)
+        checkpoint = self.manifest(session_id)
+        if checkpoint is None:
+            return None
+        records: list[TraceRecord] = []
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            records = list(trace_from_bytes(
-                self._records_path(session_id).read_bytes()).records)
+            for seq in range(checkpoint.next_seq):
+                records.extend(trace_from_bytes(
+                    self._segment_path(session_id, seq).read_bytes()).records)
         except (OSError, ValueError, TraceIOError):
             return None
+        checkpoint.records = records
         self.loads += 1
-        return SessionCheckpoint(
-            session_id=manifest.get("session_id", session_id),
-            meta=TraceMeta.from_dict(manifest.get("meta", {})),
-            records=records,
-            next_seq=int(manifest.get("next_seq", 0)),
-            finished=bool(manifest.get("finished", False)),
-            verdict=manifest.get("verdict"),
-        )
+        return checkpoint
 
     def drop(self, session_id: str) -> None:
-        """Delete one session's checkpoint files (post-verdict cleanup)."""
+        """Delete one session's checkpoint files (post-verdict cleanup).
+
+        The manifest goes first, so an interrupted drop leaves only
+        segments that no manifest counts.
+        """
         for path in (self._manifest_path(session_id),
-                     self._records_path(session_id)):
+                     *self._segment_paths(session_id)):
             try:
                 path.unlink()
             except OSError:

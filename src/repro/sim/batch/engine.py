@@ -40,7 +40,7 @@ from repro.sim.batch.dynamics import BatchVehicle
 from repro.sim.batch.ekf import BatchEkf
 from repro.sim.batch.noise import build_lane_tapes
 from repro.sim.batch.route import BatchRoute
-from repro.sim.engine import RunResult
+from repro.sim.engine import _DIVERGENCE_CTE, RunResult
 from repro.sim.lead import LeadVehicle
 from repro.sim.rng import RngStreams
 from repro.sim.scenario import Scenario, ScenarioOutcome
@@ -57,8 +57,6 @@ if TYPE_CHECKING:  # annotation-only import; repro.attacks imports repro.sim
     from repro.faults.campaign import FaultCampaign
 
 __all__ = ["LaneSpec", "BatchCompatError", "run_batch"]
-
-_DIVERGENCE_CTE = 30.0  # keep in sync with repro.sim.engine
 
 
 class BatchCompatError(ValueError):

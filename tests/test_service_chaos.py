@@ -14,11 +14,22 @@ against backpressure, SIGKILLed worker shards, raw garbage on the socket
 from __future__ import annotations
 
 import asyncio
+import errno
+import json
+import multiprocessing
 import os
 import signal
+import time
 
+import pytest
+
+import repro.service.session as session_module
+import repro.service.store as store_module
+import repro.trace.io as trace_io
 from repro.service.client import TraceStreamClient, fetch_status, stream_trace
 from repro.service.protocol import FrameType, encode_frame, read_frame
+from repro.service.server import ServerConfig, TraceIngestServer
+from repro.service.store import SessionStore
 
 from service_utils import attacked_trace, offline_verdict, serving
 
@@ -263,3 +274,382 @@ class TestFleetChaos:
         assert status["counters"]["verdicts_issued"] == 5
         assert status["fleet"]["sessions_completed"] == 5
         assert status["counters"]["suspends"] >= 3
+
+
+# -- checkpoint store: failed saves, manifest-only reads, segments -------
+
+def _payloads(trace, size):
+    from repro.service.session import chunk_to_bytes
+    records = list(trace.records)
+    return [chunk_to_bytes(trace.meta, records[i:i + size])
+            for i in range(0, len(records), size)]
+
+
+async def _open_session(port, session_id, meta):
+    """A raw connection that has sent HELLO and received WELCOME."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(encode_frame(FrameType.HELLO, {
+        "session_id": session_id, "meta": meta.to_dict()}))
+    await writer.drain()
+    assert (await read_frame(reader)).type is FrameType.WELCOME
+    return reader, writer
+
+
+async def _send_chunk(reader, writer, seq, payload):
+    """Send one CHUNK; the reply frame, or ``None`` if the server hung up."""
+    writer.write(encode_frame(FrameType.CHUNK, {"seq": seq}, payload))
+    await writer.drain()
+    return await read_frame(reader)
+
+
+async def _stream_partial(port, session_id, meta, payloads):
+    """HELLO, ACKed chunks ``0..len(payloads)-1``, then hang up; returns
+    once the server has suspended (checkpointed) the session."""
+    reader, writer = await _open_session(port, session_id, meta)
+    for seq, payload in enumerate(payloads):
+        assert (await _send_chunk(reader, writer, seq, payload)).type \
+            is FrameType.ACK
+    writer.write(encode_frame(FrameType.BYE, {}))
+    await writer.drain()
+    assert (await read_frame(reader)).type is FrameType.BYE
+    assert await read_frame(reader) is None  # suspended before the close
+    writer.close()
+
+
+def _disk_full(self, path, data):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestCheckpointFailure:
+    def test_failed_save_evicts_session_and_resume_continues(
+            self, tmp_path, monkeypatch):
+        """A save that raises mid-session drops the connection, evicts
+        the session and releases its monitor; a later RESUME continues
+        from the last checkpoint that landed."""
+        trace = attacked_trace()
+        payloads = _payloads(trace, 50)
+
+        async def go():
+            async with serving(tmp_path) as server:
+                reader, writer = await _open_session(
+                    server.port, "veh-enospc", trace.meta)
+                for seq in range(2):
+                    assert (await _send_chunk(reader, writer, seq,
+                                              payloads[seq])).type \
+                        is FrameType.ACK
+                monkeypatch.setattr(SessionStore, "_atomic_write",
+                                    _disk_full)
+                hung_up = await _send_chunk(reader, writer, 2, payloads[2])
+                writer.close()
+                live = dict(server.sessions)
+                monkeypatch.undo()
+                outcome = await stream_trace(
+                    trace, "127.0.0.1", server.port, "veh-enospc",
+                    chunk_records=50)
+                status = await fetch_status("127.0.0.1", server.port)
+                return hung_up, live, outcome, status
+
+        hung_up, live, outcome, status = asyncio.run(go())
+        assert hung_up is None, "no ACK for a chunk that was not saved"
+        assert live == {}, "a failed save must not strand the session"
+        # the chunk's own checkpoint and the suspend's retry
+        assert status["counters"]["checkpoint_errors"] == 2
+        assert status["monitor_pool"]["reused"] >= 1
+        assert outcome.chunks_applied == 2  # resent from cursor 2
+        assert outcome.verdict["report"] == offline_verdict(trace)
+
+    def test_failed_verdict_save_is_never_sent_and_resume_finishes(
+            self, tmp_path, monkeypatch):
+        """A verdict whose save fails is not sent, and the session is
+        evicted like any other; the resumed stream gets its verdict."""
+        trace = attacked_trace()
+        payloads = _payloads(trace, 50)
+
+        async def go():
+            async with serving(tmp_path) as server:
+                reader, writer = await _open_session(
+                    server.port, "veh-verdict", trace.meta)
+                for seq, payload in enumerate(payloads):
+                    assert (await _send_chunk(reader, writer, seq,
+                                              payload)).type \
+                        is FrameType.ACK
+                monkeypatch.setattr(SessionStore, "_atomic_write",
+                                    _disk_full)
+                writer.write(encode_frame(FrameType.FINISH, {}))
+                await writer.drain()
+                hung_up = await read_frame(reader)
+                writer.close()
+                live = dict(server.sessions)
+                monkeypatch.undo()
+                outcome = await stream_trace(
+                    trace, "127.0.0.1", server.port, "veh-verdict",
+                    chunk_records=50)
+                return hung_up, live, outcome
+
+        hung_up, live, outcome = asyncio.run(go())
+        assert hung_up is None, "an unsaved verdict must not be sent"
+        assert live == {}
+        assert outcome.chunks_applied == 0
+        assert outcome.verdict["report"] == offline_verdict(trace)
+
+    def test_stop_shuts_down_when_saves_fail(self, tmp_path, monkeypatch):
+        """stop() with a live session whose save raises still stops the
+        shard workers and releases the store lease."""
+        trace = attacked_trace()
+
+        async def go():
+            server = TraceIngestServer(ServerConfig(
+                store_dir=str(tmp_path), shards=1))
+            await server.start()
+            server.shards.warm()
+            pids = server.shards.worker_pids()
+            reader, writer = await _open_session(
+                server.port, "veh-stop", trace.meta)
+            assert (await _send_chunk(reader, writer, 0,
+                                      _payloads(trace, 50)[0])).type \
+                is FrameType.ACK
+            monkeypatch.setattr(SessionStore, "_atomic_write", _disk_full)
+            await server.stop()
+            writer.close()
+            return server, pids
+
+        server, pids = asyncio.run(go())
+        assert pids, "warm() must spawn the shard worker"
+        assert server.sessions == {}
+        assert server.checkpoint_errors >= 1
+        assert server.shards.worker_pids() == []
+        deadline = time.monotonic() + 10.0
+        while (set(pids) & {p.pid for p in multiprocessing.active_children()}
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert not set(pids) & {
+            p.pid for p in multiprocessing.active_children()}
+        monkeypatch.undo()
+        successor = SessionStore(tmp_path)
+        successor.acquire()  # raises LeaseConflict if the lease leaked
+        successor.release()
+
+
+class TestManifestOnlyReads:
+    def test_hello_and_finished_resume_decode_no_records(
+            self, tmp_path, monkeypatch):
+        trace = attacked_trace()
+        decodes = []
+
+        def counting(real):
+            def wrapper(data):
+                decodes.append(len(data))
+                return real(data)
+            return wrapper
+
+        async def go():
+            async with serving(tmp_path) as server:
+                first = await stream_trace(
+                    trace, "127.0.0.1", server.port, "veh-done",
+                    chunk_records=50)
+                monkeypatch.setattr(
+                    store_module, "trace_from_bytes",
+                    counting(store_module.trace_from_bytes))
+                monkeypatch.setattr(
+                    session_module, "trace_from_bytes",
+                    counting(session_module.trace_from_bytes))
+                _, writer = await _open_session(
+                    server.port, "veh-new", trace.meta)
+                writer.close()
+                # HELLO bounced to RESUME, which replays the verdict
+                replay = await stream_trace(
+                    trace, "127.0.0.1", server.port, "veh-done",
+                    chunk_records=50)
+                return first, replay
+
+        first, replay = asyncio.run(go())
+        assert decodes == []
+        assert replay.resumed_finished and replay.verdict == first.verdict
+
+    def test_store_without_segments_replays_finished_verdicts(
+            self, tmp_path):
+        """A store holding only manifests and whole-log payloads (the
+        layout before segments) still replays finished verdicts; an
+        unfinished session there resumes fresh."""
+        trace = attacked_trace()
+        store = SessionStore(tmp_path)
+        stored_verdict = {"report": {"stored": True}, "n_records": 7}
+        for session_id, finished in (("veh-old-done", True),
+                                     ("veh-old-open", False)):
+            store._manifest_path(session_id).parent.mkdir(
+                parents=True, exist_ok=True)
+            store._manifest_path(session_id).write_text(json.dumps({
+                "session_id": session_id, "meta": trace.meta.to_dict(),
+                "next_seq": 4, "finished": finished,
+                "verdict": stored_verdict if finished else None}))
+            (tmp_path / f"{session_id}.records.npz").write_bytes(
+                _payloads(trace, len(trace))[0])
+
+        async def go():
+            async with serving(tmp_path) as server:
+                done = await stream_trace(
+                    trace, "127.0.0.1", server.port, "veh-old-done",
+                    chunk_records=50)
+                reopened = await stream_trace(
+                    trace, "127.0.0.1", server.port, "veh-old-open",
+                    chunk_records=50)
+                return done, reopened
+
+        done, reopened = asyncio.run(go())
+        assert done.resumed_finished and done.verdict == stored_verdict
+        assert reopened.chunks_applied == 4  # fresh: every chunk resent
+        assert reopened.verdict["report"] == offline_verdict(trace)
+
+
+class TestSegmentLayout:
+    def test_segment_written_manifest_not(self, tmp_path, monkeypatch):
+        """A crash between a chunk's segment and the manifest: the resume
+        continues from the older cursor and applies the resent chunk
+        once."""
+        trace = attacked_trace()
+        payloads = _payloads(trace, 50)
+        real_write = SessionStore._atomic_write
+
+        def manifest_fails(self, path, data):
+            if path.name.endswith(".session.json"):
+                raise OSError(errno.EIO, "Input/output error")
+            real_write(self, path, data)
+
+        async def go():
+            async with serving(tmp_path) as server:
+                reader, writer = await _open_session(
+                    server.port, "veh-window", trace.meta)
+                for seq in range(2):
+                    assert (await _send_chunk(reader, writer, seq,
+                                              payloads[seq])).type \
+                        is FrameType.ACK
+                monkeypatch.setattr(SessionStore, "_atomic_write",
+                                    manifest_fails)
+                assert await _send_chunk(reader, writer, 2,
+                                         payloads[2]) is None
+                writer.close()
+                monkeypatch.undo()
+                store = server.store
+                window = (store._segment_path("veh-window", 2).exists(),
+                          store.manifest("veh-window").next_seq)
+                outcome = await stream_trace(
+                    trace, "127.0.0.1", server.port, "veh-window",
+                    chunk_records=50)
+                return window, outcome
+
+        (segment_on_disk, cursor), outcome = asyncio.run(go())
+        assert segment_on_disk and cursor == 2
+        assert outcome.chunks_applied == 2
+        assert outcome.duplicate_acks == 0
+        assert outcome.verdict["n_records"] == len(trace)
+        assert outcome.verdict["report"] == offline_verdict(trace)
+
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    def test_bad_segment_inside_cursor_resumes_fresh(self, tmp_path,
+                                                     damage):
+        trace = attacked_trace()
+        payloads = _payloads(trace, 50)
+
+        async def go():
+            async with serving(tmp_path) as server:
+                await _stream_partial(server.port, "veh-bad", trace.meta,
+                                      payloads[:3])
+                segment = server.store._segment_path("veh-bad", 1)
+                if damage == "missing":
+                    segment.unlink()
+                else:
+                    segment.write_bytes(segment.read_bytes()[:100])
+                assert server.store.load("veh-bad") is None
+                return await stream_trace(
+                    trace, "127.0.0.1", server.port, "veh-bad",
+                    chunk_records=50)
+
+        outcome = asyncio.run(go())
+        assert outcome.chunks_applied == len(payloads)  # fresh restart
+        assert outcome.verdict["n_records"] == len(trace)
+        assert outcome.verdict["report"] == offline_verdict(trace)
+
+    def test_stale_segments_beyond_cursor_are_ignored(self, tmp_path):
+        """Segments of an earlier incarnation of the session id (here: a
+        drop interrupted after the manifest went) are never read."""
+        old, new = attacked_trace(), attacked_trace(window=(20, 60))
+
+        async def go():
+            async with serving(tmp_path) as server:
+                store = server.store
+                await _stream_partial(server.port, "veh-stale", old.meta,
+                                      _payloads(old, 50))
+                store._manifest_path("veh-stale").unlink()
+                payloads = _payloads(new, 100)
+                await _stream_partial(server.port, "veh-stale", new.meta,
+                                      payloads[:1])
+                stale = all(store._segment_path("veh-stale", seq).exists()
+                            for seq in range(1, 4))
+                loaded = store.load("veh-stale").records
+                outcome = await stream_trace(
+                    new, "127.0.0.1", server.port, "veh-stale",
+                    chunk_records=100)
+                return stale, loaded, outcome
+
+        stale, loaded, outcome = asyncio.run(go())
+        assert stale, "the earlier incarnation's segments are still there"
+        assert loaded == list(new.records)[:100]
+        assert outcome.chunks_applied == 1
+        assert outcome.verdict["report"] == offline_verdict(new)
+
+    def test_drop_removes_every_segment(self, tmp_path):
+        trace = attacked_trace()
+        payloads = _payloads(trace, 50)
+        store = SessionStore(tmp_path)
+        store.save("veh", meta=trace.meta,
+                   segments=list(enumerate(payloads[:2])), next_seq=2,
+                   finished=False, verdict=None)
+        store.save("veh", meta=trace.meta, segments=[(7, payloads[3])],
+                   next_seq=2, finished=False, verdict=None)  # stale
+        store.save("veh.1", meta=trace.meta, segments=[(0, payloads[0])],
+                   next_seq=1, finished=False, verdict=None)
+        store.drop("veh")
+        assert store.manifest("veh") is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "veh.1.000000.seg.npz", "veh.1.session.json"]
+        assert len(store.load("veh.1").records) == 50
+
+
+class TestCheckpointCost:
+    def test_streaming_encodes_the_trace_once_at_finish(
+            self, tmp_path, monkeypatch):
+        """Checkpoints append chunk payloads as received: no record is
+        re-encoded until FINISH assembles the trace for scoring."""
+        trace = attacked_trace()
+        payloads = _payloads(trace, 25)
+        encodes = []
+        real_encode = session_module.trace_to_npz_bytes
+
+        def counting(trace_):
+            encodes.append(len(trace_))
+            return real_encode(trace_)
+
+        monkeypatch.setattr(session_module, "trace_to_npz_bytes", counting)
+        monkeypatch.setattr(trace_io, "trace_to_npz_bytes", counting)
+
+        async def go():
+            async with serving(tmp_path) as server:
+                reader, writer = await _open_session(
+                    server.port, "veh-cost", trace.meta)
+                for seq, payload in enumerate(payloads):
+                    assert (await _send_chunk(reader, writer, seq,
+                                              payload)).type \
+                        is FrameType.ACK
+                before_finish = list(encodes)
+                writer.write(encode_frame(FrameType.FINISH, {}))
+                await writer.drain()
+                verdict = await read_frame(reader)
+                writer.close()
+                return before_finish, verdict
+
+        before_finish, verdict = asyncio.run(go())
+        assert len(payloads) == 8
+        assert before_finish == []
+        assert encodes == [len(trace)]
+        assert verdict.type is FrameType.VERDICT
+        assert verdict.header["report"] == offline_verdict(trace)
