@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_discrete_are
 
 from repro.control.base import LateralController, SteerDecision
 from repro.geom.angles import angle_diff
@@ -72,6 +71,10 @@ class LqrController(LateralController):
         v = max(speed, 0.5)  # keep the model controllable near standstill
         key = (int(round(v / self._SPEED_QUANTUM)), int(round(dt * 1e4)))
         if key not in self._gain_cache:
+            # Imported at the first solve: launches that never run an LQR
+            # lane (checks, cached campaigns, the service) skip scipy.
+            from scipy.linalg import solve_discrete_are
+
             v_q = key[0] * self._SPEED_QUANTUM
             a = np.array([[1.0, v_q * dt], [0.0, 1.0]])
             b = np.array([[0.0], [v_q * dt / self.wheelbase]])

@@ -18,7 +18,6 @@ is a bounded least-squares problem solved with
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from repro.control.base import LateralController, SteerDecision
 from repro.geom.angles import angle_diff
@@ -122,6 +121,9 @@ class MpcController(LateralController):
             rhs_diff = np.zeros(n)
             rhs_diff[0] = self.dr_sqrt * prev_u
             rhs.append(rhs_diff)
+
+        # Imported at the first solve, like the LQR's DARE solver.
+        from scipy.optimize import lsq_linear
 
         a_ls = np.vstack(rows)
         b_ls = np.concatenate(rhs)

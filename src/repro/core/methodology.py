@@ -10,12 +10,13 @@ is exactly how the E9 experiment demonstrates convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.catalog import CATALOG_STAGES, default_catalog
 from repro.core.checker import check_trace
 from repro.core.diagnosis import diagnose
 from repro.core.knowledge import KnowledgeBase, default_knowledge_base
+from repro.core.verdicts import CheckReport
 from repro.trace.schema import Trace
 
 __all__ = ["AnomalyCase", "GapAnalysis", "RefinementIteration", "RefinementLoop"]
@@ -27,6 +28,9 @@ class AnomalyCase:
 
     trace: Trace
     true_cause: str
+    report: CheckReport | None = None
+    """The trace's full-catalog check, when already known (e.g. a cached
+    grid run); the loop checks the trace itself otherwise."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,8 +83,11 @@ class RefinementLoop:
 
     Each iteration adds one stage of :data:`CATALOG_STAGES` to the active
     assertion set (mirroring domain experts authoring the next family of
-    assertions in response to remaining gaps), re-checks every corpus
-    case, and records detection/diagnosis coverage.
+    assertions in response to remaining gaps) and records
+    detection/diagnosis coverage.  Every corpus case is checked once,
+    against the full catalog (or not at all when it carries its
+    ``report``); each stage diagnoses that report's projection onto the
+    active assertions (:meth:`CheckReport.restricted`).
     """
 
     def __init__(self, corpus: list[AnomalyCase],
@@ -92,9 +99,15 @@ class RefinementLoop:
 
     def analyze_case(self, case: AnomalyCase,
                      assertion_ids: tuple[str, ...]) -> GapAnalysis:
-        """Check + diagnose one case with one assertion subset."""
-        assertions = default_catalog(assertion_ids)
-        report = check_trace(case.trace, assertions)
+        """Check + diagnose one case with one assertion subset.
+
+        A case carrying its ``report`` is projected onto the subset
+        instead of re-checked.
+        """
+        if case.report is None:
+            report = check_trace(case.trace, default_catalog(assertion_ids))
+        else:
+            report = case.report.restricted(assertion_ids)
         onset = case.trace.attack_onset()
         if onset is None:
             detected = report.any_fired
@@ -119,6 +132,9 @@ class RefinementLoop:
 
     def run(self) -> list[RefinementIteration]:
         """Execute every refinement iteration; returns one entry per stage."""
+        corpus = [case if case.report is not None
+                  else replace(case, report=check_trace(case.trace))
+                  for case in self.corpus]
         iterations: list[RefinementIteration] = []
         active_stages: list[str] = []
         active_ids: list[str] = []
@@ -129,7 +145,7 @@ class RefinementLoop:
                 stage_names=tuple(active_stages),
                 assertion_ids=tuple(active_ids),
             )
-            for case in self.corpus:
+            for case in corpus:
                 iteration.gaps.append(
                     self.analyze_case(case, tuple(active_ids))
                 )

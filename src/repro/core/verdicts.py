@@ -177,6 +177,26 @@ class CheckReport:
         """Assertion-id -> evidence strength map for the diagnosis engine."""
         return {aid: s.strength for aid, s in self.summaries.items()}
 
+    def restricted(self, ids) -> "CheckReport":
+        """The report a check with only the assertions ``ids`` produces.
+
+        Summaries come in ``ids`` order and violations keep their
+        ``(t_start, assertion_id)`` order.  Exact, because the checker
+        evaluates every assertion independently of the others: projecting
+        a full-catalog report equals re-checking the trace with the
+        subset.  Raises ``KeyError`` for an id this report never checked.
+        """
+        keep = {aid: self.summaries[aid] for aid in ids}
+        return CheckReport(
+            scenario=self.scenario,
+            controller=self.controller,
+            attack_label=self.attack_label,
+            duration=self.duration,
+            violations=[v for v in self.violations
+                        if v.assertion_id in keep],
+            summaries=keep,
+        )
+
     def to_dict(self) -> dict:
         """JSON-serializable form: the monitoring service's wire payload.
 

@@ -311,7 +311,9 @@ class ScoredResultStore(ResultStore):
 
     A "point" here is the params dict itself; stored values are
     ``(RunResult, CheckReport)`` pairs (diagnosis is knowledge-base
-    dependent and recomputed by callers).
+    dependent and recomputed by callers), or, for a run whose simulation
+    deterministically crashed, the crash message
+    (:meth:`commit_failure` / :meth:`resolve_failure`).
     """
 
     def __init__(self, cache, memo_get: Callable, memo_put: Callable,
@@ -329,6 +331,9 @@ class ScoredResultStore(ResultStore):
 
     def memo_key(self, params: dict) -> tuple:
         return ("scored", self.canonical(params))
+
+    def failure_memo_key(self, params: dict) -> tuple:
+        return ("scored-failure", self.canonical(params))
 
     def key(self, params: dict) -> str | None:
         if self.cache is None:
@@ -360,6 +365,27 @@ class ScoredResultStore(ResultStore):
             # Sidecar ledger: lets `adassure explain <key>` reverse-map
             # off-grid entries back to their params dict.
             self.cache.record_params(key, params)
+
+    def resolve_failure(self, params: dict):
+        """``(message, source)`` of a stored deterministic crash, or
+        ``None``; same layers as :meth:`resolve`."""
+        message = self._memo_get(self.failure_memo_key(params))
+        if message is not None:
+            return message, "memo"
+        if self.cache is None:
+            return None
+        message = self.cache.load_failure(self.key(params))
+        if message is None:
+            return None
+        self._memo_put(self.failure_memo_key(params), message)
+        return message, "disk"
+
+    def commit_failure(self, params: dict, message: str) -> None:
+        """Store a run's deterministic crash under the key its result
+        would have had."""
+        self._memo_put(self.failure_memo_key(params), message)
+        if self.cache is not None:
+            self.cache.store_failure(self.key(params), message)
 
     def quarantine(self, params: dict, error: str) -> None:
         """Off-grid runs keep no campaign ledger; failures raise to the

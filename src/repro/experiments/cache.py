@@ -15,6 +15,9 @@ Layout (under ``$ADASSURE_CACHE_DIR`` or ``~/.cache/adassure``)::
                                         inspectable via `adassure check`)
     <root>/v2/ab/<key>.scored.pkl       pickled scenario + metrics +
                                         outcome + CheckReport + diagnosis
+    <root>/v2/ab/<key>.failure.json     instead of the pair above: the
+                                        message of a run whose simulation
+                                        deterministically crashed
 
 Traces are stored as the binary bytes themselves — no re-compression
 wrapper — so a cache hit deserializes straight into the columnar view
@@ -71,6 +74,7 @@ JSONL (smaller entries, much faster loads, no double compression).
 
 _TRACE_SUFFIX = ".trace.npz"
 _SCORED_SUFFIX = ".scored.pkl"
+_FAILURE_SUFFIX = ".failure.json"
 
 
 def default_cache_dir() -> Path:
@@ -203,6 +207,9 @@ class RunCache:
     def _scored_path(self, key: str) -> Path:
         return self._shard(key) / (key + _SCORED_SUFFIX)
 
+    def _failure_path(self, key: str) -> Path:
+        return self._shard(key) / (key + _FAILURE_SUFFIX)
+
     def contains(self, key: str) -> bool:
         return self._trace_path(key).exists() and self._scored_path(key).exists()
 
@@ -282,6 +289,39 @@ class RunCache:
             self.counters.errors += 1
             self.evict(key)
 
+    # -- stored crashes -------------------------------------------------
+    def load_failure(self, key: str) -> str | None:
+        """The message of the crash stored under ``key``, or ``None``.
+
+        Hit/miss counters are left to :meth:`load`, which callers ask
+        first.  A corrupt entry is evicted and counted as an error, so
+        the run simulates again.
+        """
+        try:
+            message = json.loads(
+                self._failure_path(key).read_text(encoding="utf-8"))["message"]
+            if not isinstance(message, str):
+                raise TypeError("failure entry holds no message")
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, KeyError, TypeError):
+            self.counters.errors += 1
+            self.evict(key)
+            return None
+        return message
+
+    def store_failure(self, key: str, message: str) -> None:
+        """Persist a run's deterministic crash; atomic and best-effort,
+        like :meth:`store`."""
+        try:
+            self._shard(key).mkdir(parents=True, exist_ok=True)
+            data = json.dumps({"message": message}) + "\n"
+            self._atomic_write(self._failure_path(key), data.encode("utf-8"))
+            self.counters.stores += 1
+        except OSError:
+            self.counters.errors += 1
+            self.evict(key)
+
     # -- off-grid params ledger -----------------------------------------
     def _params_path(self, key: str) -> Path:
         return self.root / "params" / key[:2] / (key + ".params.json")
@@ -320,8 +360,10 @@ class RunCache:
         os.replace(tmp, path)
 
     def evict(self, key: str) -> None:
-        """Drop one entry (both payload files), ignoring races."""
-        for path in (self._trace_path(key), self._scored_path(key)):
+        """Drop one entry (payload files or stored crash), ignoring
+        races."""
+        for path in (self._trace_path(key), self._scored_path(key),
+                     self._failure_path(key)):
             try:
                 path.unlink()
             except OSError:
@@ -359,11 +401,13 @@ class RunCache:
 
     # -- maintenance ----------------------------------------------------
     def stats(self) -> dict:
-        """Entry count and byte footprint of the disk layer."""
+        """Entry count (stored crashes included) and byte footprint of
+        the disk layer."""
         entries = 0
         total_bytes = 0
         if self.root.exists():
-            entries = sum(1 for _ in self.root.rglob("*" + _SCORED_SUFFIX))
+            entries = sum(1 for suffix in (_SCORED_SUFFIX, _FAILURE_SUFFIX)
+                          for _ in self.root.rglob("*" + suffix))
             total_bytes = sum(p.stat().st_size for p in self.root.rglob("*")
                               if p.is_file())
         return {

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import re
+import time
 from dataclasses import dataclass, field, replace
 
 from repro.attacks.campaign import (
@@ -644,6 +645,7 @@ class ProbeEngine:
         self.baseline_fired: frozenset[str] = frozenset()
         self.flipped = 0
         self.stats = GridStats(workers=1)
+        self._wall_start = time.perf_counter()
         self.stats.sim_engine = self.sim_engine
         self.stats.sim_engine_reason = engine_reason
         self._speculative: dict[str, RunResult] = {}
@@ -686,8 +688,6 @@ class ProbeEngine:
                             ekf_config=self.subject.ekf_config())
 
     def _resolve_or_run(self, intervention: Intervention):
-        import time
-
         from repro.core.checker import check_trace
         params = probe_params(self.subject, intervention)
         canon = self.store.canonical(params)
@@ -762,11 +762,14 @@ class ProbeEngine:
                                   faults=faults))
         from repro.sim.batch.controllers import dare_memo_counters
         dare0 = dare_memo_counters()
+        t0 = time.perf_counter()
         try:
             results = run_batch(specs)
         except Exception:
             self.stats.batch_fallbacks += 1
             return 0
+        finally:
+            self.stats.phase_time["simulate"] += time.perf_counter() - t0
         dare1 = dare_memo_counters()
         self.stats.dare_memo_hits += dare1["hits"] - dare0["hits"]
         self.stats.dare_memo_solves += dare1["solves"] - dare0["solves"]
@@ -807,6 +810,7 @@ class ProbeEngine:
         :data:`~repro.experiments.stats.STATS` (one record per
         explanation, like one ``run_grid`` call)."""
         self.stats.grid_points = self.probes
+        self.stats.wall_time = time.perf_counter() - self._wall_start
         STATS.record(self.stats)
 
 

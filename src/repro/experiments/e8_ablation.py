@@ -9,8 +9,7 @@ each consistency family added disambiguates the attacks on its channel.
 
 from __future__ import annotations
 
-from repro.core.catalog import CATALOG_STAGES, default_catalog
-from repro.core.checker import check_trace
+from repro.core.catalog import CATALOG_STAGES
 from repro.core.diagnosis import diagnose
 from repro.core.knowledge import default_knowledge_base
 from repro.experiments.config import ExperimentConfig
@@ -50,7 +49,9 @@ def build_assertion_ablation(config: ExperimentConfig | None = None,
         sub_kb = kb.restricted(frozenset(subset))
         detected = top1 = top2 = 0
         for run in runs:
-            report = check_trace(run.result.trace, default_catalog(subset))
+            # The grid run's full-catalog report, projected onto the
+            # stage: identical to re-checking with the subset.
+            report = run.report.restricted(subset)
             onset = run.result.trace.attack_onset()
             det = (onset is not None
                    and report.detection_latency(onset) is not None)

@@ -37,7 +37,8 @@ def build_refinement_loop(config: ExperimentConfig | None = None,
         duration=config.duration,
         workers=workers,
     )
-    corpus = [AnomalyCase(trace=r.result.trace, true_cause=r.attack)
+    corpus = [AnomalyCase(trace=r.result.trace, true_cause=r.attack,
+                          report=r.report)
               for r in runs]
     iterations = RefinementLoop(corpus).run()
 

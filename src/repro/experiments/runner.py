@@ -465,34 +465,50 @@ def run_scored(params: dict, simulate) -> tuple[RunResult, CheckReport]:
         :func:`~repro.core.checker.check_trace` verdict.  Diagnosis is
         not cached: rankings are knowledge-base dependent and cost
         microseconds to recompute.
+
+    Raises:
+        ValueError: the simulation crashed (E14's unprotected stack dies
+            on a NaN burst).  The simulator is deterministic, so the
+            crash is stored like a result and a warm call re-raises it
+            without simulating.  Other exceptions, ValueError subclasses
+            included, are never stored.
     """
     wall_start = time.perf_counter()
     stats = GridStats(workers=1, grid_points=1)
     store = scored_store()
-    hit = store.resolve(params)
+    hit = store.resolve(params) or store.resolve_failure(params)
     if hit is not None:
-        pair, source = hit
+        value, source = hit
         if source == "memo":
             stats.memo_hits = 1
         else:
             stats.disk_hits = 1
         stats.wall_time = time.perf_counter() - wall_start
         STATS.record(stats)
-        return pair
+        if isinstance(value, str):  # a stored crash message
+            raise ValueError(value)
+        return value
 
-    t0 = time.perf_counter()
-    result = simulate()
-    t1 = time.perf_counter()
-    report = check_trace(result.trace)
-    t2 = time.perf_counter()
-    store.commit(params, (result, report))
-    if store.cache is not None:
-        stats.disk_errors = store.cache.counters.errors
     stats.executed = 1
-    stats.phase_time["simulate"] = t1 - t0
-    stats.phase_time["check"] = t2 - t1
-    stats.wall_time = time.perf_counter() - wall_start
-    STATS.record(stats)
+    try:
+        t0 = time.perf_counter()
+        try:
+            result = simulate()
+        except ValueError as exc:
+            if type(exc) is ValueError:
+                store.commit_failure(params, str(exc))
+            raise
+        finally:
+            stats.phase_time["simulate"] = time.perf_counter() - t0
+        t1 = time.perf_counter()
+        report = check_trace(result.trace)
+        stats.phase_time["check"] = time.perf_counter() - t1
+        store.commit(params, (result, report))
+    finally:
+        if store.cache is not None:
+            stats.disk_errors = store.cache.counters.errors
+        stats.wall_time = time.perf_counter() - wall_start
+        STATS.record(stats)
     return result, report
 
 

@@ -174,6 +174,113 @@ class TestRunScored:
         assert STATS.last.executed == 1
 
 
+class TestStoredCrash:
+    """A deterministic simulator crash is stored like a result."""
+
+    PARAMS = {"kind": "test-crash", "seed": 3}
+    MESSAGE = "cannot normalize non-finite angle nan"
+
+    @pytest.fixture()
+    def crashing(self):
+        calls = []
+
+        def simulate():
+            calls.append(1)
+            raise ValueError(self.MESSAGE)
+
+        return simulate, calls
+
+    def _failure_files(self, root):
+        return list(root.rglob("*.failure.json"))
+
+    def test_cold_run_stores_and_counts_the_crash(self, fresh_cache,
+                                                   crashing):
+        simulate, calls = crashing
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            run_scored(self.PARAMS, simulate)
+        assert calls == [1]
+        assert STATS.last.executed == 1
+        assert STATS.last.phase_time["simulate"] > 0.0
+        assert len(self._failure_files(fresh_cache)) == 1
+        assert RunCache().stats()["entries"] == 1
+
+    @pytest.mark.parametrize("layer", ["memo", "disk"])
+    def test_warm_run_reraises_without_simulating(self, fresh_cache,
+                                                  crashing, layer):
+        simulate, calls = crashing
+        with pytest.raises(ValueError):
+            run_scored(self.PARAMS, simulate)
+        if layer == "disk":
+            clear_cache()
+        with pytest.raises(ValueError) as warm:
+            run_scored(self.PARAMS, simulate)
+        assert type(warm.value) is ValueError
+        assert str(warm.value) == self.MESSAGE
+        assert calls == [1]
+        last = STATS.last
+        assert last.executed == 0
+        assert (last.memo_hits, last.disk_hits) == (
+            (1, 0) if layer == "memo" else (0, 1))
+
+    def test_corrupt_entry_simulates_again(self, fresh_cache, crashing):
+        simulate, calls = crashing
+        with pytest.raises(ValueError):
+            run_scored(self.PARAMS, simulate)
+        (entry,) = self._failure_files(fresh_cache)
+        entry.write_bytes(b"\x00not json")
+        clear_cache()
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            run_scored(self.PARAMS, simulate)
+        assert calls == [1, 1]
+        assert STATS.last.executed == 1
+        assert STATS.last.disk_errors == 1
+        assert len(self._failure_files(fresh_cache)) == 1  # re-stored
+
+    def test_evict_removes_the_entry(self, fresh_cache, crashing):
+        simulate, calls = crashing
+        with pytest.raises(ValueError):
+            run_scored(self.PARAMS, simulate)
+        cache = RunCache()
+        (entry,) = self._failure_files(fresh_cache)
+        cache.evict(entry.name.split(".")[0])
+        assert not self._failure_files(fresh_cache)
+        clear_cache()
+        with pytest.raises(ValueError):
+            run_scored(self.PARAMS, simulate)
+        assert calls == [1, 1]
+
+    @pytest.mark.parametrize("error", [RuntimeError("flaky"),
+                                       KeyError("config")])
+    def test_other_errors_are_not_stored(self, fresh_cache, error):
+        calls = []
+
+        def simulate():
+            calls.append(1)
+            raise error
+
+        for _ in range(2):
+            with pytest.raises(type(error)):
+                run_scored(self.PARAMS, simulate)
+            assert STATS.last.executed == 1
+        assert calls == [1, 1]
+        assert not self._failure_files(fresh_cache)
+
+    def test_value_error_subclasses_are_not_stored(self, fresh_cache):
+        import json
+
+        calls = []
+
+        def simulate():
+            calls.append(1)
+            json.loads("{")  # json.JSONDecodeError is a ValueError
+
+        for _ in range(2):
+            with pytest.raises(json.JSONDecodeError):
+                run_scored(self.PARAMS, simulate)
+        assert calls == [1, 1]
+        assert not self._failure_files(fresh_cache)
+
+
 class TestMemoLru:
     def test_memo_is_bounded(self, fresh_cache):
         set_memo_limit(2)
