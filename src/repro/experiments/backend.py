@@ -428,8 +428,8 @@ class BatchExecutor(Executor):
 
     def execute(self, items, merge, stats, quarantine=None):
         from repro.experiments import runner
-        from repro.sim.batch.controllers import dare_memo_counters
-        dare0 = dare_memo_counters()
+        from repro.sim.batch.engine import batch_counters
+        counters0 = batch_counters()
         points = [point for point, _ in items]
         groups: dict[tuple, list[tuple]] = {}
         for point in points:
@@ -450,9 +450,7 @@ class BatchExecutor(Executor):
                 else:
                     stats.batch_groups += 1
                     stats.batch_points += len(chunk)
-        dare1 = dare_memo_counters()
-        stats.dare_memo_hits += dare1["hits"] - dare0["hits"]
-        stats.dare_memo_solves += dare1["solves"] - dare0["solves"]
+        stats.add_batch_counters(counters0, batch_counters())
         return leftover
 
 

@@ -760,8 +760,8 @@ class ProbeEngine:
                                       scenario),
                                   campaign=attack, ekf_config=ekf_config,
                                   faults=faults))
-        from repro.sim.batch.controllers import dare_memo_counters
-        dare0 = dare_memo_counters()
+        from repro.sim.batch.engine import batch_counters
+        counters0 = batch_counters()
         t0 = time.perf_counter()
         try:
             results = run_batch(specs)
@@ -770,9 +770,7 @@ class ProbeEngine:
             return 0
         finally:
             self.stats.phase_time["simulate"] += time.perf_counter() - t0
-        dare1 = dare_memo_counters()
-        self.stats.dare_memo_hits += dare1["hits"] - dare0["hits"]
-        self.stats.dare_memo_solves += dare1["solves"] - dare0["solves"]
+        self.stats.add_batch_counters(counters0, batch_counters())
         for (_, canon, _), result in zip(pending, results):
             # Held raw: check + commit happen lazily in _resolve_or_run
             # iff a search consumes the lane.

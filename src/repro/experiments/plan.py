@@ -174,8 +174,8 @@ class ProbePlan:
         stats.sim_engine = self.sim_engine
         stats.planned = len(todo)
 
-        from repro.sim.batch.controllers import dare_memo_counters
-        dare0 = dare_memo_counters()
+        from repro.sim.batch.engine import batch_counters
+        counters0 = batch_counters()
 
         misses: dict[tuple, list[PlannedRun]] = {}
         for run in todo:
@@ -204,9 +204,7 @@ class ProbePlan:
                     for run in chunk:
                         self._run_serial(run, stats)
 
-        dare1 = dare_memo_counters()
-        stats.dare_memo_hits = dare1["hits"] - dare0["hits"]
-        stats.dare_memo_solves = dare1["solves"] - dare0["solves"]
+        stats.add_batch_counters(counters0, batch_counters())
         if self.store.cache is not None:
             stats.disk_errors = self.store.cache.counters.errors
         stats.wall_time = time.perf_counter() - wall_start

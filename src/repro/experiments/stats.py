@@ -78,6 +78,11 @@ class GridStats:
     """Cross-call LQR DARE gain lookups served from the module memo."""
     dare_memo_solves: int = 0
     """DARE solves the module memo could not avoid."""
+    lane_steps_requested: int = 0
+    """Lane-steps the batch engine was asked for (lanes x steps)."""
+    lane_steps_simulated: int = 0
+    """Lane-steps it actually stepped: a shared pre-onset prefix is
+    simulated once per prefix class, and a memoized one not at all."""
     pool_policy: str = "serial"
     """How the classic executor ran: pool, serial, serial-single-core,
     distributed."""
@@ -122,6 +127,16 @@ class GridStats:
             return 0.0
         return (self.memo_hits + self.disk_hits) / self.grid_points
 
+    def add_batch_counters(self, before: dict, after: dict) -> None:
+        """Add the delta of two :func:`repro.sim.batch.engine.batch_counters`
+        snapshots (DARE memo reuse, lane-steps) taken around batch calls."""
+        self.dare_memo_hits += after["hits"] - before["hits"]
+        self.dare_memo_solves += after["solves"] - before["solves"]
+        self.lane_steps_requested += (after["lane_steps_requested"]
+                                      - before["lane_steps_requested"])
+        self.lane_steps_simulated += (after["lane_steps_simulated"]
+                                      - before["lane_steps_simulated"])
+
     def merge(self, other: "GridStats") -> None:
         self.grid_points += other.grid_points
         self.executed += other.executed
@@ -148,6 +163,8 @@ class GridStats:
         self.speculative_wasted += other.speculative_wasted
         self.dare_memo_hits += other.dare_memo_hits
         self.dare_memo_solves += other.dare_memo_solves
+        self.lane_steps_requested += other.lane_steps_requested
+        self.lane_steps_simulated += other.lane_steps_simulated
         if other.pool_policy != "serial":
             self.pool_policy = other.pool_policy
         if other.executor != "local":
@@ -192,6 +209,8 @@ class GridStats:
             "speculative_wasted": self.speculative_wasted,
             "dare_memo_hits": self.dare_memo_hits,
             "dare_memo_solves": self.dare_memo_solves,
+            "lane_steps_requested": self.lane_steps_requested,
+            "lane_steps_simulated": self.lane_steps_simulated,
             "pool_policy": self.pool_policy,
             "executor": self.executor,
             "dist_workers": self.dist_workers,
@@ -231,7 +250,9 @@ class GridStats:
             lines.append(
                 f"batched     : {self.batch_points} point(s) in "
                 f"{self.batch_groups} group(s), "
-                f"{self.batch_fallbacks} fallback(s)"
+                f"{self.batch_fallbacks} fallback(s); "
+                f"{self.lane_steps_simulated} of "
+                f"{self.lane_steps_requested} lane-step(s) simulated"
             )
         if self.planned or self.plan_fallbacks:
             lines.append(

@@ -26,9 +26,10 @@ from repro.control.pid import PidSpeedController
 from repro.control.pure_pursuit import PurePursuitController
 from repro.control.stanley import StanleyController
 from repro.sim.batch import ops
+from repro.sim.batch.lanes import LaneState
 from repro.sim.batch.route import BatchRoute
 
-__all__ = ["BatchFollower", "is_vectorizable"]
+__all__ = ["BatchFollower", "follower_key", "is_vectorizable"]
 
 
 def is_vectorizable(follower) -> bool:
@@ -47,7 +48,18 @@ def is_vectorizable(follower) -> bool:
     )
 
 
-class _BatchPurePursuit:
+def _param_key(value):
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    return value
+
+
+class _BatchPurePursuit(LaneState):
+    PARAMS = ("wheelbase", "lookahead_gain", "min_lookahead",
+              "max_lookahead", "max_steer")
+    _LANE_FIELDS = ("wheelbase", "gain", "min_la", "max_la", "max_steer",
+                    "hint", "has_hint", "_all")
+
     def __init__(self, controllers: list[PurePursuitController], route: BatchRoute):
         self.route = route
         self.wheelbase = np.array([c.wheelbase for c in controllers])
@@ -55,7 +67,7 @@ class _BatchPurePursuit:
         self.min_la = np.array([c.min_lookahead for c in controllers])
         self.max_la = np.array([c.max_lookahead for c in controllers])
         self.max_steer = np.array([c.max_steer for c in controllers])
-        n = len(controllers)
+        self.n = n = len(controllers)
         self.hint = np.zeros(n)
         self.has_hint = np.zeros(n, dtype=bool)
         self._all = np.ones(n, dtype=bool)
@@ -84,7 +96,10 @@ class _BatchPurePursuit:
         return steer, proj.cross_track, ops.angle_diff(yaw, proj.heading), proj.station
 
 
-class _BatchStanley:
+class _BatchStanley(LaneState):
+    PARAMS = ("wheelbase", "k_cte", "v_soft", "k_damp", "max_steer")
+    _LANE_FIELDS = PARAMS + ("hint", "has_hint", "_all", "prev_steer")
+
     def __init__(self, controllers: list[StanleyController], route: BatchRoute):
         self.route = route
         self.wheelbase = np.array([c.wheelbase for c in controllers])
@@ -92,7 +107,7 @@ class _BatchStanley:
         self.v_soft = np.array([c.v_soft for c in controllers])
         self.k_damp = np.array([c.k_damp for c in controllers])
         self.max_steer = np.array([c.max_steer for c in controllers])
-        n = len(controllers)
+        self.n = n = len(controllers)
         self.hint = np.zeros(n)
         self.has_hint = np.zeros(n, dtype=bool)
         self._all = np.ones(n, dtype=bool)
@@ -136,22 +151,24 @@ survive across batch groups within a campaign."""
 
 _DARE_MEMO = {"hits": 0, "solves": 0}
 """Process-lifetime reuse counters for :data:`_SHARED_DARE_GAINS`
-(``--stats`` snapshots deltas into ``GridStats.dare_memo_*``)."""
+(``--stats`` snapshots deltas into ``GridStats.dare_memo_*`` through
+:func:`repro.sim.batch.engine.batch_counters`)."""
 
 
-def dare_memo_counters() -> dict[str, int]:
-    """Snapshot of the DARE memo's process-lifetime hit/solve counters."""
-    return dict(_DARE_MEMO)
+class _BatchLqr(LaneState):
+    PARAMS = ("wheelbase", "q", "r", "preview", "max_steer")
+    _LANE_FIELDS = ("controllers", "wheelbase", "preview", "max_steer",
+                    "hint", "has_hint", "_all")
 
-
-class _BatchLqr:
     def __init__(self, controllers: list[LqrController], route: BatchRoute):
         self.route = route
-        self.controllers = controllers
+        self.n = n = len(controllers)
+        # An object array, so forking re-indexes it like every other field.
+        self.controllers = np.empty(n, dtype=object)
+        self.controllers[:] = controllers
         self.wheelbase = np.array([c.wheelbase for c in controllers])
         self.preview = np.array([c.preview for c in controllers])
         self.max_steer = np.array([c.max_steer for c in controllers])
-        n = len(controllers)
         self.hint = np.zeros(n)
         self.has_hint = np.zeros(n, dtype=bool)
         self._all = np.ones(n, dtype=bool)
@@ -200,14 +217,44 @@ _LATERAL_IMPLS = {
     LqrController: _BatchLqr,
 }
 
+_PID_PARAMS = ("kp", "ki", "kd", "accel_max", "brake_max", "integral_limit")
 
-class BatchFollower:
+
+def follower_key(follower: WaypointFollower) -> tuple:
+    """Every parameter the vectorized path reads off a vectorizable follower.
+
+    Two followers with equal keys evolve identically on the vector path
+    from identical inputs; :func:`~repro.sim.batch.engine.prefix_key`
+    relies on this to let their lanes share a simulated prefix.
+    """
+    lateral = follower.lateral
+    impl = _LATERAL_IMPLS[type(lateral)]
+    pid = follower.speed_controller
+    return (
+        type(lateral).__name__,
+        tuple(_param_key(getattr(lateral, name)) for name in impl.PARAMS),
+        follower.profile,
+        tuple(getattr(pid, name) for name in _PID_PARAMS),
+        follower.acc.config if follower.acc is not None else None,
+    )
+
+
+class BatchFollower(LaneState):
     """Vectorized ``WaypointFollower`` over a subset of batch lanes.
 
     Args:
         followers: one (vectorizable) follower per lane of the subset.
         route: the shared batched route.
     """
+
+    _LANE_FIELDS = (
+        "cruise", "budget", "preview", "brake_decel", "stop_at_goal",
+        "kp", "ki", "kd", "pid_accel_max", "pid_brake_max", "int_limit",
+        "integral", "prev_error", "has_prev", "has_acc", "acc_time_gap",
+        "acc_d0", "acc_k_gap", "acc_k_rate", "acc_accel_max",
+        "acc_brake_max", "last_radar_range", "last_radar_rate",
+        "has_last_radar", "goal_latched",
+    )
 
     def __init__(self, followers: list[WaypointFollower], route: BatchRoute):
         self.n = n = len(followers)
@@ -232,12 +279,9 @@ class BatchFollower:
         self.stop_at_goal = np.array([p.stop_at_goal for p in profiles])
 
         pids = [f.speed_controller for f in followers]
-        self.kp = np.array([p.kp for p in pids])
-        self.ki = np.array([p.ki for p in pids])
-        self.kd = np.array([p.kd for p in pids])
-        self.pid_accel_max = np.array([p.accel_max for p in pids])
-        self.pid_brake_max = np.array([p.brake_max for p in pids])
-        self.int_limit = np.array([p.integral_limit for p in pids])
+        (self.kp, self.ki, self.kd, self.pid_accel_max, self.pid_brake_max,
+         self.int_limit) = (np.array([getattr(p, name) for p in pids])
+                            for name in _PID_PARAMS)
         self.integral = np.zeros(n)
         self.prev_error = np.zeros(n)
         self.has_prev = np.zeros(n, dtype=bool)
@@ -260,17 +304,53 @@ class BatchFollower:
         self.goal_latched = np.zeros(n, dtype=bool)
 
     # ------------------------------------------------------------------
+    def take(self, index) -> "BatchFollower":
+        """Lanes ``index`` in that order, lateral groups re-indexed too."""
+        index = np.asarray(index, dtype=np.int64)
+        new = super().take(index)
+        group_of = np.empty(self.n, dtype=np.int64)
+        local_of = np.empty(self.n, dtype=np.int64)
+        for g, (lane_ids, _) in enumerate(self._groups):
+            group_of[lane_ids] = g
+            local_of[lane_ids] = np.arange(len(lane_ids))
+        picked = group_of[index]
+        new._groups = []
+        for g, (_, impl) in enumerate(self._groups):
+            sel = np.flatnonzero(picked == g)
+            if sel.size:
+                new._groups.append((sel, impl.take(local_of[index[sel]])))
+        return new
+
+    def concat(self, other: "BatchFollower") -> "BatchFollower":
+        """This follower's lanes followed by ``other``'s."""
+        new = super().concat(other)
+        merged: dict[type, tuple[np.ndarray, object]] = {}
+        for offset, groups in ((0, self._groups), (self.n, other._groups)):
+            for lane_ids, impl in groups:
+                key = type(impl)
+                if key in merged:
+                    ids, have = merged[key]
+                    merged[key] = (np.concatenate([ids, lane_ids + offset]),
+                                   have.concat(impl))
+                else:
+                    merged[key] = (lane_ids + offset, impl)
+        new._groups = list(merged.values())
+        return new
+
+    # ------------------------------------------------------------------
     def _target_speed(self, station: np.ndarray) -> np.ndarray:
         """Vectorized ``SpeedProfile.target_speed``."""
         target = self.cruise.copy()
         samples = 4
+        # One route query over the stacked preview stations, then the
+        # serial min-fold in station order.
+        offsets = self.preview * np.arange(samples + 1)[:, None] / samples
+        kappa = np.abs(self.route.sample(station + offsets).curvature)
+        with np.errstate(divide="ignore"):
+            cand = np.sqrt(self.budget / kappa)
         for i in range(samples + 1):
-            sample = self.route.sample(station + self.preview * i / samples)
-            kappa = np.abs(sample.curvature)
-            with np.errstate(divide="ignore"):
-                cand = np.sqrt(self.budget / kappa)
             target = np.where(
-                kappa > 1e-6, ops.pymin(target, cand), target
+                kappa[i] > 1e-6, ops.pymin(target, cand[i]), target
             )
         if not self.route.closed:
             remaining = self.route.remaining(station)

@@ -20,13 +20,19 @@ import numpy as np
 
 from repro.sim.actuators import ActuatorLimits
 from repro.sim.batch import ops
+from repro.sim.batch.lanes import LaneState
 from repro.sim.dynamics import VehicleParams
 
 __all__ = ["BatchVehicle"]
 
 
-class BatchVehicle:
+class BatchVehicle(LaneState):
     """``n`` vehicles stepped in lockstep (shared params, per-lane state)."""
+
+    _LANE_FIELDS = (
+        "x", "y", "yaw", "v", "vy", "yaw_rate", "accel", "steer",
+        "act_steer", "act_accel", "cmd_steer", "cmd_accel",
+    )
 
     def __init__(
         self,

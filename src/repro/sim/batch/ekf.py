@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.control.estimator import EkfConfig
 from repro.sim.batch import ops
+from repro.sim.batch.lanes import LaneState
 
 __all__ = ["BatchEkf"]
 
@@ -28,12 +29,18 @@ _H_COMPASS = np.zeros((1, 4))
 _H_COMPASS[0, 2] = 1.0
 
 
-class BatchEkf:
+class BatchEkf(LaneState):
     """``n`` independent EKFs stepped in lockstep.
 
     Per-lane configurations may differ (e.g. a gated lane next to an
     ungated one); scalar config parameters become per-lane arrays.
     """
+
+    _LANE_FIELDS = (
+        "_sigma_gps_sq", "_sigma_speed_sq", "_sigma_compass_sq", "_q_diag",
+        "_p0_diag", "_gate", "_x", "_p", "nis_gps", "nis_speed",
+        "nis_compass",
+    )
 
     def __init__(self, configs: "list[EkfConfig]"):
         n = len(configs)

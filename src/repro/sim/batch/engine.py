@@ -18,6 +18,20 @@ Three lane tiers share the loop:
   materialize per-step reading objects, run the exact serial injection
   chain, and write the results back into the arrays.
 
+**Shared prefixes.**  Until its first injector window opens, an injected
+lane evolves exactly like the clean run of the same inputs.  Vector lanes
+without a supervisor whose injectors all use the base ``Attack.active``
+therefore form *prefix classes* (equal :func:`prefix_key`), and the loop
+steps *rows*, not lanes: one slot row per class, one row per lane that
+cannot join a class.  At a lane's onset step it forks off its class slot:
+every per-lane component is re-indexed with ``take`` (see
+:mod:`repro.sim.batch.lanes`), the lane's injectors are fed the prefix's
+pre-injection messages (rebuilt from the slot's recorded columns), and its
+trace rows before onset are the slot's.  Lanes that never fork take the
+slot's rows to the end.  Each slot's state at its first fork step is kept
+in a small process-local memo, so a later batch of the same class resumes
+there instead of re-simulating the prefix.
+
 A lane the serial engine would crash on (NaN-poisoned state) raises out of
 the whole batch; callers are expected to fall back to serial execution so
 the per-lane behaviour — including the crash — is preserved.
@@ -25,7 +39,10 @@ the per-lane behaviour — including the crash — is preserved.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -35,9 +52,15 @@ from repro.control.estimator import EkfConfig, Estimate
 from repro.control.supervisor import SupervisedController
 from repro.geom.vec import Vec2
 from repro.sim.batch import ops
-from repro.sim.batch.controllers import BatchFollower, is_vectorizable
+from repro.sim.batch.controllers import (
+    _DARE_MEMO,
+    BatchFollower,
+    follower_key,
+    is_vectorizable,
+)
 from repro.sim.batch.dynamics import BatchVehicle
 from repro.sim.batch.ekf import BatchEkf
+from repro.sim.batch.lanes import LaneState
 from repro.sim.batch.noise import build_lane_tapes
 from repro.sim.batch.route import BatchRoute
 from repro.sim.engine import _DIVERGENCE_CTE, RunResult
@@ -48,7 +71,7 @@ from repro.sim.sensors.compass import CompassReading
 from repro.sim.sensors.gps import GpsFix
 from repro.sim.sensors.imu import ImuReading
 from repro.sim.sensors.odometry import OdometryReading
-from repro.sim.sensors.radar import Radar, RadarConfig
+from repro.sim.sensors.radar import Radar, RadarConfig, RadarReading
 from repro.trace.metrics import compute_metrics
 from repro.trace.schema import Trace, TraceMeta
 
@@ -56,7 +79,8 @@ if TYPE_CHECKING:  # annotation-only import; repro.attacks imports repro.sim
     from repro.attacks.campaign import AttackCampaign
     from repro.faults.campaign import FaultCampaign
 
-__all__ = ["LaneSpec", "BatchCompatError", "run_batch"]
+__all__ = ["LaneSpec", "BatchCompatError", "batch_counters", "prefix_key",
+           "run_batch"]
 
 
 class BatchCompatError(ValueError):
@@ -92,6 +116,18 @@ _STRING_COLS = (
     "attack_name", "attack_channel", "fault_name", "fault_channel",
     "supervisor_mode",
 )
+_ZOH_COLS = (
+    "gps_x", "gps_y", "imu_yaw_rate", "imu_accel", "odom_speed",
+    "compass_yaw", "radar_range", "radar_range_rate",
+)
+"""Reading columns the recorder carries forward between fresh samples."""
+
+_TAPE_STEP_FIELDS = (
+    "gps_fresh", "gps_walk_x", "gps_walk_y", "gps_noise_x", "gps_noise_y",
+    "imu_fresh", "imu_gyro_noise", "imu_accel_noise", "odom_fresh",
+    "odom_noise", "compass_fresh", "compass_noise",
+)
+_TAPE_LANE_FIELDS = ("imu_gyro_bias", "imu_accel_bias", "odom_scale")
 
 
 def _check_compat(lanes: "list[LaneSpec]") -> None:
@@ -113,6 +149,89 @@ def _check_compat(lanes: "list[LaneSpec]") -> None:
                 raise BatchCompatError("lanes must share route geometry")
 
 
+# ---------------------------------------------------------------------------
+# Prefix classes and the snapshot memo
+# ---------------------------------------------------------------------------
+
+def _route_key(route) -> tuple:
+    points = np.array([[p.x, p.y] for p in route.points], dtype=float)
+    return type(route).__name__, route.closed, points.tobytes()
+
+
+def prefix_key(spec: LaneSpec, route_key: tuple | None = None) -> tuple:
+    """Everything a vector lane's evolution depends on before its onset.
+
+    Every :class:`~repro.sim.scenario.Scenario` field (the route by its
+    geometry), the EKF configuration and the parameters the vectorized
+    follower reads.  Lanes with equal keys share one simulated prefix;
+    the key also names their snapshot in the process-local memo.
+    """
+    scenario = spec.scenario
+    if route_key is None:
+        route_key = _route_key(scenario.route)
+    fields = tuple(
+        route_key if f.name == "route" else getattr(scenario, f.name)
+        for f in dataclasses.fields(scenario)
+    )
+    return (fields, spec.ekf_config or EkfConfig(),
+            follower_key(spec.follower))
+
+
+@dataclass(slots=True)
+class _Snapshot:
+    """A prefix slot at the start of ``step``: its one-row state, radar
+    and every trace column of steps ``[0, step)``."""
+
+    step: int
+    state: "_State"
+    radar: Radar | None
+    history: dict
+
+
+_PREFIX_MEMO: "OrderedDict[tuple, _Snapshot]" = OrderedDict()
+"""Process-wide prefix snapshots keyed by ``(prefix key, step)``, least
+recently used first.  Like the DARE gain memo, it lets whole successive
+batch calls share work: a later group of a class whose earliest onset is
+no earlier than a stored step resumes from that step."""
+
+_PREFIX_MEMO_SIZE = 16
+
+_LANE_STEPS = {"simulated": 0, "requested": 0}
+"""Process-lifetime lane-steps: rows actually stepped vs lanes x steps."""
+
+
+def batch_counters() -> dict[str, int]:
+    """Process-lifetime batch-engine counters (``--stats`` takes deltas):
+    DARE memo reuse and lane-steps simulated against requested."""
+    return {
+        "hits": _DARE_MEMO["hits"],
+        "solves": _DARE_MEMO["solves"],
+        "lane_steps_simulated": _LANE_STEPS["simulated"],
+        "lane_steps_requested": _LANE_STEPS["requested"],
+    }
+
+
+def _memo_lookup(key: tuple, limit: int) -> _Snapshot | None:
+    """The latest stored snapshot of ``key`` at a step ``<= limit``."""
+    best = None
+    for (k, step), snap in _PREFIX_MEMO.items():
+        if step <= limit and (best is None or step > best.step) and k == key:
+            best = snap
+    if best is not None:
+        _PREFIX_MEMO.move_to_end((key, best.step))
+    return best
+
+
+def _memo_store(key: tuple, snap: _Snapshot) -> None:
+    _PREFIX_MEMO[(key, snap.step)] = snap
+    while len(_PREFIX_MEMO) > _PREFIX_MEMO_SIZE:
+        _PREFIX_MEMO.popitem(last=False)
+
+
+# ---------------------------------------------------------------------------
+# Loop bookkeeping
+# ---------------------------------------------------------------------------
+
 @dataclass
 class _Lane:
     """Per-lane serial-side objects the array loop can't absorb."""
@@ -122,7 +241,280 @@ class _Lane:
     faults: FaultCampaign
     injectors: list = field(default_factory=list)
     supervisor: SupervisedController | None = None
-    radar: Radar | None = None
+    onset: int | None = None
+    """First step any injector is active (class members only)."""
+    cls: int | None = None
+    """Index of the lane's prefix class, if it joined one."""
+    track: int | None = None
+    """The lane's own history track (once it has a row of its own)."""
+
+
+@dataclass
+class _Class:
+    """Lanes sharing one prefix (equal :func:`prefix_key`)."""
+
+    key: tuple
+    members: list[int]
+    track: int
+    tape: int
+    first_fork: int | None = None
+    """Earliest member onset (``None``: no member ever forks)."""
+    needed_until: int = 0
+    """The slot row is dropped at the first event step at or past this."""
+    resume: _Snapshot | None = None
+    """The memoized snapshot the slot resumes from, if one fits."""
+
+
+@dataclass(slots=True)
+class _Row:
+    """What one row of the loop's arrays stands for."""
+
+    lane: int | None
+    """The lane this row simulates, or ``None`` for a class slot."""
+    cls: int | None
+    """The class a slot row stands for."""
+    track: int
+    radar: Radar | None
+    vector: bool
+    shim: bool
+
+
+class _LoopState(LaneState):
+    """The loop's own per-row state: ZOH readings, projection hints,
+    predict times and divergence."""
+
+    _LANE_FIELDS = _ZOH_COLS + (
+        "eng_hint", "eng_has_hint", "last_predict_t", "has_predict",
+        "diverged", "divergence_time", "tape",
+    )
+
+    def __init__(self, tape: np.ndarray):
+        self.n = n = len(tape)
+        for name in _ZOH_COLS:
+            setattr(self, name, np.zeros(n))
+        self.eng_hint = np.zeros(n)
+        self.eng_has_hint = np.zeros(n, dtype=bool)
+        self.last_predict_t = np.zeros(n)
+        self.has_predict = np.zeros(n, dtype=bool)
+        self.diverged = np.zeros(n, dtype=bool)
+        self.divergence_time = np.full(n, np.nan)
+        self.tape = np.asarray(tape, dtype=np.int64)
+
+
+@dataclass(slots=True)
+class _State:
+    """Every row-indexed component of the loop, kept in row order."""
+
+    rows: list
+    vehicle: BatchVehicle
+    ekf: BatchEkf
+    follower: BatchFollower | None
+    loop: _LoopState
+
+    def take(self, index: list[int], rows: list) -> "_State":
+        """Rows ``index`` of every component, described by ``rows``."""
+        vec_pos = np.cumsum([row.vector for row in self.rows]) - 1
+        fidx = [vec_pos[i] for i in index if self.rows[i].vector]
+        return _State(
+            rows=rows,
+            vehicle=self.vehicle.take(index),
+            ekf=self.ekf.take(index),
+            follower=self.follower.take(fidx) if fidx else None,
+            loop=self.loop.take(index),
+        )
+
+    def concat(self, other: "_State") -> "_State":
+        if self.follower is None or other.follower is None:
+            follower = self.follower or other.follower
+        else:
+            follower = self.follower.concat(other.follower)
+        return _State(
+            rows=self.rows + other.rows,
+            vehicle=self.vehicle.concat(other.vehicle),
+            ekf=self.ekf.concat(other.ekf),
+            follower=follower,
+            loop=self.loop.concat(other.loop),
+        )
+
+
+@dataclass(slots=True)
+class _Epoch:
+    """Trace rows ``[start, stop)`` of a fixed row set, one column per
+    row; ``pos`` maps each row's track to its column."""
+
+    start: int
+    stop: int
+    pos: dict
+    cols: dict
+
+
+def _new_epoch(start: int, stop: int, rows: list) -> _Epoch:
+    shape = (stop - start, len(rows))
+    cols = {name: np.zeros(shape) for name in _FLOAT_COLS}
+    cols.update((name, np.zeros(shape, dtype=bool)) for name in _BOOL_COLS)
+    cols["supervisor_lost"] = np.zeros(shape, dtype=np.int64)
+    return _Epoch(start, stop, {row.track: i for i, row in enumerate(rows)},
+                  cols)
+
+
+def _history(epochs: list, track: int, lo: int, hi: int) -> dict:
+    """Every trace column of ``track`` over steps ``[lo, hi)``.
+
+    Epochs never straddle an event step, and ``lo``/``hi`` always are
+    event steps (or the run's ends), so whole epochs are selected.
+    """
+    pieces = [(ep, ep.pos[track]) for ep in epochs
+              if track in ep.pos and lo <= ep.start < hi]
+    if len(pieces) == 1:
+        ep, col = pieces[0]
+        return {name: arr[:, col] for name, arr in ep.cols.items()}
+    return {
+        name: np.concatenate([ep.cols[name][:, col] for ep, col in pieces])
+        for name in pieces[0][0].cols
+    }
+
+
+def _forkable(lane: _Lane) -> bool:
+    """Whether the lane may share a prefix: a vector lane, no supervisor,
+    and injectors whose activity is their window alone."""
+    from repro.attacks.base import Attack
+
+    return (
+        lane.supervisor is None
+        and is_vectorizable(lane.spec.follower)
+        and all(type(inj).active is Attack.active for inj in lane.injectors)
+    )
+
+
+def _onset_step(injectors: list, t_col: np.ndarray) -> int | None:
+    """First step at which any injector's window is open."""
+    onset = None
+    for injector in injectors:
+        window = injector.window
+        live = np.flatnonzero((t_col >= window.start) & (t_col < window.end))
+        if live.size and (onset is None or live[0] < onset):
+            onset = int(live[0])
+    return onset
+
+
+def _replay_observations(lane: _Lane, history: dict, stop: int, dt: float,
+                         has_lead: bool) -> None:
+    """Feed a forking lane's injectors the prefix's messages.
+
+    Before onset no injector is active, so the shim would only have made
+    its observation calls, on the unmodified readings.  They are rebuilt
+    from the slot's ``*_fresh`` and reading columns and replayed in the
+    shim's order: ``observe_gps``, ``observe`` per channel, then the
+    command.  Only injectors that override a hook are called.
+    """
+    from repro.attacks.base import Attack
+
+    gps_watchers = [a for a in lane.campaign.attacks
+                    if type(a).observe_gps is not Attack.observe_gps]
+    observers = {
+        channel: [inj for inj in lane.injectors if inj.channel == channel
+                  and type(inj).observe is not Attack.observe]
+        for channel in ("gps", "imu", "odometry", "compass", "radar",
+                        "command")
+    }
+    if not gps_watchers and not any(observers.values()):
+        return
+    col = {name: history[name].tolist() for name in (
+        "gps_fresh", "gps_x", "gps_y", "imu_fresh", "imu_yaw_rate",
+        "imu_accel", "odom_fresh", "odom_speed", "compass_fresh",
+        "compass_yaw", "radar_fresh", "radar_range", "radar_range_rate",
+        "steer_cmd", "accel_cmd",
+    )}
+    for step in range(stop):
+        t = step * dt
+        if col["gps_fresh"][step]:
+            fix = GpsFix(t, col["gps_x"][step], col["gps_y"][step])
+            for attack in gps_watchers:
+                attack.observe_gps(t, fix)
+            for injector in observers["gps"]:
+                injector.observe(t, fix)
+        if observers["imu"] and col["imu_fresh"][step]:
+            reading = ImuReading(t=t, yaw_rate=col["imu_yaw_rate"][step],
+                                 accel=col["imu_accel"][step])
+            for injector in observers["imu"]:
+                injector.observe(t, reading)
+        if observers["odometry"] and col["odom_fresh"][step]:
+            reading = OdometryReading(t=t, speed=col["odom_speed"][step])
+            for injector in observers["odometry"]:
+                injector.observe(t, reading)
+        if observers["compass"] and col["compass_fresh"][step]:
+            reading = CompassReading(t=t, yaw=col["compass_yaw"][step])
+            for injector in observers["compass"]:
+                injector.observe(t, reading)
+        if has_lead and observers["radar"] and col["radar_fresh"][step]:
+            reading = RadarReading(t=t, range_m=col["radar_range"][step],
+                                   range_rate=col["radar_range_rate"][step])
+            for injector in observers["radar"]:
+                injector.observe(t, reading)
+        if observers["command"]:
+            command = (col["steer_cmd"][step], col["accel_cmd"][step])
+            for injector in observers["command"]:
+                injector.observe(t, command)
+
+
+def _fork_events(step: int, state: "_State | None", lanes: list,
+                 classes: list, resuming: list, forking: list, epochs: list,
+                 next_track: int, dt: float,
+                 has_lead: bool) -> "tuple[_State, int]":
+    """Re-shape the row set at an event step, before the step runs.
+
+    In order: memoized slots resuming at ``step`` join the rows; each
+    class slot at its first fork step is snapshotted into the memo; the
+    lanes with onset ``step`` fork off their slots (their injectors
+    replay the prefix's observations); slots no member needs any more
+    are dropped.  Returns the new state and the next free track id.
+    """
+    for c in resuming:
+        cls = classes[c]
+        snap = cls.resume
+        row = _Row(lane=None, cls=c, track=cls.track,
+                   radar=copy.deepcopy(snap.radar), vector=True, shim=False)
+        resumed = snap.state.take([0], [row])
+        resumed.loop.tape[:] = cls.tape
+        state = resumed if state is None else state.concat(resumed)
+        epochs.append(_Epoch(0, step, {cls.track: 0}, {
+            name: arr[:, None] for name, arr in snap.history.items()
+        }))
+    slot_pos = {row.cls: p for p, row in enumerate(state.rows)
+                if row.lane is None}
+    forking_classes = {lanes[i].cls for i in forking}
+    prefixes = {
+        c: _history(epochs, classes[c].track, 0, step) for c in slot_pos
+        if step > 0 and (c in forking_classes or classes[c].first_fork == step)
+    }
+    for c, p in slot_pos.items():
+        cls = classes[c]
+        if (cls.first_fork == step and step > 0
+                and (cls.key, step) not in _PREFIX_MEMO):
+            detached = _Row(lane=None, cls=None, track=-1, radar=None,
+                            vector=True, shim=False)
+            _memo_store(cls.key, _Snapshot(
+                step=step,
+                state=state.take([p], [detached]),
+                radar=copy.deepcopy(state.rows[p].radar),
+                history={name: col.copy()
+                         for name, col in prefixes[c].items()},
+            ))
+    index = [p for p, row in enumerate(state.rows)
+             if row.lane is not None or classes[row.cls].needed_until > step]
+    rows = [state.rows[p] for p in index]
+    for i in forking:
+        lane = lanes[i]
+        p = slot_pos[lane.cls]
+        lane.track = next_track
+        next_track += 1
+        index.append(p)
+        rows.append(_Row(lane=i, cls=None, track=lane.track,
+                         radar=copy.deepcopy(state.rows[p].radar),
+                         vector=True, shim=True))
+        if step > 0:
+            _replay_observations(lane, prefixes[lane.cls], step, dt, has_lead)
+    return state.take(index, rows), next_track
 
 
 def _apply_channel(injectors: list, channel: str, t: float, value, hook):
@@ -140,6 +532,10 @@ def _apply_channel(injectors: list, channel: str, t: float, value, hook):
     return value
 
 
+# ---------------------------------------------------------------------------
+# The loop
+# ---------------------------------------------------------------------------
+
 def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
     """Run every lane to completion in lockstep; serial-bit-exact results."""
     from repro.attacks.campaign import AttackCampaign
@@ -156,16 +552,14 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
     broute = BatchRoute(route)
     has_lead = base.lead is not None
     lead = LeadVehicle(base.lead, start_station=0.0) if has_lead else None
+    t_col = np.arange(n_steps) * dt
 
     # --- per-lane setup (mirrors SimulationRunner.run preamble) --------
     lanes: list[_Lane] = []
-    tapes = []
     for spec in lane_specs:
-        s = spec.scenario
         campaign = spec.campaign or AttackCampaign.none()
         faults = spec.faults or FaultCampaign.none()
-        rngs = RngStreams(s.seed)
-        tapes.append(build_lane_tapes(s.sensors, rngs, dt, n_steps))
+        rngs = RngStreams(spec.scenario.seed)
         spec.follower.reset()
         campaign.reset()
         faults.reset()
@@ -173,7 +567,7 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
             attack.bind_rng(rngs.stream(f"attack.{index}.{attack.name}"))
         for index, fault in enumerate(faults.faults):
             fault.bind_rng(rngs.stream(f"fault.{index}.{fault.name}"))
-        lane = _Lane(
+        lanes.append(_Lane(
             spec=spec,
             campaign=campaign,
             faults=faults,
@@ -181,109 +575,198 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
             supervisor=(spec.follower
                         if isinstance(spec.follower, SupervisedController)
                         else None),
-            radar=(Radar(RadarConfig(), rngs.stream("sensor.radar"))
-                   if has_lead else None),
+        ))
+
+    # --- sensor tapes: one per (sensors, seed) -------------------------
+    tape_ids: dict[tuple, int] = {}
+    tapes = []
+
+    def tape_of(scenario: Scenario) -> int:
+        key = (scenario.sensors, scenario.seed)
+        if key not in tape_ids:
+            tape_ids[key] = len(tapes)
+            tapes.append(build_lane_tapes(
+                scenario.sensors, RngStreams(scenario.seed), dt, n_steps))
+        return tape_ids[key]
+
+    # --- prefix classes -------------------------------------------------
+    route_key = _route_key(route)
+    classes: list[_Class] = []
+    class_of: dict[tuple, int] = {}
+    solo: list[int] = []
+    for i, lane in enumerate(lanes):
+        if not _forkable(lane):
+            solo.append(i)
+            continue
+        key = prefix_key(lane.spec, route_key)
+        if key not in class_of:
+            class_of[key] = len(classes)
+            classes.append(_Class(key=key, members=[], track=len(classes),
+                                  tape=tape_of(lane.spec.scenario)))
+        lane.cls = class_of[key]
+        classes[lane.cls].members.append(i)
+        lane.onset = _onset_step(lane.injectors, t_col)
+    forks: dict[int, list[int]] = {}
+    for c, cls in enumerate(classes):
+        onsets = [lanes[i].onset for i in cls.members
+                  if lanes[i].onset is not None]
+        for i in cls.members:
+            if lanes[i].onset is not None:
+                forks.setdefault(lanes[i].onset, []).append(i)
+        cls.first_fork = min(onsets) if onsets else None
+        cls.needed_until = (
+            max(onsets) if len(onsets) == len(cls.members) else n_steps
         )
-        lanes.append(lane)
+        cls.resume = _memo_lookup(
+            cls.key, n_steps if cls.first_fork is None else cls.first_fork)
+    next_track = len(classes)
+    for i in solo:
+        lanes[i].track = next_track
+        next_track += 1
 
-    shim_ids = [i for i, ln in enumerate(lanes)
-                if ln.injectors or ln.supervisor is not None]
-    vector_ids = [i for i, ln in enumerate(lanes)
-                  if is_vectorizable(ln.spec.follower)]
-    object_ids = [i for i in range(n) if i not in set(vector_ids)]
-    vec = np.array(vector_ids, dtype=np.int64)
-    bfollower = (
-        BatchFollower([lanes[i].spec.follower for i in vector_ids], broute)
-        if vector_ids else None
-    )
+    # --- fresh rows: unresumed class slots, then solo lanes ------------
+    def radar_of(spec: LaneSpec) -> Radar | None:
+        if not has_lead:
+            return None
+        return Radar(RadarConfig(),
+                     RngStreams(spec.scenario.seed).stream("sensor.radar"))
 
-    # --- spawn (exact serial per-lane scalar arithmetic) ---------------
-    start_point, start_heading = route.start_pose()
-    x0 = np.empty(n)
-    y0 = np.empty(n)
-    for i, spec in enumerate(lane_specs):
-        offset = spec.scenario.initial_lateral_offset
-        point = start_point
-        if offset != 0.0:
-            left = Vec2(-math.sin(start_heading), math.cos(start_heading))
-            point = start_point + left * offset
-        x0[i] = point.x
-        y0[i] = point.y
-    yaw0 = np.full(n, start_heading)
-    v0 = np.array([spec.scenario.initial_speed for spec in lane_specs],
-                  dtype=float)
+    fresh_rows: list[_Row] = []
+    fresh_specs: list[LaneSpec] = []
+    for c, cls in enumerate(classes):
+        if cls.resume is None:
+            rep = lanes[cls.members[0]].spec
+            fresh_rows.append(_Row(lane=None, cls=c, track=cls.track,
+                                   radar=radar_of(rep), vector=True,
+                                   shim=False))
+            fresh_specs.append(rep)
+    for i in solo:
+        lane = lanes[i]
+        fresh_rows.append(_Row(
+            lane=i, cls=None, track=lane.track, radar=radar_of(lane.spec),
+            vector=is_vectorizable(lane.spec.follower),
+            shim=bool(lane.injectors) or lane.supervisor is not None,
+        ))
+        fresh_specs.append(lane.spec)
 
-    vehicle = BatchVehicle(n, model=base.model, x=x0, y=y0, yaw=yaw0, v=v0)
-    ekf = BatchEkf([spec.ekf_config for spec in lane_specs])
-    ekf.reset(x0, y0, yaw0, v0)
+    state: _State | None = None
+    if fresh_rows:
+        # --- spawn (exact serial per-lane scalar arithmetic) -----------
+        start_point, start_heading = route.start_pose()
+        m = len(fresh_rows)
+        x0 = np.empty(m)
+        y0 = np.empty(m)
+        for i, spec in enumerate(fresh_specs):
+            offset = spec.scenario.initial_lateral_offset
+            point = start_point
+            if offset != 0.0:
+                left = Vec2(-math.sin(start_heading), math.cos(start_heading))
+                point = start_point + left * offset
+            x0[i] = point.x
+            y0[i] = point.y
+        yaw0 = np.full(m, start_heading)
+        v0 = np.array([spec.scenario.initial_speed for spec in fresh_specs],
+                      dtype=float)
+        ekf = BatchEkf([spec.ekf_config for spec in fresh_specs])
+        ekf.reset(x0, y0, yaw0, v0)
+        vector_followers = [spec.follower for row, spec
+                            in zip(fresh_rows, fresh_specs) if row.vector]
+        state = _State(
+            rows=fresh_rows,
+            vehicle=BatchVehicle(m, model=base.model, x=x0, y=y0, yaw=yaw0,
+                                 v=v0),
+            ekf=ekf,
+            follower=(BatchFollower(vector_followers, broute)
+                      if vector_followers else None),
+            loop=_LoopState([tape_of(spec.scenario) for spec in fresh_specs]),
+        )
 
-    # --- sensor tapes stacked to (n_steps, n) --------------------------
-    tp_gps_fresh = np.stack([tp.gps_fresh for tp in tapes], axis=1)
-    tp_gps_walk_x = np.stack([tp.gps_walk_x for tp in tapes], axis=1)
-    tp_gps_walk_y = np.stack([tp.gps_walk_y for tp in tapes], axis=1)
-    tp_gps_noise_x = np.stack([tp.gps_noise_x for tp in tapes], axis=1)
-    tp_gps_noise_y = np.stack([tp.gps_noise_y for tp in tapes], axis=1)
-    tp_imu_fresh = np.stack([tp.imu_fresh for tp in tapes], axis=1)
-    tp_gyro_noise = np.stack([tp.imu_gyro_noise for tp in tapes], axis=1)
-    tp_accel_noise = np.stack([tp.imu_accel_noise for tp in tapes], axis=1)
-    gyro_bias = np.array([tp.imu_gyro_bias for tp in tapes])
-    accel_bias = np.array([tp.imu_accel_bias for tp in tapes])
-    tp_odom_fresh = np.stack([tp.odom_fresh for tp in tapes], axis=1)
-    tp_odom_noise = np.stack([tp.odom_noise for tp in tapes], axis=1)
-    odom_scale = np.array([tp.odom_scale for tp in tapes])
-    tp_cmp_fresh = np.stack([tp.compass_fresh for tp in tapes], axis=1)
-    tp_cmp_noise = np.stack([tp.compass_noise for tp in tapes], axis=1)
+    # --- stacked tapes: (n_steps, n_tapes) and (n_tapes,) --------------
+    tape_steps = {name: np.stack([getattr(tape, name) for tape in tapes],
+                                 axis=1)
+                  for name in _TAPE_STEP_FIELDS}
+    tape_lanes = {name: np.array([getattr(tape, name) for tape in tapes])
+                  for name in _TAPE_LANE_FIELDS}
 
-    # --- trace column buffers -----------------------------------------
-    col_f = {name: np.zeros((n_steps, n)) for name in _FLOAT_COLS}
-    col_b = {name: np.zeros((n_steps, n), dtype=bool) for name in _BOOL_COLS}
-    col_lost = np.zeros((n_steps, n), dtype=np.int64)
+    # --- event steps: resumes and forks ---------------------------------
+    resumes: dict[int, list[int]] = {}
+    for c, cls in enumerate(classes):
+        if cls.resume is not None:
+            resumes.setdefault(cls.resume.step, []).append(c)
+    first_step = 0 if state is not None else min(resumes)
+    events = sorted({first_step, *resumes, *forks})
+    if has_lead:
+        for step in range(first_step):
+            lead.step(step * dt, dt)
+
+    epochs: list[_Epoch] = []
     col_s: dict[int, dict[str, list]] = {
-        i: {name: [""] * n_steps for name in _STRING_COLS} for i in shim_ids
+        i: {name: [""] * n_steps for name in _STRING_COLS}
+        for i, lane in enumerate(lanes)
+        if lane.injectors or lane.supervisor is not None
     }
-
-    # ZOH state (recorder semantics: carry the last reading forward)
-    zoh = {name: np.zeros(n) for name in (
-        "gps_x", "gps_y", "imu_yaw_rate", "imu_accel", "odom_speed",
-        "compass_yaw", "radar_range", "radar_range_rate",
-    )}
-
-    eng_hint = np.zeros(n)
-    eng_has_hint = np.zeros(n, dtype=bool)
-    all_true = np.ones(n, dtype=bool)
-    last_predict_t = np.zeros(n)
-    has_predict = np.zeros(n, dtype=bool)
-    diverged = np.zeros(n, dtype=bool)
-    divergence_time = np.full(n, np.nan)
     end_point = None if route.closed else route.end_point()
-    no_radar = np.zeros(n)
-    no_radar_fresh = np.zeros(n, dtype=bool)
+    simulated = 0
+    ep = None
 
-    for step in range(n_steps):
+    for step in range(first_step, n_steps):
         t = step * dt
+        if step in resumes or step in forks or ep is None:
+            if ep is not None:
+                epochs.append(ep)
+            state, next_track = _fork_events(
+                step, state, lanes, classes, resumes.get(step, ()),
+                forks.get(step, ()), epochs, next_track, dt, has_lead)
+
+            # --- the new epoch's row set -------------------------------
+            later = [e for e in events if e > step]
+            ep = _new_epoch(step, later[0] if later else n_steps, state.rows)
+            rows = state.rows
+            n_rows = len(rows)
+            simulated += n_rows * (ep.stop - ep.start)
+            vehicle, ekf, ls = state.vehicle, state.ekf, state.loop
+            bfollower = state.follower
+            vec = np.array([p for p, row in enumerate(rows) if row.vector],
+                           dtype=np.int64)
+            object_rows = [(p, lanes[row.lane]) for p, row in enumerate(rows)
+                           if not row.vector]
+            shim_rows = [(p, row.lane, lanes[row.lane])
+                         for p, row in enumerate(rows) if row.shim]
+            radars = [row.radar for row in rows]
+            window = slice(ep.start, ep.stop)
+            tp = {name: arr[window][:, ls.tape]
+                  for name, arr in tape_steps.items()}
+            tp.update((name, arr[ls.tape]) for name, arr in tape_lanes.items())
+            col_f = col_b = ep.cols
+            col_lost = ep.cols["supervisor_lost"]
+            all_true = np.ones(n_rows, dtype=bool)
+            no_radar = np.zeros(n_rows)
+            no_radar_fresh = np.zeros(n_rows, dtype=bool)
+        k = step - ep.start
+
         sx, sy, syaw, sv = vehicle.x, vehicle.y, vehicle.yaw, vehicle.v
         syaw_rate, saccel = vehicle.yaw_rate, vehicle.accel
 
         # --- ground truth at time t -----------------------------------
-        proj = broute.project(sx, sy, eng_hint, eng_has_hint)
-        eng_hint = proj.station
-        eng_has_hint = all_true
+        proj = broute.project(sx, sy, ls.eng_hint, ls.eng_has_hint)
+        ls.eng_hint = proj.station
+        ls.eng_has_hint = all_true
 
         # --- sensing (tape playback; serial association order) --------
-        gps_f = tp_gps_fresh[step].copy()
-        gps_x = sx + tp_gps_walk_x[step] + tp_gps_noise_x[step]
-        gps_y = sy + tp_gps_walk_y[step] + tp_gps_noise_y[step]
-        imu_f = tp_imu_fresh[step].copy()
-        imu_yaw_rate = syaw_rate + gyro_bias + tp_gyro_noise[step]
-        imu_accel = saccel + accel_bias + tp_accel_noise[step]
-        odom_f = tp_odom_fresh[step].copy()
-        odom_speed = ops.pymax(sv * odom_scale + tp_odom_noise[step], 0.0)
-        cmp_f = tp_cmp_fresh[step].copy()
-        compass_yaw = ops.normalize_angle(syaw + tp_cmp_noise[step])
+        gps_f = tp["gps_fresh"][k].copy()
+        gps_x = sx + tp["gps_walk_x"][k] + tp["gps_noise_x"][k]
+        gps_y = sy + tp["gps_walk_y"][k] + tp["gps_noise_y"][k]
+        imu_f = tp["imu_fresh"][k].copy()
+        imu_yaw_rate = syaw_rate + tp["imu_gyro_bias"] + tp["imu_gyro_noise"][k]
+        imu_accel = saccel + tp["imu_accel_bias"] + tp["imu_accel_noise"][k]
+        odom_f = tp["odom_fresh"][k].copy()
+        odom_speed = ops.pymax(sv * tp["odom_scale"] + tp["odom_noise"][k], 0.0)
+        cmp_f = tp["compass_fresh"][k].copy()
+        compass_yaw = ops.normalize_angle(syaw + tp["compass_noise"][k])
 
         # --- radar / lead ---------------------------------------------
-        radar_objs: list = [None] * n
-        gap_true = np.zeros(n)
+        radar_objs: list = [None] * n_rows
+        gap_true = np.zeros(n_rows)
         if has_lead:
             lead_pos = lead.position_on(route)
             lead_vel = lead.velocity_on(route)
@@ -300,21 +783,20 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
                 )
             gap_list = gap_true.tolist()
             closing_list = closing.tolist()
-            for i, lane in enumerate(lanes):
-                radar_objs[i] = lane.radar.poll_gap(
+            for i, radar in enumerate(radars):
+                radar_objs[i] = radar.poll_gap(
                     t, gap_list[i], closing_list[i]
                 )
 
-        # --- injection + supervisor (object shim per affected lane) ---
-        if shim_ids:
+        # --- injection + supervisor (object shim per affected row) ----
+        if shim_rows:
             gx_l = gps_x.tolist()
             gy_l = gps_y.tolist()
             iyr_l = imu_yaw_rate.tolist()
             iac_l = imu_accel.tolist()
             od_l = odom_speed.tolist()
             cy_l = compass_yaw.tolist()
-        for i in shim_ids:
-            lane = lanes[i]
+        for i, _, lane in shim_rows:
             inj = lane.injectors
             gfix = GpsFix(t, gx_l[i], gy_l[i]) if gps_f[i] else None
             if gfix is not None:
@@ -378,11 +860,11 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
         # --- state estimation -----------------------------------------
         if imu_f.any():
             predict_dt = np.where(
-                has_predict, ops.pymax(t - last_predict_t, 1e-6), dt
+                ls.has_predict, ops.pymax(t - ls.last_predict_t, 1e-6), dt
             )
             ekf.predict(imu_yaw_rate, imu_accel, predict_dt, imu_f)
-            last_predict_t = np.where(imu_f, t, last_predict_t)
-            has_predict = has_predict | imu_f
+            ls.last_predict_t = np.where(imu_f, t, ls.last_predict_t)
+            ls.has_predict = ls.has_predict | imu_f
         ekf.update_gps(gps_x, gps_y, gps_f)
         ekf.update_compass(compass_yaw, cmp_f)
         ekf.update_speed(odom_speed, odom_f)
@@ -396,12 +878,12 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
         )
 
         # --- control ---------------------------------------------------
-        dec_steer = np.zeros(n)
-        dec_accel = np.zeros(n)
-        dec_cte = np.zeros(n)
-        dec_he = np.zeros(n)
-        dec_station = np.zeros(n)
-        dec_target = np.zeros(n)
+        dec_steer = np.zeros(n_rows)
+        dec_accel = np.zeros(n_rows)
+        dec_cte = np.zeros(n_rows)
+        dec_he = np.zeros(n_rows)
+        dec_station = np.zeros(n_rows)
+        dec_target = np.zeros(n_rows)
         if bfollower is not None:
             out = bfollower.decide(
                 est_x[vec], est_y[vec], est_yaw[vec], est_v[vec], dt,
@@ -409,8 +891,7 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
             )
             dec_steer[vec], dec_accel[vec], dec_cte[vec] = out[0], out[1], out[2]
             dec_he[vec], dec_station[vec], dec_target[vec] = out[3], out[4], out[5]
-        for i in object_ids:
-            lane = lanes[i]
+        for i, lane in object_rows:
             estimate = Estimate(
                 x=float(est_x[i]), y=float(est_y[i]), yaw=float(est_yaw[i]),
                 v=float(est_v[i]), cov_trace=float(est_cov[i]),
@@ -430,10 +911,10 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
         # --- command channel attacks ----------------------------------
         new_cmd_steer = dec_steer.copy()
         new_cmd_accel = dec_accel.copy()
-        for i in shim_ids:
+        for i, _, lane in shim_rows:
             command = (float(dec_steer[i]), float(dec_accel[i]))
             command = _apply_channel(
-                lanes[i].injectors, "command", t, command,
+                lane.injectors, "command", t, command,
                 lambda a, v: a.on_command(t, v[0], v[1]),
             )
             if command is None:
@@ -452,92 +933,101 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
 
         # --- ground truth scoring (pre-step state, like serial) -------
         if route.closed:
-            dist_to_goal = np.full(n, -1.0)
+            dist_to_goal = np.full(n_rows, -1.0)
         else:
             dist_to_goal = ops.map2(
                 math.hypot, sx - end_point.x, sy - end_point.y
             )
         cte_true = proj.cross_track
-        newly = ~diverged & (np.abs(cte_true) > _DIVERGENCE_CTE)
-        divergence_time[newly] = t
-        diverged |= newly
+        newly = ~ls.diverged & (np.abs(cte_true) > _DIVERGENCE_CTE)
+        ls.divergence_time[newly] = t
+        ls.diverged |= newly
 
         # --- record ----------------------------------------------------
-        zoh["gps_x"] = np.where(gps_f, gps_x, zoh["gps_x"])
-        zoh["gps_y"] = np.where(gps_f, gps_y, zoh["gps_y"])
-        zoh["imu_yaw_rate"] = np.where(imu_f, imu_yaw_rate, zoh["imu_yaw_rate"])
-        zoh["imu_accel"] = np.where(imu_f, imu_accel, zoh["imu_accel"])
-        zoh["odom_speed"] = np.where(odom_f, odom_speed, zoh["odom_speed"])
-        zoh["compass_yaw"] = np.where(cmp_f, compass_yaw, zoh["compass_yaw"])
-        zoh["radar_range"] = np.where(radar_f, radar_range, zoh["radar_range"])
-        zoh["radar_range_rate"] = np.where(
-            radar_f, radar_rate, zoh["radar_range_rate"]
+        ls.gps_x = np.where(gps_f, gps_x, ls.gps_x)
+        ls.gps_y = np.where(gps_f, gps_y, ls.gps_y)
+        ls.imu_yaw_rate = np.where(imu_f, imu_yaw_rate, ls.imu_yaw_rate)
+        ls.imu_accel = np.where(imu_f, imu_accel, ls.imu_accel)
+        ls.odom_speed = np.where(odom_f, odom_speed, ls.odom_speed)
+        ls.compass_yaw = np.where(cmp_f, compass_yaw, ls.compass_yaw)
+        ls.radar_range = np.where(radar_f, radar_range, ls.radar_range)
+        ls.radar_range_rate = np.where(
+            radar_f, radar_rate, ls.radar_range_rate
         )
 
-        col_f["true_x"][step] = sx
-        col_f["true_y"][step] = sy
-        col_f["true_yaw"][step] = syaw
-        col_f["true_v"][step] = sv
-        col_f["true_yaw_rate"][step] = syaw_rate
-        col_f["true_accel"][step] = saccel
-        col_f["true_lat_accel"][step] = sv * syaw_rate
-        col_f["cte_true"][step] = cte_true
-        col_f["heading_err_true"][step] = ops.angle_diff(syaw, proj.heading)
-        col_f["station_true"][step] = proj.station
-        col_f["dist_to_goal"][step] = dist_to_goal
-        for name in ("gps_x", "gps_y", "imu_yaw_rate", "imu_accel",
-                     "odom_speed", "compass_yaw", "radar_range",
-                     "radar_range_rate"):
-            col_f[name][step] = zoh[name]
-        col_b["gps_fresh"][step] = gps_f
-        col_b["imu_fresh"][step] = imu_f
-        col_b["odom_fresh"][step] = odom_f
-        col_b["compass_fresh"][step] = cmp_f
-        col_b["radar_fresh"][step] = radar_f
-        col_b["lead_present"][step] = has_lead
-        col_f["gap_true"][step] = gap_true
-        col_f["lead_speed"][step] = lead.speed if has_lead else 0.0
-        col_f["est_x"][step] = est_x
-        col_f["est_y"][step] = est_y
-        col_f["est_yaw"][step] = est_yaw
-        col_f["est_v"][step] = est_v
-        col_f["est_cov_trace"][step] = est_cov
-        col_f["nis_gps"][step] = nis_gps
-        col_f["nis_speed"][step] = nis_speed
-        col_f["nis_compass"][step] = nis_compass
-        col_f["cte_est"][step] = dec_cte
-        col_f["heading_err_est"][step] = dec_he
-        col_f["station_est"][step] = dec_station
-        col_f["target_speed"][step] = dec_target
-        col_f["steer_cmd"][step] = dec_steer
-        col_f["accel_cmd"][step] = dec_accel
-        col_f["steer_applied"][step] = vehicle.act_steer
-        col_f["accel_applied"][step] = vehicle.act_accel
+        col_f["true_x"][k] = sx
+        col_f["true_y"][k] = sy
+        col_f["true_yaw"][k] = syaw
+        col_f["true_v"][k] = sv
+        col_f["true_yaw_rate"][k] = syaw_rate
+        col_f["true_accel"][k] = saccel
+        col_f["true_lat_accel"][k] = sv * syaw_rate
+        col_f["cte_true"][k] = cte_true
+        col_f["heading_err_true"][k] = ops.angle_diff(syaw, proj.heading)
+        col_f["station_true"][k] = proj.station
+        col_f["dist_to_goal"][k] = dist_to_goal
+        for name in _ZOH_COLS:
+            col_f[name][k] = getattr(ls, name)
+        col_b["gps_fresh"][k] = gps_f
+        col_b["imu_fresh"][k] = imu_f
+        col_b["odom_fresh"][k] = odom_f
+        col_b["compass_fresh"][k] = cmp_f
+        col_b["radar_fresh"][k] = radar_f
+        col_b["lead_present"][k] = has_lead
+        col_f["gap_true"][k] = gap_true
+        col_f["lead_speed"][k] = lead.speed if has_lead else 0.0
+        col_f["est_x"][k] = est_x
+        col_f["est_y"][k] = est_y
+        col_f["est_yaw"][k] = est_yaw
+        col_f["est_v"][k] = est_v
+        col_f["est_cov_trace"][k] = est_cov
+        col_f["nis_gps"][k] = nis_gps
+        col_f["nis_speed"][k] = nis_speed
+        col_f["nis_compass"][k] = nis_compass
+        col_f["cte_est"][k] = dec_cte
+        col_f["heading_err_est"][k] = dec_he
+        col_f["station_est"][k] = dec_station
+        col_f["target_speed"][k] = dec_target
+        col_f["steer_cmd"][k] = dec_steer
+        col_f["accel_cmd"][k] = dec_accel
+        col_f["steer_applied"][k] = vehicle.act_steer
+        col_f["accel_applied"][k] = vehicle.act_accel
 
-        for i in shim_ids:
-            lane = lanes[i]
+        for i, lane_id, lane in shim_rows:
             active_attack = next(
                 (a for a in lane.campaign.attacks if a.active(t)), None
             )
             active_fault = next(
                 (f for f in lane.faults.faults if f.active(t)), None
             )
-            strings = col_s[i]
+            strings = col_s[lane_id]
             if active_attack is not None:
-                col_b["attack_active"][step, i] = True
+                col_b["attack_active"][k, i] = True
                 strings["attack_name"][step] = active_attack.name
                 strings["attack_channel"][step] = active_attack.channel
             if active_fault is not None:
-                col_b["fault_active"][step, i] = True
+                col_b["fault_active"][k, i] = True
                 strings["fault_name"][step] = active_fault.name
                 strings["fault_channel"][step] = active_fault.channel
             if lane.supervisor is not None:
                 strings["supervisor_mode"][step] = lane.supervisor.mode
-                col_lost[step, i] = len(lane.supervisor.lost_channels)
+                col_lost[k, i] = len(lane.supervisor.lost_channels)
+    epochs.append(ep)
+    _LANE_STEPS["simulated"] += simulated
+    _LANE_STEPS["requested"] += n * n_steps
 
     # --- assemble per-lane results ------------------------------------
+    final_row: dict[int, int] = {}
+    for p, row in enumerate(state.rows):
+        if row.lane is not None:
+            final_row[row.lane] = p
+        else:
+            for i in classes[row.cls].members:
+                if lanes[i].onset is None:
+                    final_row[i] = p
+    diverged = state.loop.diverged
+    divergence_time = state.loop.divergence_time
     step_col = np.arange(n_steps, dtype=np.int64)
-    t_col = np.arange(n_steps) * dt
     empty_strings = [""] * n_steps
     results: list[RunResult] = []
     for i, lane in enumerate(lanes):
@@ -553,24 +1043,31 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
         )
         if lane.faults.faults:
             meta.extra["fault"] = lane.faults.label
-        arrays: dict = {"step": step_col, "t": t_col}
-        for name in _FLOAT_COLS:
-            arrays[name] = col_f[name][:, i]
-        for name in _BOOL_COLS:
-            arrays[name] = col_b[name][:, i]
-        arrays["supervisor_lost"] = col_lost[:, i]
+        if lane.cls is None or lane.onset == 0:
+            arrays = _history(epochs, lane.track, 0, n_steps)
+        elif lane.onset is None:
+            arrays = _history(epochs, classes[lane.cls].track, 0, n_steps)
+        else:
+            # The slot's rows before onset, then the lane's own.
+            prefix = _history(epochs, classes[lane.cls].track, 0, lane.onset)
+            own = _history(epochs, lane.track, lane.onset, n_steps)
+            arrays = {name: np.concatenate([prefix[name], own[name]])
+                      for name in own}
+        arrays["step"] = step_col
+        arrays["t"] = t_col
         strings = col_s.get(i)
         for name in _STRING_COLS:
             arrays[name] = strings[name] if strings else empty_strings
         trace = Trace.from_columns(meta, arrays)
+        p = final_row[i]
         results.append(RunResult(
             trace=trace,
             metrics=compute_metrics(trace),
             outcome=ScenarioOutcome(
                 completed=True,
-                diverged=bool(diverged[i]),
+                diverged=bool(diverged[p]),
                 divergence_time=(
-                    float(divergence_time[i]) if diverged[i] else None
+                    float(divergence_time[p]) if diverged[p] else None
                 ),
             ),
             scenario=scenario,

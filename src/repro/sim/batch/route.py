@@ -11,7 +11,6 @@ segment choice and every derived float is bit-identical to what the serial
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,15 +25,12 @@ _WINDOW = 30.0  # meters; matches Polyline.project's hint window
 
 @dataclass(frozen=True, slots=True)
 class BatchProjection:
-    """Per-lane arrays of :class:`~repro.geom.polyline.Projection` fields."""
+    """Per-lane arrays of the :class:`~repro.geom.polyline.Projection`
+    fields the batch engine reads."""
 
-    point_x: np.ndarray
-    point_y: np.ndarray
     station: np.ndarray
     cross_track: np.ndarray
     heading: np.ndarray
-    segment_index: np.ndarray
-    distance: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,13 +174,6 @@ class BatchRoute:
         ry = py - closest_y
         cross = self._cos_h[best] * ry - self._sin_h[best] * rx
         station = self._cum[best] + t_best * self._seg_lengths[best]
-        distance = ops.map2(math.hypot, rx, ry)
         return BatchProjection(
-            point_x=closest_x,
-            point_y=closest_y,
-            station=station,
-            cross_track=cross,
-            heading=heading,
-            segment_index=best,
-            distance=distance,
+            station=station, cross_track=cross, heading=heading
         )

@@ -2,13 +2,18 @@
 
 A cold explanation batch-simulates its speculative probe lanes through
 ``ProbeEngine.prefetch``; that time belongs to ``simulate``, and the
-record's wall time must cover every phase it reports.
+record's wall time must cover every phase it reports.  Its lanes share
+their pre-onset prefix, so the batched line reports fewer lane-steps
+simulated than requested.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from collections import OrderedDict
+
+import repro.sim.batch.engine as batch_engine
 from repro.experiments.counterfactual import explain
 from repro.experiments.runner import clear_cache
 from repro.experiments.stats import STATS
@@ -40,6 +45,22 @@ def test_cold_explanation_counts_batch_simulation_and_wall(fresh_store):
     assert "wall time   : 0.00s" not in STATS.render()
 
 
+def test_cold_explanation_counts_lane_steps(fresh_store, monkeypatch):
+    # An empty prefix memo, so no snapshot from an earlier test resumes.
+    monkeypatch.setattr(batch_engine, "_PREFIX_MEMO", OrderedDict())
+    STATS.reset()
+    _explain()
+    stats = STATS.last
+    assert stats.batch_points == 33
+    # 33 lanes x 400 steps requested.  One slot runs the shared prefix
+    # until the first probe window opens; each lane runs on from its own
+    # onset, and the clean lanes ride the slot to the end.
+    assert stats.lane_steps_requested == 13200
+    assert stats.lane_steps_simulated == 7040
+    assert ("33 point(s) in 1 group(s), 0 fallback(s); "
+            "7040 of 13200 lane-step(s) simulated") in STATS.render()
+
+
 def test_warm_explanation_simulates_nothing(fresh_store):
     _explain()
     clear_cache()
@@ -47,5 +68,6 @@ def test_warm_explanation_simulates_nothing(fresh_store):
     _explain()
     stats = STATS.last
     assert stats.executed == 0
+    assert stats.lane_steps_requested == stats.lane_steps_simulated == 0
     assert stats.phase_time["simulate"] == 0.0
     assert stats.wall_time > 0.0
