@@ -40,7 +40,9 @@ from repro.trace import Trace, compute_metrics, diff_traces
 # 1.4: scheduler/executor/result-store split + the distributed campaign
 # backend (grid specs embed this version; mixed-version fleets refuse
 # to share a campaign).
-__version__ = "1.6.0"
+# 1.7: binary trace format 2 (cache layout v3, protocol 2); a worker
+# still writing format 1 must not join a campaign of this build.
+__version__ = "1.7.0"
 
 __all__ = [
     "run_scenario",

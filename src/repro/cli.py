@@ -18,7 +18,8 @@ Commands:
 * ``cache`` — inspect (``stats``) or wipe (``clear``) the persistent
   on-disk run cache that accelerates repeated campaigns; ``stats`` also
   reports campaign lease/manifest health (active/stale leases, orphaned
-  shards, lease-conflict events).
+  shards, lease-conflict events) and the entries older cache layouts
+  left behind, which ``clear`` removes too.
 * ``worker`` — join a distributed campaign as one worker process: claim
   lease-guarded grid shards from a serialized grid spec, execute them,
   and commit results to the shared cache (see ``docs/distributed.md``).
@@ -256,6 +257,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"cache root : {stats['root']}")
         print(f"entries    : {stats['entries']}")
         print(f"size       : {stats['bytes'] / 1e6:.2f} MB")
+        print(f"stale      : {stats['stale_entries']} entries "
+              f"({stats['stale_bytes'] / 1e6:.2f} MB) in older layouts, "
+              "never read; `cache clear` removes them")
         health = lease_health(cache)
         print(f"leases     : {health['active_leases']} active, "
               f"{health['stale_leases']} stale")
@@ -445,8 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=7)
     p_run.add_argument("--save", metavar="TRACE.{jsonl,npz}",
                        help="save the trace for later 'adassure check' "
-                            "(a .npz suffix selects the columnar binary "
-                            "format; anything else writes JSONL)")
+                            "(a .npz suffix selects the binary format: "
+                            "one uncompressed column block, version 2, "
+                            "readable by numpy.load; anything else writes "
+                            "JSONL)")
     p_run.set_defaults(func=_cmd_run)
 
     p_check = sub.add_parser("check", help="check a saved trace file")

@@ -10,20 +10,21 @@ revision is silently invalidated by the next.
 
 Layout (under ``$ADASSURE_CACHE_DIR`` or ``~/.cache/adassure``)::
 
-    <root>/v2/ab/<key>.trace.npz        version-stamped columnar binary
+    <root>/v3/ab/<key>.trace.npz        version-stamped columnar binary
                                         trace (``repro.trace.io``;
                                         inspectable via `adassure check`)
-    <root>/v2/ab/<key>.scored.pkl       pickled scenario + metrics +
+    <root>/v3/ab/<key>.scored.pkl       pickled scenario + metrics +
                                         outcome + CheckReport + diagnosis
-    <root>/v2/ab/<key>.failure.json     instead of the pair above: the
+    <root>/v3/ab/<key>.failure.json     instead of the pair above: the
                                         message of a run whose simulation
                                         deterministically crashed
 
 Traces are stored as the binary bytes themselves — no re-compression
 wrapper — so a cache hit deserializes straight into the columnar view
-the vectorized checker consumes.  Loading sniffs the payload format, so
-a cache directory can in principle hold older JSONL entries too (the
-``v2`` root isolates this layout from ``v1`` regardless).
+the vectorized checker consumes.  Each layout lives under its own
+``v<N>`` root, so entries of an older layout are never looked up: after
+an upgrade they are plain misses, not load failures.  ``cache stats``
+still counts them (``stale``) and ``cache clear`` removes them.
 
 Entries are written atomically (tmp file + rename) so concurrent workers
 and concurrent campaigns can share a cache directory.  Any unreadable or
@@ -65,11 +66,13 @@ __all__ = [
     "grid_identity",
 ]
 
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 """Bumped whenever the on-disk entry layout changes.
 
 v2: traces stored as columnar ``.trace.npz`` binary instead of gzip'd
 JSONL (smaller entries, much faster loads, no double compression).
+v3: the binary trace format's version 2 (one stored column block
+instead of one deflated member per channel).
 """
 
 _TRACE_SUFFIX = ".trace.npz"
@@ -273,9 +276,9 @@ class RunCache:
                 "report": report,
                 "diagnosis": diagnosis,
             }
-            # Store the binary bytes directly: the npz payload is already
-            # compressed, so wrapping it in another encoder would only
-            # add CPU and size (the v1 layout's double-gzip mistake).
+            # Store the binary bytes directly: the payload is laid out
+            # for fast loads (one stored column block), and wrapping it
+            # in an encoder would cost the CPU that layout saves.
             self._atomic_write(self._trace_path(key),
                                trace_to_npz_bytes(result.trace))
             self._atomic_write(self._scored_path(key),
@@ -400,29 +403,50 @@ class RunCache:
             return 0
 
     # -- maintenance ----------------------------------------------------
+    def _stale_roots(self) -> list[Path]:
+        """Roots of other entry layouts beside this one (``v1``, ``v2``,
+        ...): never read by this build, still holding disk space."""
+        parent = self.root.parent
+        if not parent.is_dir():
+            return []
+        return sorted(p for p in parent.iterdir()
+                      if p.is_dir() and p != self.root
+                      and p.name[:1] == "v" and p.name[1:].isdigit())
+
+    @staticmethod
+    def _footprint(root: Path) -> tuple[int, int]:
+        """``(entries, bytes)`` under one layout root; stored crashes
+        count as entries."""
+        if not root.exists():
+            return 0, 0
+        entries = sum(1 for suffix in (_SCORED_SUFFIX, _FAILURE_SUFFIX)
+                      for _ in root.rglob("*" + suffix))
+        total_bytes = sum(p.stat().st_size for p in root.rglob("*")
+                          if p.is_file())
+        return entries, total_bytes
+
     def stats(self) -> dict:
-        """Entry count (stored crashes included) and byte footprint of
-        the disk layer."""
-        entries = 0
-        total_bytes = 0
-        if self.root.exists():
-            entries = sum(1 for suffix in (_SCORED_SUFFIX, _FAILURE_SUFFIX)
-                          for _ in self.root.rglob("*" + suffix))
-            total_bytes = sum(p.stat().st_size for p in self.root.rglob("*")
-                              if p.is_file())
+        """Entry count and byte footprint of the disk layer, plus the
+        entries older layouts left behind."""
+        entries, total_bytes = self._footprint(self.root)
+        stale = [self._footprint(root) for root in self._stale_roots()]
         return {
             "root": str(self.root),
             "entries": entries,
             "bytes": total_bytes,
+            "stale_entries": sum(n for n, _ in stale),
+            "stale_bytes": sum(b for _, b in stale),
             "session": self.counters.as_dict(),
         }
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = self.stats()["entries"]
-        if self.root.exists():
-            shutil.rmtree(self.root, ignore_errors=True)
-        return removed
+        """Delete every entry, older layouts' included; returns how many
+        were removed."""
+        stats = self.stats()
+        for root in (self.root, *self._stale_roots()):
+            if root.exists():
+                shutil.rmtree(root, ignore_errors=True)
+        return stats["entries"] + stats["stale_entries"]
 
 
 class CheckpointManifest:

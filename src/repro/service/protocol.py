@@ -13,8 +13,8 @@ Every message is one **frame**::
     20      H     header: UTF-8 JSON object (seq numbers, session ids, ...)
     20+H    P     payload: raw bytes (CHUNK frames carry a binary trace
                   chunk in the ``.npz`` format of :mod:`repro.trace.io`,
-                  so the server decodes it with the same magic-sniffing
-                  reader the run cache uses)
+                  version 2, so the server decodes it with the same
+                  magic-sniffing reader the run cache uses)
 
 Design notes:
 
@@ -29,7 +29,8 @@ Design notes:
   reader's own structure checks.
 * **Versioned** — the version byte follows the same contract as the
   binary trace format: bump on any incompatible change, readers reject
-  foreign versions with an actionable error.
+  foreign versions with an actionable error.  Version 2 changed the
+  CHUNK payload to binary trace format version 2.
 
 Frame size limits bound a malicious or broken peer's memory cost before
 any allocation happens.
@@ -58,8 +59,11 @@ __all__ = [
 ]
 
 FRAME_MAGIC = b"ADSV"
-PROTOCOL_VERSION = 1
-"""Wire format version; incompatible changes bump this."""
+PROTOCOL_VERSION = 2
+"""Wire format version; incompatible changes bump this.
+
+2: CHUNK payloads are binary trace format version 2 (one column block).
+"""
 
 MAX_HEADER_BYTES = 1 << 20        # 1 MiB of JSON is already pathological
 MAX_PAYLOAD_BYTES = 64 << 20      # one chunk must stay far below this
@@ -137,7 +141,8 @@ def _decode_prefix(prefix: bytes) -> tuple[FrameType, int, int, int]:
     if version != PROTOCOL_VERSION:
         raise ProtocolError(
             f"unsupported protocol version {version} "
-            f"(this build speaks version {PROTOCOL_VERSION})")
+            f"(this build speaks version {PROTOCOL_VERSION}; run client "
+            "and server from the same release)")
     try:
         ftype = FrameType(ftype)
     except ValueError:

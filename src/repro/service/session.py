@@ -57,10 +57,11 @@ class ChunkRejected(ValueError):
 def chunk_to_bytes(meta: TraceMeta, records: Sequence[TraceRecord]) -> bytes:
     """Serialize a slice of records as one binary chunk payload.
 
-    The payload *is* a complete binary trace (the PR 5 ``.npz`` format),
-    so the server decodes it with the same magic-sniffing, version-checked
-    reader the run cache uses — torn or corrupt chunks fail its structure
-    checks instead of smuggling garbage records into a monitor.
+    The payload *is* a complete binary trace (the ``.npz`` format of
+    :mod:`repro.trace.io`, version 2), so the server decodes it with the
+    same magic-sniffing, version-checked reader the run cache uses — torn
+    or corrupt chunks fail its checksum and schema checks instead of
+    smuggling garbage records into a monitor.
     """
     return trace_to_npz_bytes(Trace(meta, records))
 

@@ -26,18 +26,26 @@ session.  Reading it back needs only the manifest
 (:meth:`SessionStore.manifest`), so stores written before the segment
 layout still replay their finished verdicts.
 
+Segments hold binary trace format version 2.  A store written by an
+older build keeps its v1 segments: an unfinished session there fails to
+load and resumes fresh (:meth:`SessionStore.load`'s contract for any
+unreadable checkpoint), and a finished one replays its verdict from the
+manifest as before.
+
 The whole store directory is guarded by an advisory
 :class:`~repro.locking.FileLease` (same machinery as the campaign
 manifest): a second server instance pointed at a live store's directory
 is told so and must refuse to start, because two writers checkpointing
-the same sessions would corrupt each other's ledgers.
+the same sessions would corrupt each other's ledgers.  Saves re-stamp
+the lease at most every quarter TTL, not once per chunk.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable
+import time
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 from repro.experiments.cache import default_cache_dir
@@ -84,12 +92,20 @@ class SessionCheckpoint:
 class SessionStore:
     """Directory of per-session checkpoints, single-writer by lease."""
 
-    def __init__(self, root: str | Path | None = None):
+    HEARTBEAT_FRACTION = 0.25
+    """Saves re-stamp the lease once this fraction of its TTL has passed
+    since the last stamp: far inside the TTL, yet not a read, a write
+    and a rename per chunk."""
+
+    def __init__(self, root: str | Path | None = None, *,
+                 clock: Callable[[], float] = time.monotonic):
         self.root = (Path(root).expanduser() if root is not None
                      else default_store_dir())
         self.lease = FileLease(self.root / "store.lease")
         self.writes = 0
         self.loads = 0
+        self._clock = clock
+        self._stamped_at: float | None = None
 
     def acquire(self) -> None:
         """Claim the store; raises :class:`LeaseConflict` if another
@@ -123,6 +139,13 @@ class SessionStore:
                 if p.name[len(prefix):-len(_SEGMENT_SUFFIX)].isdigit()]
 
     # -- persistence -----------------------------------------------------
+    def _heartbeat(self) -> None:
+        now = self._clock()
+        if (self._stamped_at is None or now - self._stamped_at
+                >= self.lease.ttl * self.HEARTBEAT_FRACTION):
+            self.lease.refresh()
+            self._stamped_at = now
+
     def _atomic_write(self, path: Path, data: bytes) -> None:
         tmp = path.with_suffix(path.suffix + f".tmp.{os.getpid()}")
         tmp.write_bytes(data)
@@ -139,7 +162,7 @@ class SessionStore:
         one that counts a segment that was not written.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        self.lease.refresh()
+        self._heartbeat()
         for seq, payload in segments:
             self._atomic_write(self._segment_path(session_id, seq), payload)
         manifest = {

@@ -2,12 +2,32 @@
 
 Three formats, by role:
 
-* **Binary** (:func:`write_trace_npz` / :func:`trace_to_npz_bytes`) — one
-  compressed numpy array per trace channel plus a version-stamped JSON
-  header.  Exact float64 round-trip, a fraction of JSONL's size, and
-  loading yields the *columnar* trace form directly (no per-record
-  parsing), which is what the vectorized checker consumes.  This is the
-  run cache's payload format.
+* **Binary** (:func:`write_trace_npz` / :func:`trace_to_npz_bytes`) —
+  the run cache's payload, the service's CHUNK payload and checkpoint
+  segment.  Exact round-trip of every channel, and loading yields the
+  *columnar* trace form directly (no per-record parsing), which is what
+  the vectorized checker consumes.  Layout, format version 2: a zip of
+  exactly two members, both **stored** (not deflated), readable by
+  ``numpy.load``:
+
+  - ``header`` — UTF-8 JSON: ``format``, ``version``, ``n`` (records),
+    ``meta``, and ``columns``, a list of ``[name, dtype.str]`` in
+    :attr:`Trace.field_names` order;
+  - ``columns`` — one ``uint8`` block: every channel's ``n`` values,
+    back to back in that order.
+
+  The zip comment is a hex CRC-32 of every byte before it: zip readers
+  check member CRCs but not timestamps, attributes or local-header
+  copies of sizes, so without it some single-byte flips would load.
+  Decoding validates the column list against the schema (names, order,
+  dtypes: never coerced) and the block size against ``n``, marks the
+  block read-only and cuts it into views, so building the trace copies
+  no column.  Version 1 deflated one member per channel: ~30% smaller,
+  but its 54 members cost ~10 ms per decode and ~13 ms per encode of an
+  800-record trace against ~1 ms each way for the block.  Deflating the
+  block would save about a third of its bytes for ~12 ms more per encode
+  and ~2 ms per decode, most of what the layout saves, so it stays
+  stored.
 * **JSONL** (:func:`write_trace_jsonl`) — one metadata header line plus
   one record per line; round-tripping is exact up to float repr (Python's
   ``repr`` of a float is lossless).  Kept as the human-inspectable
@@ -21,20 +41,21 @@ path; :func:`read_trace_auto` / :func:`trace_from_bytes` sniff the format
 
 Error handling contract: structurally broken input (missing header,
 corrupt record in the middle of a file, wrong CSV columns, a binary
-payload with a missing channel or an unknown format version) raises
-:class:`TraceIOError` — a :class:`ValueError` subclass carrying the file
-label.  A JSONL stream cut off mid-write (truncated gzip stream,
-incomplete final line — what a killed worker or full disk leaves behind)
-instead returns the parseable prefix and emits a
-:class:`TraceTruncationWarning`, because the prefix is still a valid
-trace and losing the tail is recoverable.  A truncated *binary* payload
-is always a hard :class:`TraceIOError`: npz members are compressed
-whole, so there is no meaningful prefix to salvage.
+payload that fails its checksum, disagrees with the schema or carries
+another format version) raises :class:`TraceIOError` — a
+:class:`ValueError` subclass carrying the file label.  A JSONL stream
+cut off mid-write (truncated gzip stream, incomplete final line — what a
+killed worker or full disk leaves behind) instead returns the parseable
+prefix and emits a :class:`TraceTruncationWarning`, because the prefix
+is still a valid trace and losing the tail is recoverable.  A truncated
+*binary* payload is always a hard :class:`TraceIOError`: its columns
+are laid out whole, so there is no meaningful prefix to salvage.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import gzip
 import io
 import json
@@ -68,11 +89,13 @@ __all__ = [
 _GZIP_MAGIC = b"\x1f\x8b"
 _ZIP_MAGIC = b"PK\x03\x04"
 
-TRACE_NPZ_VERSION = 1
-"""Binary trace format version; readers reject anything else."""
+TRACE_NPZ_VERSION = 2
+"""Binary trace format version; readers reject anything else.
+
+2: one stored column block instead of one deflated member per channel.
+"""
 
 _NPZ_FORMAT_NAME = "adassure-trace"
-_NPZ_COLUMN_PREFIX = "col_"
 
 
 class TraceIOError(ValueError):
@@ -231,9 +254,11 @@ def trace_from_jsonl_bytes(data: bytes) -> Trace:
 # Binary (.npz) format
 # ---------------------------------------------------------------------------
 
-# Everything np.load / zipfile / zlib / json can throw at a damaged or
-# truncated npz payload; all of it maps to TraceIOError (binary payloads
-# have no salvageable prefix, unlike JSONL).
+# Everything zipfile / numpy / json can throw at a damaged or truncated
+# payload; all of it maps to TraceIOError (binary payloads have no
+# salvageable prefix, unlike JSONL).  NotImplementedError and
+# RuntimeError are zipfile's answers to a flipped compression-method or
+# encryption bit.
 _NPZ_READ_ERRORS = (
     zipfile.BadZipFile,
     zlib.error,
@@ -241,45 +266,132 @@ _NPZ_READ_ERRORS = (
     KeyError,
     OSError,
     EOFError,
+    NotImplementedError,
+    RuntimeError,
 )
+
+_HEADER_MEMBER = "header.npy"
+_BLOCK_MEMBER = "columns.npy"
+_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
+"""Member timestamp: fixed, so a payload is a pure function of its trace."""
+
+_CHECKSUM_BYTES = 8
+
+
+def _checksum(body) -> bytes:
+    """The archive comment: hex CRC-32 over every byte before it."""
+    return b"%08x" % zlib.crc32(body)
+
+
+def _npz_member(zf: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
+    npy = io.BytesIO()
+    np.lib.format.write_array(npy, array, allow_pickle=False)
+    zf.writestr(zipfile.ZipInfo(name, date_time=_ZIP_EPOCH), npy.getvalue())
+
+
+def _pack_npz(header: dict, block: np.ndarray) -> bytes:
+    """A two-member, stored (not deflated) npz sealed by its checksum."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_STORED) as zf:
+        _npz_member(zf, _HEADER_MEMBER,
+                    np.asarray(json.dumps(header).encode("utf-8")))
+        _npz_member(zf, _BLOCK_MEMBER, block)
+        zf.comment = bytes(_CHECKSUM_BYTES)  # placeholder, patched below
+    body = buf.getvalue()[:-_CHECKSUM_BYTES]
+    return body + _checksum(body)
 
 
 def trace_to_npz_bytes(trace: Trace) -> bytes:
     """Serialize a trace to the binary format as an in-memory payload.
 
-    One compressed array per channel (exact float64 round-trip) plus a
-    ``header`` member carrying the format name, the format version and
-    the trace metadata.  npz members are deflate-compressed, so the
-    payload needs no further compression.
+    Two members: a JSON ``header`` (format name, version, record count,
+    trace metadata and the ``[name, dtype]`` column table) and one
+    ``columns`` block with every channel's bytes back to back, in
+    :attr:`Trace.field_names` order.  Exact round-trip of every dtype.
     """
     cols = trace.columns()
-    header = json.dumps({
+    arrays = [cols.get(name) for name in Trace.field_names]
+    header = {
         "format": _NPZ_FORMAT_NAME,
         "version": TRACE_NPZ_VERSION,
         "n": len(trace),
         "meta": trace.meta.to_dict(),
-    })
-    arrays = {_NPZ_COLUMN_PREFIX + name: cols.get(name)
-              for name in Trace.field_names}
-    buf = io.BytesIO()
-    np.savez_compressed(buf, header=np.asarray(header), **arrays)
-    return buf.getvalue()
+        "columns": [[name, array.dtype.str]
+                    for name, array in zip(Trace.field_names, arrays)],
+    }
+    block = np.frombuffer(b"".join(array.tobytes() for array in arrays),
+                          dtype=np.uint8)
+    return _pack_npz(header, block)
+
+
+@functools.lru_cache(maxsize=1024)
+def _schema_dtype(name: str, code: str) -> np.dtype | None:
+    """The dtype ``code`` names, if the trace schema stores ``name`` as
+    that dtype; else ``None``.  Cached: payloads repeat a handful of
+    codes, and parsing and comparing dtypes is most of a small decode."""
+    try:
+        dtype = np.dtype(code)
+    except (TypeError, ValueError):
+        return None
+    if name in Trace.string_channels:
+        ok = dtype.kind == "U" and dtype.isnative and dtype.itemsize > 0
+    elif name in Trace.bool_channels:
+        ok = dtype == np.bool_
+    elif name in Trace.int_channels:
+        ok = dtype == np.int64
+    else:
+        ok = dtype == np.float64
+    return dtype if ok else None
+
+
+def _column_table(header: dict, label: str) -> tuple[int, list]:
+    """Validate the header's record count and column table against the
+    schema; returns ``(n, [(name, dtype), ...])``."""
+    n = header.get("n")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise TraceIOError(f"{label}: bad record count {n!r}")
+    table = header.get("columns")
+    try:
+        names = [name for name, _ in table]
+    except (TypeError, ValueError):
+        raise TraceIOError(f"{label}: bad column table in header") from None
+    if names != list(Trace.field_names):
+        missing = [name for name in Trace.field_names if name not in names]
+        if missing:
+            raise TraceIOError(f"{label}: missing channel {missing[0]!r}")
+        raise TraceIOError(
+            f"{label}: column table does not match the trace schema "
+            "(unknown, repeated or reordered channels)")
+    columns = []
+    for name, code in table:
+        dtype = _schema_dtype(name, code) if isinstance(code, str) else None
+        if dtype is None:
+            raise TraceIOError(
+                f"{label}: channel {name!r} has dtype {code!r}, which the "
+                "trace schema does not store")
+        columns.append((name, dtype))
+    return n, columns
 
 
 def trace_from_npz_bytes(data: bytes) -> Trace:
     """Inverse of :func:`trace_to_npz_bytes`.
 
     Raises :class:`TraceIOError` on anything that is not a complete,
-    current-version binary trace: truncated or corrupt zip structure,
-    a foreign npz file, a version mismatch, or missing channels.
+    current-version binary trace: truncated or corrupt zip structure, a
+    failed checksum, a foreign npz file, a version mismatch, a column
+    table that differs from the schema (names, order or dtypes), or a
+    block whose size disagrees with the record count.  The columns are
+    read-only views into the one decoded block.
     """
     label = "<trace bytes>"
     try:
-        with np.load(io.BytesIO(data), allow_pickle=False) as npz:
-            if "header" not in npz.files:
+        with zipfile.ZipFile(io.BytesIO(data)) as zf:
+            if _HEADER_MEMBER not in zf.namelist():
                 raise TraceIOError(f"{label}: not a trace npz (no header)")
+            raw = np.lib.format.read_array(zf.open(_HEADER_MEMBER),
+                                           allow_pickle=False)[()]
             try:
-                header = json.loads(str(npz["header"][()]))
+                header = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise TraceIOError(f"{label}: bad npz header: {exc}") from exc
             if (not isinstance(header, dict)
@@ -290,28 +402,39 @@ def trace_from_npz_bytes(data: bytes) -> Trace:
                 raise TraceIOError(
                     f"{label}: unsupported trace format version {version!r} "
                     f"(this build reads version {TRACE_NPZ_VERSION})")
-            arrays = {}
-            for name in Trace.field_names:
-                member = _NPZ_COLUMN_PREFIX + name
-                if member not in npz.files:
-                    raise TraceIOError(f"{label}: missing channel {name!r}")
-                arrays[name] = npz[member]
+            if zf.comment != _checksum(
+                    memoryview(data)[:-_CHECKSUM_BYTES]):
+                raise TraceIOError(
+                    f"{label}: payload failed its checksum (corrupted)")
+            n, columns = _column_table(header, label)
+            block = np.lib.format.read_array(zf.open(_BLOCK_MEMBER),
+                                             allow_pickle=False)
     except TraceIOError:
         raise
     except _NPZ_READ_ERRORS as exc:
         raise TraceIOError(
             f"{label}: unreadable binary trace: {exc}") from exc
-    meta = TraceMeta.from_dict(header.get("meta", {}))
+    expected = n * sum(dtype.itemsize for _, dtype in columns)
+    if block.dtype != np.uint8 or block.shape != (expected,):
+        raise TraceIOError(
+            f"{label}: header claims {n} records ({expected} column "
+            f"bytes), block holds {block.size} {block.dtype} item(s)")
+    # Read-only first: from_columns keeps read-only views as they are.
+    block.flags.writeable = False
+    arrays = {}
+    offset = 0
+    for name, dtype in columns:
+        size = n * dtype.itemsize
+        arrays[name] = block[offset:offset + size].view(dtype)
+        offset += size
     try:
-        trace = Trace.from_columns(meta, arrays)
+        meta = TraceMeta.from_dict(header.get("meta", {}))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise TraceIOError(f"{label}: bad trace metadata: {exc}") from exc
+    try:
+        return Trace.from_columns(meta, arrays)
     except ValueError as exc:
         raise TraceIOError(f"{label}: {exc}") from exc
-    expected = header.get("n")
-    if expected is not None and expected != len(trace):
-        raise TraceIOError(
-            f"{label}: header claims {expected} records, payload has "
-            f"{len(trace)}")
-    return trace
 
 
 def write_trace_npz(trace: Trace, path: str | Path) -> None:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import io
+import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.attacks.campaign import standard_attack
@@ -74,6 +77,19 @@ def make_trace(num_steps: int = 100, meta: TraceMeta | None = None,
             record = mutate(step, record)
         trace.append(record)
     return trace
+
+
+def v1_npz_bytes(trace: Trace) -> bytes:
+    """A trace in binary format version 1, the layout before the single
+    column block: one deflated npz member per channel plus a header."""
+    header = {"format": "adassure-trace", "version": 1, "n": len(trace),
+              "meta": trace.meta.to_dict()}
+    cols = trace.columns()
+    buf = io.BytesIO()
+    np.savez_compressed(
+        buf, header=np.asarray(json.dumps(header)),
+        **{"col_" + name: cols.get(name) for name in Trace.field_names})
+    return buf.getvalue()
 
 
 def short_scenario(name: str = "s_curve", seed: int = 7,

@@ -16,6 +16,7 @@ from repro.service.client import StreamError, fetch_status, stream_trace
 from repro.service.protocol import FrameType, encode_frame, read_frame
 from repro.service.server import ServerConfig, TraceIngestServer
 from repro.service.session import chunk_to_bytes
+from repro.service.store import SessionStore
 
 from service_utils import attacked_trace, offline_verdict, serving
 
@@ -246,3 +247,37 @@ class TestStatus:
         assert status["sessions"]["active"] == 0
         assert status["fleet"]["detection_latency_s"]["n"] == 1
         assert status["monitor_pool"]["created"] >= 1
+
+
+class TestStoreLeaseHeartbeat:
+    """Saves re-stamp the store lease once per quarter TTL, not once per
+    chunk (each stamp is a read, a write and a rename)."""
+
+    def test_saves_stamp_once_per_quarter_ttl(self, tmp_path):
+        now = [100.0]
+        store = SessionStore(tmp_path, clock=lambda: now[0])
+        store.acquire()
+        stamps = []
+        real_refresh = store.lease.refresh
+
+        def counting_refresh():
+            stamps.append(now[0])
+            real_refresh()
+
+        store.lease.refresh = counting_refresh
+        trace = attacked_trace(num_steps=8)
+        payload = chunk_to_bytes(trace.meta, list(trace.records)[:1])
+
+        def save(seq):
+            store.save("veh-hb", meta=trace.meta, segments=[(seq, payload)],
+                       next_seq=seq + 1, finished=False, verdict=None)
+
+        for seq in range(8):
+            save(seq)
+            now[0] += 0.01
+        assert stamps == [100.0]
+        now[0] = 100.0 + store.lease.ttl / 4
+        save(8)
+        assert len(stamps) == 2
+        assert store.lease.holder()["owner"] == store.lease.owner_id
+        store.release()

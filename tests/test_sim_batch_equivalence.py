@@ -62,6 +62,12 @@ def assert_results_identical(serial, batch) -> None:
     assert serial.attack_label == batch.attack_label
 
 
+ONSET = 3.0
+"""Injector onset for the closed-loop grids: inside every scenario they
+run (8-15 s), unlike the campaign default, so attack and fault lanes
+actually exercise the shims instead of running clean."""
+
+
 def make_spec(scenario, controller="pure_pursuit", attack=None, fault=None,
               supervised=False, ekf_config=None) -> LaneSpec:
     """Fresh LaneSpec (followers are stateful, so every engine run needs
@@ -73,10 +79,23 @@ def make_spec(scenario, controller="pure_pursuit", attack=None, fault=None,
     )
     if supervised:
         follower = SupervisedController(follower)
-    campaign = standard_attack(attack) if attack else None
-    faults = standard_fault(fault) if fault else None
+    campaign = standard_attack(attack, onset=ONSET) if attack else None
+    faults = standard_fault(fault, onset=ONSET) if fault else None
     return LaneSpec(scenario=scenario, follower=follower,
                     campaign=campaign, ekf_config=ekf_config, faults=faults)
+
+
+def assert_injectors_fired(spec: LaneSpec, trace: Trace) -> None:
+    """An attack or fault lane must show its injector active somewhere;
+    otherwise the lane is a clean run and the comparison proves nothing
+    about the injection paths."""
+    cols = trace.columns()
+    if spec.campaign is not None and spec.campaign.attacks:
+        assert cols.attack_active.any(), (
+            f"attack {spec.campaign.label!r} never active")
+    if spec.faults is not None and spec.faults.faults:
+        assert cols.fault_active.any(), (
+            f"fault {spec.faults.label!r} never active")
 
 
 def run_both(spec_factories) -> None:
@@ -88,6 +107,7 @@ def run_both(spec_factories) -> None:
             spec.scenario, spec.follower, spec.campaign,
             spec.ekf_config, faults=spec.faults,
         ).run()
+        assert_injectors_fired(spec, serial_result.trace)
         assert_results_identical(serial_result, batch_result)
 
 

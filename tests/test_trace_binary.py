@@ -23,10 +23,11 @@ from repro.trace.io import (
     trace_to_npz_bytes,
     write_trace_jsonl,
     write_trace_npz,
+    _pack_npz,
 )
 from repro.trace.schema import Trace, TraceMeta
 
-from conftest import make_trace
+from conftest import make_trace, v1_npz_bytes
 
 
 def sample_trace():
@@ -50,23 +51,34 @@ def sample_trace():
     )
 
 
-def repack_npz(data: bytes, *, header: dict | None = None,
-               drop: str | None = None) -> bytes:
-    """Rewrite an npz payload with a patched header / a member removed."""
+def unpack_npz(data: bytes) -> tuple[dict, np.ndarray]:
+    """The header dict and the column block, read with plain np.load."""
     with np.load(io.BytesIO(data), allow_pickle=False) as npz:
-        members = {name: npz[name] for name in npz.files}
-    if header is not None:
-        members["header"] = np.asarray(json.dumps(header))
-    if drop is not None:
-        del members[drop]
-    buf = io.BytesIO()
-    np.savez_compressed(buf, **members)
-    return buf.getvalue()
+        assert sorted(npz.files) == ["columns", "header"]
+        return json.loads(npz["header"][()]), npz["columns"]
+
+
+def repack_npz(data: bytes, *, header: dict | None = None,
+               block: np.ndarray | None = None) -> bytes:
+    """Re-seal a payload with a patched header and/or column block."""
+    old_header, old_block = unpack_npz(data)
+    return _pack_npz(old_header if header is None else header,
+                     old_block if block is None else block)
 
 
 def npz_header(data: bytes) -> dict:
-    with np.load(io.BytesIO(data), allow_pickle=False) as npz:
-        return json.loads(str(npz["header"][()]))
+    return unpack_npz(data)[0]
+
+
+def column_span(header: dict, name: str) -> tuple[int, int]:
+    """Byte range of one channel inside the column block."""
+    offset = 0
+    for column, code in header["columns"]:
+        size = header["n"] * np.dtype(code).itemsize
+        if column == name:
+            return offset, offset + size
+        offset += size
+    raise KeyError(name)
 
 
 class TestRoundTrip:
@@ -134,15 +146,82 @@ class TestRejection:
 
     def test_missing_channel_rejected(self):
         data = trace_to_npz_bytes(sample_trace())
-        with pytest.raises(TraceIOError, match="missing channel"):
-            trace_from_npz_bytes(repack_npz(data, drop="col_est_v"))
+        header, block = unpack_npz(data)
+        start, end = column_span(header, "est_v")
+        header["columns"] = [c for c in header["columns"] if c[0] != "est_v"]
+        block = np.concatenate([block[:start], block[end:]])
+        with pytest.raises(TraceIOError, match="missing channel 'est_v'"):
+            trace_from_npz_bytes(repack_npz(data, header=header, block=block))
 
     def test_record_count_mismatch_rejected(self):
         data = trace_to_npz_bytes(sample_trace())
         header = npz_header(data)
         header["n"] = header["n"] + 5
-        with pytest.raises(TraceIOError, match="header claims"):
+        with pytest.raises(TraceIOError, match="header claims 35 records"):
             trace_from_npz_bytes(repack_npz(data, header=header))
+
+    @pytest.mark.parametrize("edit", ["swap", "rename", "extra"])
+    def test_column_table_must_match_schema(self, edit):
+        data = trace_to_npz_bytes(sample_trace())
+        header = npz_header(data)
+        columns = header["columns"]
+        if edit == "swap":  # same names and sizes, wrong order
+            columns[2], columns[3] = columns[3], columns[2]
+        elif edit == "rename":
+            columns[5] = ["not_a_channel", columns[5][1]]
+        else:
+            columns.append(["not_a_channel", "<f8"])
+        with pytest.raises(TraceIOError,
+                           match="missing channel|does not match"):
+            trace_from_npz_bytes(repack_npz(data, header=header))
+
+    @pytest.mark.parametrize("name,code", [
+        ("t", "<f4"),             # float channel, narrower float
+        ("t", ">f8"),             # float channel, foreign byte order
+        ("true_x", "<i8"),        # float channel as int
+        ("step", "<f8"),          # int channel as float
+        ("step", "<i4"),
+        ("gps_fresh", "|u1"),     # bool channel as bytes
+        ("supervisor_lost", "|b1"),
+        ("attack_name", "|S8"),   # string channel, bytes kind
+        ("attack_name", "<f8"),
+        ("attack_name", "<U0"),
+        ("attack_name", "|O"),    # never an object array
+        ("est_v", "not a dtype"),
+    ])
+    def test_dtype_outside_schema_rejected(self, name, code):
+        # Decoding must not coerce: a dtype the schema does not store
+        # is a foreign or corrupt payload, whatever its bytes are.
+        data = trace_to_npz_bytes(sample_trace())
+        header = npz_header(data)
+        header["columns"] = [[c, code if c == name else d]
+                             for c, d in header["columns"]]
+        with pytest.raises(TraceIOError, match=f"channel {name!r} has dtype"):
+            trace_from_npz_bytes(repack_npz(data, header=header))
+
+    @pytest.mark.parametrize("meta", [[1, 2], {"seed": "x"}, {"extra": 5}])
+    def test_malformed_meta_rejected(self, meta):
+        # Chunks arrive from clients: a well-sealed payload with a
+        # malformed meta object is still outside input.
+        data = trace_to_npz_bytes(sample_trace())
+        header = npz_header(data)
+        header["meta"] = meta
+        with pytest.raises(TraceIOError, match="bad trace metadata"):
+            trace_from_npz_bytes(repack_npz(data, header=header))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_block_size_off_by_one_rejected(self, delta):
+        data = trace_to_npz_bytes(sample_trace())
+        block = unpack_npz(data)[1]
+        block = (block[:-1] if delta < 0
+                 else np.concatenate([block, np.zeros(1, np.uint8)]))
+        with pytest.raises(TraceIOError, match="header claims 30 records"):
+            trace_from_npz_bytes(repack_npz(data, block=block))
+
+    def test_version_1_payload_rejected(self):
+        with pytest.raises(TraceIOError,
+                           match="unsupported trace format version 1"):
+            trace_from_npz_bytes(v1_npz_bytes(sample_trace()))
 
     @pytest.mark.parametrize("cut", [0.25, 0.5, 0.9])
     def test_truncated_payload_rejected(self, cut):
@@ -153,6 +232,21 @@ class TestRejection:
     def test_garbage_rejected(self):
         with pytest.raises(TraceIOError):
             trace_from_npz_bytes(b"PK\x03\x04 but not actually a zip")
+
+    def test_every_truncation_and_byte_flip_rejected(self):
+        # Zip readers check neither member timestamps nor attributes nor
+        # the local-header copies of sizes and CRCs; the archive
+        # checksum must catch a flip there as surely as the stored
+        # member's CRC catches one in the block.
+        data = trace_to_npz_bytes(make_trace(2))
+        for cut in range(len(data)):
+            with pytest.raises(TraceIOError):
+                trace_from_npz_bytes(data[:cut])
+        for index in range(len(data)):
+            flipped = bytearray(data)
+            flipped[index] ^= 0x01 if index % 2 else 0xFF
+            with pytest.raises(TraceIOError):
+                trace_from_npz_bytes(bytes(flipped))
 
     def test_file_errors_carry_path(self, tmp_path):
         path = tmp_path / "trace.npz"
@@ -236,6 +330,14 @@ class TestColumnarBackend:
     def test_from_columns_rejects_missing(self):
         with pytest.raises(ValueError, match="missing channels"):
             Trace.from_columns(None, {"t": np.zeros(3)})
+
+    def test_decoded_columns_are_read_only_views_of_one_block(self):
+        loaded = trace_from_npz_bytes(trace_to_npz_bytes(sample_trace()))
+        cols = loaded.columns()
+        bases = {id(cols.get(name).base) for name in Trace.field_names}
+        assert len(bases) == 1
+        assert not any(cols.get(name).flags.writeable
+                       for name in Trace.field_names)
 
     def test_materialized_records_compare_equal(self):
         trace = make_trace(12)
