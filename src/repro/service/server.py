@@ -26,6 +26,8 @@ second server        store lease conflict: refuses to start
 checkpoint save      chunk not ACKed, connection dropped, session
 fails                evicted anyway; RESUME continues from the last
                      checkpoint that landed (``checkpoint_errors``)
+malformed ``meta``   non-fatal ERROR, no session opened, counted in
+                     ``protocol_errors``; the connection may HELLO again
 ===================  ====================================================
 
 Backpressure is a single global credit: bytes of chunk payloads accepted
@@ -38,6 +40,7 @@ into polite retry-after, not memory growth.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,6 +60,43 @@ from repro.service.store import SessionStore
 from repro.trace.schema import TraceMeta
 
 __all__ = ["ServerConfig", "TraceIngestServer"]
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+_META_FIELDS = {
+    "scenario": ("a string", lambda v: isinstance(v, str)),
+    "controller": ("a string", lambda v: isinstance(v, str)),
+    "attack": ("a string", lambda v: isinstance(v, str)),
+    "seed": ("an integer",
+             lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "dt": ("a positive finite number", lambda v: _finite(v) and v > 0),
+    "route_length": ("a finite number", _finite),
+    "extra": ("an object", lambda v: isinstance(v, dict)),
+}
+"""The ``meta`` keys a HELLO/RESUME may carry: what each must be, and
+the check."""
+
+
+def _meta_from_header(header: dict) -> TraceMeta:
+    """The client-supplied ``meta`` of a HELLO/RESUME as a
+    :class:`TraceMeta`.
+
+    Raises:
+        ValueError: ``meta`` is not an object, or one of its fields is
+            not what :data:`_META_FIELDS` requires.
+    """
+    raw = header.get("meta", {})
+    if not isinstance(raw, dict):
+        raise ValueError(f"meta must be an object, got {raw!r}")
+    for name, (expected, valid) in _META_FIELDS.items():
+        if name in raw and not valid(raw[name]):
+            raise ValueError(
+                f"meta field {name!r} must be {expected}, got {raw[name]!r}")
+    return TraceMeta.from_dict(raw)
 
 
 @dataclass(slots=True)
@@ -240,7 +280,9 @@ class TraceIngestServer:
                            "state; send RESUME instead of HELLO",
                 "resumable": True, "fatal": False})
             return None
-        meta = TraceMeta.from_dict(header.get("meta", {}))
+        meta = await self._meta(writer, header)
+        if meta is None:
+            return None
         session = SessionState(
             session_id, meta,
             monitor=self._acquire_monitor())
@@ -248,6 +290,18 @@ class TraceIngestServer:
         await self._send(writer, FrameType.WELCOME,
                          {"session_id": session_id, "next_seq": 0})
         return session
+
+    async def _meta(self, writer: asyncio.StreamWriter,
+                    header: dict) -> TraceMeta | None:
+        """The header's validated ``meta``; a malformed one is answered
+        with a non-fatal ERROR, counted, and opens no session."""
+        try:
+            return _meta_from_header(header)
+        except ValueError as exc:
+            self.protocol_errors += 1
+            await self._send(writer, FrameType.ERROR, {
+                "message": str(exc), "fatal": False})
+            return None
 
     async def _on_resume(self, writer: asyncio.StreamWriter,
                          header: dict) -> SessionState | None:
@@ -269,7 +323,9 @@ class TraceIngestServer:
         if checkpoint is None:
             # Nothing on disk (never seen, or an unreadable checkpoint
             # dropped as garbage): resume degrades to a fresh start.
-            meta = TraceMeta.from_dict(header.get("meta", {}))
+            meta = await self._meta(writer, header)
+            if meta is None:
+                return None
             session = SessionState(session_id, meta,
                                    monitor=self._acquire_monitor())
             self.sessions[session_id] = session

@@ -135,6 +135,48 @@ class TestGarbageOnTheWire:
         assert outcome.verdict["report"] == offline_verdict(trace)
 
 
+    @pytest.mark.parametrize("meta", [
+        [1], "urban_loop", {"seed": "7"}, {"dt": -0.05}, {"dt": True},
+        {"route_length": float("inf")}, {"extra": []}, {"scenario": 3},
+    ])
+    def test_malformed_meta_is_a_counted_non_fatal_error(self, tmp_path,
+                                                         meta):
+        """A HELLO or RESUME whose ``meta`` is not a well-typed object
+        gets a non-fatal ERROR and opens no session; the same connection
+        can HELLO again, and later sessions complete exactly."""
+        trace = attacked_trace()
+
+        async def go():
+            async with serving(tmp_path) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                replies = []
+                for frame_type in (FrameType.HELLO, FrameType.RESUME):
+                    writer.write(encode_frame(frame_type, {
+                        "session_id": "veh-meta", "meta": meta}))
+                    await writer.drain()
+                    replies.append(await read_frame(reader))
+                writer.write(encode_frame(FrameType.HELLO, {
+                    "session_id": "veh-meta",
+                    "meta": trace.meta.to_dict()}))
+                await writer.drain()
+                replies.append(await read_frame(reader))
+                writer.close()
+                outcome = await stream_trace(
+                    trace, "127.0.0.1", server.port, "veh-after-meta",
+                    chunk_records=50)
+                return replies, outcome, server.protocol_errors
+
+        replies, outcome, protocol_errors = asyncio.run(go())
+        for reply in replies[:2]:
+            assert reply is not None and reply.type is FrameType.ERROR
+            assert reply.header["fatal"] is False
+            assert "meta" in reply.header["message"]
+        assert replies[2].type is FrameType.WELCOME
+        assert protocol_errors == 2
+        assert outcome.verdict["report"] == offline_verdict(trace)
+
+
 class TestBackpressure:
     def test_stalled_ingest_yields_busy_not_buffering(self, tmp_path):
         """Slow the server's apply path and shrink the inflight credit:
