@@ -10,6 +10,7 @@ the intensity sweep of experiment E6 varies it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.attacks.actuator import SteeringOffsetAttack
 from repro.attacks.base import Attack, AttackWindow
@@ -30,8 +31,10 @@ from repro.attacks.radar import (
 )
 
 __all__ = [
+    "ATTACKS",
     "AttackCampaign",
     "ATTACK_CLASSES",
+    "CampaignFamily",
     "campaign_classes",
     "make_attack",
     "reparameterized_attack",
@@ -176,67 +179,89 @@ def standard_attack(
     )
 
 
-def campaign_classes(label: str) -> tuple[str, ...]:
-    """Attack class names encoded in a campaign label (``"a+b"`` → ``(a, b)``).
+@dataclass(frozen=True, slots=True)
+class CampaignFamily:
+    """One injection axis (attacks or benign faults): its class registry,
+    the factory for one class and the campaign type a label builds.
 
-    Inverse of the ``+``-joined labeling used by :func:`standard_attack`
-    and :func:`combined_attack`; the counterfactual ablation uses it to
-    decompose a violating run's campaign back into re-parameterizable
-    channels.  ``"none"`` (and the empty label) decode to no classes.
+    The counterfactual ablation decomposes a campaign label back into its
+    classes and rebuilds it with an edited window, magnitude or channel
+    subset through this one definition, for both axes.
     """
-    if label in ("", "none"):
-        return ()
-    classes = tuple(part for part in label.split("+") if part)
-    for cls in classes:
-        if cls not in ATTACK_CLASSES:
-            raise ValueError(
-                f"unknown attack class {cls!r} in campaign label {label!r}; "
-                f"expected classes from {sorted(ATTACK_CLASSES)}"
-            )
-    return classes
+
+    kind: str
+    registry: dict
+    make: Callable
+    campaign: type
+
+    def classes(self, label: str) -> tuple[str, ...]:
+        """Class names encoded in a campaign label (``"a+b"`` → ``(a, b)``).
+
+        Inverse of the ``+``-joined labels of the standard and combined
+        campaigns; ``"none"`` (and the empty label) decode to no classes.
+        """
+        if label in ("", "none"):
+            return ()
+        classes = tuple(part for part in label.split("+") if part)
+        for cls in classes:
+            if cls not in self.registry:
+                raise ValueError(
+                    f"unknown {self.kind} class {cls!r} in campaign label "
+                    f"{label!r}; expected classes from "
+                    f"{sorted(self.registry)}"
+                )
+        return classes
+
+    def reparameterized(
+        self,
+        label: str,
+        intensity: float = 1.0,
+        onset: float = _DEFAULT_ONSET,
+        end: float = float("inf"),
+        classes: tuple[str, ...] | list[str] | None = None,
+    ):
+        """Rebuild a standard/combined campaign with an edited window,
+        magnitude or channel subset — the counterfactual probe hook.
+
+        Args:
+            label: the original campaign label (``"gps_bias"``,
+                ``"gps_bias+imu_gyro_bias"``, or ``"none"``).
+            intensity: magnitude knob for every surviving class.
+            onset: injection start, seconds.
+            end: injection end (default: never ends, matching the
+                standard campaigns).
+            classes: optional channel subset to keep; must be a subset of
+                the label's classes.  ``None`` keeps them all.
+
+        With the label's own parameters this reconstructs the original
+        campaign object-for-object, which is what makes an unchanged
+        counterfactual re-run bit-identical to the cached original.
+        """
+        base = self.classes(label)
+        if classes is not None:
+            keep = set(classes)
+            unknown = keep - set(base)
+            if unknown:
+                raise ValueError(
+                    f"classes {sorted(unknown)} are not part of campaign "
+                    f"{label!r} (classes: {list(base)})"
+                )
+            base = tuple(cls for cls in base if cls in keep)
+        if not base:
+            return self.campaign.none()
+        return self.campaign(
+            "+".join(base),
+            [self.make(cls, intensity=intensity, onset=onset, end=end)
+             for cls in base],
+        )
 
 
-def reparameterized_attack(
-    label: str,
-    intensity: float = 1.0,
-    onset: float = _DEFAULT_ONSET,
-    end: float = float("inf"),
-    classes: tuple[str, ...] | list[str] | None = None,
-) -> AttackCampaign:
-    """Rebuild a standard/combined campaign with an edited window, magnitude
-    or channel subset — the counterfactual probe hook.
+ATTACKS = CampaignFamily("attack", ATTACK_CLASSES, make_attack,
+                         AttackCampaign)
+"""The attack axis."""
 
-    Args:
-        label: the original campaign label (``"gps_bias"``,
-            ``"gps_bias+imu_gyro_bias"``, or ``"none"``).
-        intensity: magnitude knob for every surviving class.
-        onset: injection start, seconds.
-        end: injection end (default: never ends, matching
-            :func:`standard_attack`).
-        classes: optional channel subset to keep; must be a subset of the
-            label's classes.  ``None`` keeps them all.
-
-    With the label's own parameters this reconstructs the original
-    campaign object-for-object, which is what makes an unchanged
-    counterfactual re-run bit-identical to the cached original.
-    """
-    base = campaign_classes(label)
-    if classes is not None:
-        keep = set(classes)
-        unknown = keep - set(base)
-        if unknown:
-            raise ValueError(
-                f"classes {sorted(unknown)} are not part of campaign "
-                f"{label!r} (classes: {list(base)})"
-            )
-        base = tuple(cls for cls in base if cls in keep)
-    if not base:
-        return AttackCampaign.none()
-    return AttackCampaign(
-        label="+".join(base),
-        attacks=[make_attack(cls, intensity=intensity, onset=onset, end=end)
-                 for cls in base],
-    )
+campaign_classes = ATTACKS.classes
+reparameterized_attack = ATTACKS.reparameterized
 
 
 def combined_attack(

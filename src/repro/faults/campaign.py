@@ -1,7 +1,9 @@
 """Fault campaigns: named, parameterized fault instantiations.
 
-Mirrors :mod:`repro.attacks.campaign` for the benign-fault axis of the
-evaluation.  ``intensity`` is the same dimensionless knob in (0, ~2]:
+The benign-fault axis of the evaluation, built like
+:mod:`repro.attacks.campaign` (label decoding and re-parameterization
+go through the shared :class:`~repro.attacks.campaign.CampaignFamily`).
+``intensity`` is the same dimensionless knob in (0, ~2]:
 for :class:`~repro.faults.models.Intermittent` it scales the drop
 probability (1.0 = 50% loss), for :class:`~repro.faults.models.Latency`
 the delay (1.0 = 0.5 s); the pure delivery faults (dropout, freeze,
@@ -13,10 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.attacks.base import AttackWindow
+from repro.attacks.campaign import CampaignFamily
 from repro.faults.base import Fault
 from repro.faults.models import Dropout, Freeze, Intermittent, Latency, NaNBurst
 
 __all__ = [
+    "FAULTS",
     "FaultCampaign",
     "FAULT_CLASSES",
     "fault_classes",
@@ -135,56 +139,11 @@ def standard_fault(
     )
 
 
-def fault_classes(label: str) -> tuple[str, ...]:
-    """Fault class names encoded in a campaign label (``"a+b"`` → ``(a, b)``).
+FAULTS = CampaignFamily("fault", FAULT_CLASSES, make_fault, FaultCampaign)
+"""The benign-fault axis."""
 
-    Mirror of :func:`repro.attacks.campaign.campaign_classes` for the
-    benign-fault axis; the counterfactual ablation uses it to decompose a
-    composed fault campaign back into its channels.
-    """
-    if label in ("", "none"):
-        return ()
-    classes = tuple(part for part in label.split("+") if part)
-    for cls in classes:
-        if cls not in FAULT_CLASSES:
-            raise ValueError(
-                f"unknown fault class {cls!r} in campaign label {label!r}; "
-                f"expected classes from {sorted(FAULT_CLASSES)}"
-            )
-    return classes
-
-
-def reparameterized_fault(
-    label: str,
-    intensity: float = 1.0,
-    onset: float = _DEFAULT_ONSET,
-    end: float = float("inf"),
-    classes: tuple[str, ...] | list[str] | None = None,
-) -> FaultCampaign:
-    """Rebuild a standard/combined fault campaign with an edited window,
-    magnitude or channel subset — the counterfactual probe hook.
-
-    Mirror of :func:`repro.attacks.campaign.reparameterized_attack`; with
-    the label's own parameters it reconstructs the original campaign
-    object-for-object.
-    """
-    base = fault_classes(label)
-    if classes is not None:
-        keep = set(classes)
-        unknown = keep - set(base)
-        if unknown:
-            raise ValueError(
-                f"classes {sorted(unknown)} are not part of campaign "
-                f"{label!r} (classes: {list(base)})"
-            )
-        base = tuple(cls for cls in base if cls in keep)
-    if not base:
-        return FaultCampaign.none()
-    return FaultCampaign(
-        label="+".join(base),
-        faults=[make_fault(cls, intensity=intensity, onset=onset, end=end)
-                for cls in base],
-    )
+fault_classes = FAULTS.classes
+reparameterized_fault = FAULTS.reparameterized
 
 
 def combined_fault(
