@@ -1,6 +1,6 @@
 # Development entry points for the ADAssure reproduction.
 
-.PHONY: install test bench bench-compare bench-runner bench-sim bench-distributed bench-probes experiments examples clean
+.PHONY: install test bench bench-compare bench-sim bench-distributed bench-probes experiments examples clean
 
 install:
 	pip install -e . || pip install -e . --no-build-isolation || python setup.py develop
@@ -16,11 +16,6 @@ bench:
 # Compare the two most recent autosaved benchmark runs.
 bench-compare:
 	pytest-benchmark compare --group-by name
-
-# Benchmark the grid runner itself (cold serial / cold parallel / warm
-# disk cache / warm memo) and write machine-readable BENCH_runner.json.
-bench-runner:
-	python -m repro.experiments.stats --output BENCH_runner.json
 
 # Benchmark the batched lockstep simulation engine against the serial
 # oracle (64 lanes, bit-identity verified) and write BENCH_sim.json.

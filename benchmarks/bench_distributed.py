@@ -35,7 +35,7 @@ def _run(executor, workers=2, **overrides):
         runs = run_grid(executor="distributed", dist_workers=workers,
                         **GRID, **overrides)
     else:
-        runs = run_grid(workers=1, executor="serial", **GRID, **overrides)
+        runs = run_grid(executor="serial", **GRID, **overrides)
     return runs, STATS.last, RunCache().stats()["entries"]
 
 

@@ -10,7 +10,7 @@ As a script it produces the committed artifact::
 
 writing ``BENCH_service.json`` with sessions/sec, verdict-latency
 percentiles, and the simulation-engine provenance (``sim_engine`` /
-``pool_policy``) of the traces that were streamed.
+``executor``) of the traces that were streamed.
 """
 
 import asyncio
@@ -35,7 +35,7 @@ def test_service_load_small(benchmark, tmp_path):
     # provenance must travel with the numbers (satellite: BENCH_service
     # records the engine that generated its inputs)
     assert metrics["trace_provenance"]["sim_engine"] in ("serial", "batch")
-    assert metrics["trace_provenance"]["pool_policy"]
+    assert metrics["trace_provenance"]["executor"]
 
 
 def _main(argv=None) -> int:

@@ -7,9 +7,9 @@ Commands:
   (optionally save the trace).
 * ``check`` — run the assertion catalog over a saved trace file.
 * ``experiment`` — regenerate one or all evaluation tables (e1..e14),
-  optionally in parallel (``--workers``), with the batched lockstep
-  simulation engine (``--sim-engine batch``) and with campaign stats
-  (``--stats``).
+  choosing the simulation engine (``--sim-engine``; batch by default
+  whenever two or more runs are pending) or a distributed worker fleet
+  (``--executor distributed``), with campaign stats (``--stats``).
 * ``explain`` — counterfactual root-cause isolation: re-simulate a
   violating run with the injection removed, delta-debug the injection
   window/channels/magnitude to the minimal violating intervention, and
@@ -126,12 +126,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments.stats import STATS
 
     if args.sim_engine:
-        # run_grid resolves the engine from this env var, so the choice
-        # reaches every experiment (and any pool worker it spawns).
+        # Every execute resolves the engine from this env var, so the
+        # choice reaches every experiment (and any worker it spawns).
         os.environ["ADASSURE_SIM"] = args.sim_engine
     if args.executor:
-        # Same routing for the campaign executor (auto/serial/pool/
-        # distributed) and the distributed fleet size.
+        # Same routing for the campaign executor (serial/distributed)
+        # and the distributed fleet size.
         os.environ["ADASSURE_EXECUTOR"] = args.executor
     if args.dist_workers is not None:
         os.environ["ADASSURE_DIST_WORKERS"] = str(args.dist_workers)
@@ -157,7 +157,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print(f"unknown experiment {exp_id!r}; try: "
                   f"{', '.join(ALL_EXPERIMENTS)} or 'all'", file=sys.stderr)
             return 2
-        output = ALL_EXPERIMENTS[exp_id](config, workers=args.workers)
+        output = ALL_EXPERIMENTS[exp_id](config)
         tables = output if isinstance(output, list) else [output]
         for table in tables:
             print(table.render())
@@ -467,9 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reduced grid (same shape, faster)")
     p_exp.add_argument("--save-dir", metavar="DIR",
                        help="also export each table as CSV + Markdown")
-    p_exp.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="parallel simulation workers (default: "
-                            "$ADASSURE_WORKERS or cpu_count-1; 1 = serial)")
     p_exp.add_argument("--sim-engine", choices=("serial", "batch"),
                        default=None,
                        help="simulation engine for uncached grid points "
@@ -481,23 +478,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--seeds", metavar="S1,S2,...", default=None,
                        help="override the config's seed list "
                             "(comma-separated integers, non-empty)")
-    p_exp.add_argument("--executor",
-                       choices=("auto", "serial", "pool", "distributed"),
+    p_exp.add_argument("--executor", choices=("serial", "distributed"),
                        default=None,
                        help="campaign executor for uncached grid points "
-                            "(default: $ADASSURE_EXECUTOR or auto; "
-                            "'distributed' spawns a lease-claimed worker "
-                            "fleet sharing the disk cache)")
+                            "(default: $ADASSURE_EXECUTOR or serial, this "
+                            "process; 'distributed' spawns a "
+                            "lease-claimed worker fleet sharing the disk "
+                            "cache)")
     p_exp.add_argument("--dist-workers", type=int, default=None, metavar="N",
                        help="worker processes for --executor distributed "
                             "(default: $ADASSURE_DIST_WORKERS or >=2)")
     p_exp.add_argument("--stats", action="store_true",
                        help="print campaign stats (phase times, cache "
-                            "hits, retries/quarantine, worker "
-                            "utilization) after the tables")
+                            "hits, batch groups, retries/quarantine) "
+                            "after the tables")
     p_exp.add_argument("--stats-json", metavar="FILE",
                        help="with --stats: also dump machine-readable "
-                            "stats JSON (e.g. BENCH_runner.json)")
+                            "stats JSON")
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_explain = sub.add_parser(

@@ -8,14 +8,12 @@ reproduces the full-size tables.
 """
 
 from repro.experiments.backend import (
-    BatchExecutor,
     CacheResultStore,
-    Executor,
-    PoolExecutor,
     ResultStore,
-    Scheduler,
-    SerialExecutor,
+    Run,
+    ScoredResultStore,
     build_grid,
+    execute,
 )
 from repro.experiments.cache import RunCache, cache_key
 from repro.experiments.config import ExperimentConfig
@@ -33,7 +31,6 @@ from repro.experiments.runner import (
     GridRun,
     clear_cache,
     resolve_executor,
-    resolve_workers,
     run_grid,
     set_memo_limit,
 )
@@ -64,15 +61,12 @@ __all__ = [
     "cache_key",
     "clear_cache",
     "resolve_executor",
-    "resolve_workers",
     "set_memo_limit",
-    "Scheduler",
-    "Executor",
     "ResultStore",
-    "BatchExecutor",
-    "PoolExecutor",
-    "SerialExecutor",
     "CacheResultStore",
+    "ScoredResultStore",
+    "Run",
+    "execute",
     "build_grid",
     "GridStats",
     "STATS",

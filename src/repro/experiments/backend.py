@@ -1,29 +1,35 @@
-"""Pluggable campaign backends: scheduler / executor / result-store split.
+"""One execute path for every run, and the result stores it commits to.
 
-:func:`~repro.experiments.runner.run_grid` used to hard-code one execution
-strategy (memo -> disk cache -> optional batch prepass -> process pool ->
-serial retry loop).  This module factors that pipeline into three small
-interfaces so backends *compose* instead of being welded together:
+Every simulation the experiments need — grid points, the E10–E14
+off-grid configurations, counterfactual probes — is one :class:`Run`: a
+store key plus a builder for its :class:`~repro.sim.engine.LaneSpec`, the
+one description of a closed-loop run.  :func:`execute` takes a list of
+them through the same five steps:
 
-* :class:`Scheduler` — partitions pending grid points into shards (pool
-  chunks, lease-claimable distributed shards, one big serial shard);
-* :class:`Executor`  — runs a shard list, merging completed points back
-  as they finish and returning whatever still needs a fallback
-  (:class:`BatchExecutor`, :class:`PoolExecutor`, :class:`SerialExecutor`,
-  and the multi-host :class:`~repro.experiments.distributed.DistributedExecutor`);
-* :class:`ResultStore` — the commit point every executor funnels through
-  (in-process memo + content-addressed disk cache + checkpoint manifest).
+1. **resolve** each run through a :class:`ResultStore` (in-process memo,
+   then the content-addressed disk cache, stored crashes included);
+2. **group** the misses by their batch compatibility key
+   ``(scenario, duration)``, in chunks of ``ADASSURE_BATCH_LANES``;
+3. **batch** each chunk through the lockstep engine
+   (:func:`~repro.sim.batch.run_batch`); a chunk the engine rejects
+   falls back *whole* to the serial oracle on the same specs;
+4. run the rest on the **serial oracle**
+   (:class:`~repro.sim.engine.SimulationRunner`), with bounded retries
+   and jittered backoff where the caller asks for them;
+5. **check** each trace and **commit** the result (or a deterministic
+   crash) to the store.  A speculative execute (``commit=False``) stops
+   before the check and hands the raw results back.
 
-The contract that makes composition safe: **a point is only ever observable
-through the result store**, and a commit is atomic (the disk cache writes
-tmp+rename).  Executors may die, be duplicated, or re-run points — the
-store absorbs it, because a grid point is a pure function of its key and
-re-commits are byte-identical.
+The contract that makes this safe: **a run is only ever observable
+through the result store**, and a commit is atomic (the disk cache
+writes tmp+rename).  Runs may be duplicated or re-run — by a distributed
+worker, by a speculative lane — and the store absorbs it, because a run
+is a pure function of its key and re-commits are byte-identical.
 
-Worker-side primitives (``_execute_point`` and friends) stay in
-:mod:`~repro.experiments.runner` and are resolved through the module
-global at call time, so test sabotage (and fork-propagated monkeypatches)
-keeps working exactly as before.
+Two stores share one contract: :class:`CacheResultStore` keys grid
+points by their grid tuple (and keeps the campaign's checkpoint
+manifest), :class:`ScoredResultStore` keys everything else by a params
+dict.
 """
 
 from __future__ import annotations
@@ -32,27 +38,29 @@ import os
 import random
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from typing import Callable
 
+from repro.config import env_number
+
 __all__ = [
+    "DEFAULT_BATCH_LANES",
     "DEFAULT_RETRY_CAP",
-    "BatchExecutor",
     "CacheResultStore",
-    "ChunkScheduler",
-    "Executor",
-    "PoolExecutor",
     "ResultStore",
-    "Scheduler",
+    "Run",
     "ScoredResultStore",
-    "SerialExecutor",
-    "SingleShardScheduler",
-    "StripedScheduler",
+    "batch_lanes",
     "build_grid",
+    "choose_sim_engine",
+    "execute",
+    "resolve_sim_engine",
     "retry_cap",
     "retry_delay",
 ]
+
+DEFAULT_BATCH_LANES = 64
+"""Default lanes per batched simulation group (``ADASSURE_BATCH_LANES``)."""
 
 DEFAULT_RETRY_CAP = 30.0
 """Default cap on a point's *total* retry-backoff sleep, seconds
@@ -89,17 +97,61 @@ def build_grid(
     ]
 
 
+def resolve_sim_engine(engine: str | None = None) -> str:
+    """Effective simulation engine: argument > ``ADASSURE_SIM`` > serial.
+
+    ``"serial"`` steps every grid point through its own
+    :class:`~repro.sim.engine.SimulationRunner`; ``"batch"`` groups
+    compatible points and steps them in lockstep through
+    :func:`repro.sim.batch.run_batch` (bit-identical results, one core).
+    """
+    if engine is None:
+        env = os.environ.get("ADASSURE_SIM", "").strip()
+        engine = env or "serial"
+    engine = engine.strip().lower()
+    if engine not in ("serial", "batch"):
+        raise ValueError(
+            f"unknown simulation engine {engine!r}; "
+            "expected 'serial' or 'batch'")
+    return engine
+
+
+def choose_sim_engine(engine: str | None = None,
+                      pending: int = 0) -> tuple[str, str]:
+    """Effective engine *and why*: argument > ``ADASSURE_SIM`` > auto.
+
+    Auto selects the lockstep batch engine whenever at least two runs
+    are actually pending and NumPy imports (the batch engine is
+    array-native); otherwise serial.  ``ADASSURE_SIM=serial`` is the
+    opt-out.  Returns ``(engine, reason)`` — the reason lands in
+    ``GridStats.sim_engine_reason`` so ``--stats`` shows how the engine
+    was picked.  :func:`resolve_sim_engine` keeps the historical
+    serial-unless-asked contract for callers that need it (the
+    distributed executor ships the engine name to its workers).
+    """
+    if engine is not None:
+        return resolve_sim_engine(engine), "engine argument"
+    env = os.environ.get("ADASSURE_SIM", "").strip()
+    if env:
+        return resolve_sim_engine(env), "ADASSURE_SIM"
+    if pending < 2:
+        return "serial", f"auto: {pending} pending run(s)"
+    try:
+        import numpy  # noqa: F401
+    except ImportError:  # pragma: no cover - numpy ships with the repo
+        return "serial", "auto: numpy unavailable"
+    return "batch", f"auto: {pending} pending run(s)"
+
+
+def batch_lanes() -> int:
+    """Lanes per batch group: ``ADASSURE_BATCH_LANES`` or the default."""
+    return max(env_number("ADASSURE_BATCH_LANES", DEFAULT_BATCH_LANES), 2)
+
+
 def retry_cap(cap: float | None = None) -> float:
     """Per-point total backoff budget: argument > env > default."""
     if cap is None:
-        env = os.environ.get("ADASSURE_RETRY_CAP")
-        if env:
-            try:
-                cap = float(env)
-            except ValueError:
-                cap = None
-    if cap is None:
-        cap = DEFAULT_RETRY_CAP
+        cap = env_number("ADASSURE_RETRY_CAP", DEFAULT_RETRY_CAP, float)
     return max(float(cap), 0.0)
 
 
@@ -124,90 +176,41 @@ def retry_delay(failures: int, slept: float, *, base: float | None = None,
     return max(min(delay, remaining), 0.0)
 
 
-# ---------------------------------------------------------------------------
-# Scheduler: how pending points become shards
-# ---------------------------------------------------------------------------
-
-class Scheduler(ABC):
-    """Partitions a pending point list into executor-sized shards."""
-
-    @abstractmethod
-    def shards(self, points: list[tuple]) -> list[list[tuple]]:
-        """Non-empty, non-overlapping shards covering ``points`` in order."""
-
-
-class SingleShardScheduler(Scheduler):
-    """Everything in one shard — the serial executor's natural unit."""
-
-    def shards(self, points: list[tuple]) -> list[list[tuple]]:
-        return [list(points)] if points else []
-
-
-class ChunkScheduler(Scheduler):
-    """Pool-task chunks: ``$ADASSURE_CHUNK`` or a load-balance heuristic.
-
-    Chunks amortize per-task pickle/dispatch overhead but must stay small
-    enough that every worker gets several (load balancing, and a lost
-    chunk costs little).  Four chunks per worker, capped at 8 points
-    each; small grids keep chunk size 1.
-    """
-
-    def __init__(self, n_workers: int):
-        self.n_workers = max(int(n_workers), 1)
-        self.chunk_size = 1
-
-    def shards(self, points: list[tuple]) -> list[list[tuple]]:
-        size = None
-        env = os.environ.get("ADASSURE_CHUNK")
-        if env:
-            try:
-                size = max(int(env), 1)
-            except ValueError:
-                size = None
-        if size is None:
-            size = max(1, min(8, len(points) // (4 * self.n_workers)))
-        self.chunk_size = size
-        return [points[i:i + size] for i in range(0, len(points), size)]
-
-
-class StripedScheduler(Scheduler):
-    """Contiguous stripes of ``shard_points`` — the distributed claim unit.
-
-    Contiguous (rather than round-robin) slices keep batch-compatible
-    neighbours together, so a worker that runs its shard through the
-    lockstep engine still finds full groups.
-    """
-
-    def __init__(self, shard_points: int):
-        self.shard_points = max(int(shard_points), 1)
-
-    def shards(self, points: list[tuple]) -> list[list[tuple]]:
-        return [points[i:i + self.shard_points]
-                for i in range(0, len(points), self.shard_points)]
-
 
 # ---------------------------------------------------------------------------
 # ResultStore: the shared commit point
 # ---------------------------------------------------------------------------
 
 class ResultStore(ABC):
-    """Where completed points become durable (and duplicates collapse)."""
+    """Where completed runs become durable (and duplicates collapse)."""
 
     @abstractmethod
-    def resolve(self, point: tuple):
-        """``(GridRun, source)`` for an already-known point, else ``None``.
+    def resolve(self, key):
+        """``(value, source)`` for an already-known run, else ``None``.
 
         ``source`` is ``"memo"`` or ``"disk"`` so the caller can account
         hits per layer.
         """
 
     @abstractmethod
-    def commit(self, point: tuple, run) -> None:
-        """Persist one completed point (idempotent, atomic on disk)."""
+    def value(self, key, result, report):
+        """What this store keeps for a freshly checked run."""
 
     @abstractmethod
-    def quarantine(self, point: tuple, error: str) -> None:
-        """Ledger a point that exhausted its retries."""
+    def commit(self, key, value) -> None:
+        """Persist one completed run (idempotent, atomic on disk)."""
+
+    def resolve_failure(self, key):
+        """``(message, source)`` of a stored deterministic crash, else
+        ``None`` (stores that keep no crashes never have one)."""
+        return None
+
+    def commit_failure(self, key, message: str) -> None:
+        """Store a run's deterministic crash (a no-op where crashes are
+        not kept)."""
+
+    def quarantine(self, key, error: str) -> None:
+        """Ledger a run that exhausted its retries."""
 
     def close(self) -> None:
         """Release any campaign-level resources (leases)."""
@@ -217,11 +220,12 @@ class CacheResultStore(ResultStore):
     """Memo + :class:`~repro.experiments.cache.RunCache` +
     :class:`~repro.experiments.cache.CheckpointManifest` as one commit point.
 
-    This is the object that makes every executor interchangeable: a point
-    committed here is visible to the in-process memo, to every other
-    process sharing the cache directory (the distributed workers' common
-    store), and to the campaign's resume ledger — in that order, so a
-    crash between steps loses bookkeeping, never results.
+    A point committed here is visible to the in-process memo, to every
+    other process sharing the cache directory (the distributed workers'
+    common store), and to the campaign's resume ledger — in that order,
+    so a crash between steps loses bookkeeping, never results.  Its
+    values are :class:`~repro.experiments.runner.GridRun` objects, so a
+    grid point is diagnosed before it is stored.
     """
 
     def __init__(self, cache, catalog: str | None, manifest,
@@ -273,6 +277,15 @@ class CacheResultStore(ResultStore):
             result=result, report=report, diagnosis=diagnosis,
         )
 
+    def value(self, point: tuple, result, report):
+        from repro.core.diagnosis import diagnose
+        from repro.experiments.runner import GridRun
+        return GridRun(
+            scenario=point[0], controller=point[1], attack=point[2],
+            intensity=point[3], seed=point[4],
+            result=result, report=report, diagnosis=diagnose(report),
+        )
+
     def commit(self, point: tuple, run) -> None:
         self._memo_put(point, run)
         if self.cache is not None:
@@ -305,9 +318,8 @@ class ScoredResultStore(ResultStore):
     JSON params dict hashed through
     :func:`~repro.experiments.cache.cache_key_params`.  Same layers, same
     contract: a commit is atomic and content-addressed, so re-running a
-    probe anywhere that shares the cache directory (a pool worker, a
-    distributed fleet member) collapses to one entry — exactly-once by
-    construction, not by coordination.
+    probe anywhere that shares the cache directory collapses to one
+    entry — exactly-once by construction, not by coordination.
 
     A "point" here is the params dict itself; stored values are
     ``(RunResult, CheckReport)`` pairs (diagnosis is knowledge-base
@@ -356,6 +368,9 @@ class ScoredResultStore(ResultStore):
         self._memo_put(self.memo_key(params), pair)
         return pair, "disk"
 
+    def value(self, params: dict, result, report):
+        return result, report
+
     def commit(self, params: dict, pair) -> None:
         self._memo_put(self.memo_key(params), pair)
         if self.cache is not None:
@@ -387,181 +402,199 @@ class ScoredResultStore(ResultStore):
         if self.cache is not None:
             self.cache.store_failure(self.key(params), message)
 
-    def quarantine(self, params: dict, error: str) -> None:
-        """Off-grid runs keep no campaign ledger; failures raise to the
-        caller instead of being quarantined."""
-
 
 # ---------------------------------------------------------------------------
-# Executors
+# Runs and the one execute path
 # ---------------------------------------------------------------------------
 
-class Executor(ABC):
-    """Runs ``(point, failures)`` work items, merging completions.
+@dataclass(slots=True, eq=False)
+class Run:
+    """One run for :func:`execute`: where its result lives and how to
+    build its description.
 
-    ``merge(point, run, phases)`` is called for every completed point as
-    it finishes (the incremental checkpoint).  The return value is the
-    leftover items — points this executor could not finish, with their
-    accumulated failure counts — which the caller hands to the next
-    executor in the chain (ultimately :class:`SerialExecutor`, which
-    owns retries and quarantine and never leaves leftovers).
+    :func:`execute` fills in the outcome: ``value`` and ``source``
+    (``"memo"``/``"disk"`` for a store hit, ``"fleet"`` for a result a
+    distributed worker committed, ``"sim"`` for a fresh simulation), or
+    ``error`` for a run that failed.
     """
 
-    name = "executor"
+    key: object
+    """Store key: a grid point tuple or an off-grid params dict."""
+    build: Callable
+    """Zero-argument builder of the run's
+    :class:`~repro.sim.engine.LaneSpec`; called at most once."""
+    group: tuple | None = None
+    """Batch compatibility key (``(scenario, duration)``); ``None`` keeps
+    the run on the serial oracle."""
+    value: object = None
+    """The store's value (a raw :class:`~repro.sim.engine.RunResult` for
+    a speculative execute)."""
+    source: str = ""
+    error: Exception | None = None
+    _spec: object = None
 
-    @abstractmethod
-    def execute(self, items: list[tuple], merge, stats,
-                quarantine=None) -> list[tuple]:
-        """items/return: ``[(point, failures), ...]``."""
+    @property
+    def done(self) -> bool:
+        return bool(self.source) or self.error is not None
+
+    def spec(self):
+        """The run's :class:`~repro.sim.engine.LaneSpec`, built once."""
+        if self._spec is None:
+            self._spec = self.build()
+        return self._spec
 
 
-class BatchExecutor(Executor):
-    """Lockstep prepass: compatible groups through the array-native engine.
+def _simulate(run: Run):
+    """The serial oracle: one run through its own
+    :class:`~repro.sim.engine.SimulationRunner`.  Looked up through the
+    module global at call time, so a test can sabotage it."""
+    return run.spec().run()
 
-    Groups by ``(scenario, duration)`` — the compatibility key the batch
-    engine requires — capped at the configured lane count.  Any group the
-    engine rejects falls back *whole* to the next executor; singleton
-    groups skip the engine entirely.
+
+def execute(runs: list[Run], store: ResultStore, stats, *,
+            engine: str | None = None, lanes: int | None = None,
+            commit: bool = True, retries: int = 0,
+            fleet: Callable | None = None,
+            run_batch: Callable | None = None) -> list[Run]:
+    """Resolve, simulate, check and commit ``runs``; returns the failed
+    ones (each with its ``error``; later runs still execute).
+
+    Args:
+        runs: the runs, in order; duplicates are the caller's to drop.
+        store: where hits resolve and results commit.
+        stats: the :class:`~repro.experiments.stats.GridStats` record the
+            hits, executions, batch groups and phase times add to.
+        engine: ``"batch"``, ``"serial"`` or ``None`` (auto), chosen by
+            :func:`choose_sim_engine` over the misses when any of them
+            has a batch group; serial runs every miss on the oracle.
+        lanes: lanes per batch chunk (default :func:`batch_lanes`).
+        commit: off, the execute is *speculative*: hits are skipped
+            uncounted, every chunk is a batch whatever ``engine`` says (a
+            rejected one is left unsimulated, with no serial fallback,
+            and runs without a group are skipped) and the raw results
+            are returned unchecked and uncommitted in ``run.value``.
+        retries: re-executions a failing serial run gets, with jittered
+            backoff (:func:`retry_delay`), before it counts as failed.
+        fleet: called with the misses before anything is simulated here;
+            returns the runs still missing (the distributed coordinator,
+            which adopts what its workers committed).
+        run_batch: the lockstep engine's entry point (default
+            :func:`repro.sim.batch.run_batch`, looked up at call time).
+
+    A plain :class:`ValueError` out of a simulation is a deterministic
+    crash: it is committed as a stored failure (where the store keeps
+    them) and resolves as that error on later calls.  Committed singleton
+    groups skip the engine: one lane gains nothing over the oracle.
     """
+    from repro.core.checker import check_trace
+    from repro.sim import batch as batch_engine
+    from repro.sim.batch.engine import batch_counters
 
-    name = "batch"
+    run_batch = run_batch or batch_engine.run_batch
+    misses: list[Run] = []
+    for run in runs:
+        hit = store.resolve(run.key)
+        failure = None if hit is not None else store.resolve_failure(run.key)
+        if hit is None and failure is None:
+            misses.append(run)
+            continue
+        if not commit:
+            continue  # speculation only simulates what nobody has
+        if hit is not None:
+            run.value, run.source = hit
+        else:
+            run.error = ValueError(failure[0])
+            run.source = failure[1]
+        if run.source == "memo":
+            stats.memo_hits += 1
+        else:
+            stats.disk_hits += 1
+    if fleet is not None and misses:
+        misses = fleet(misses)
 
-    def execute(self, items, merge, stats, quarantine=None):
-        from repro.experiments import runner
-        from repro.sim.batch.engine import batch_counters
-        counters0 = batch_counters()
-        points = [point for point, _ in items]
-        groups: dict[tuple, list[tuple]] = {}
-        for point in points:
-            groups.setdefault((point[0], point[6]), []).append(point)
-        cap = runner._batch_lanes()
-        leftover: list[tuple] = []
-        for group in groups.values():
-            for i in range(0, len(group), cap):
-                chunk = group[i:i + cap]
-                if len(chunk) < 2:
-                    leftover.extend((p, 0) for p in chunk)
-                    continue
-                try:
-                    runner._execute_batch(chunk, merge)
-                except Exception:
-                    stats.batch_fallbacks += 1
-                    leftover.extend((p, 0) for p in chunk)
-                else:
-                    stats.batch_groups += 1
-                    stats.batch_points += len(chunk)
+    batch = not commit
+    if commit and any(run.group is not None for run in misses):
+        stats.sim_engine, stats.sim_engine_reason = choose_sim_engine(
+            engine, len(misses))
+        batch = stats.sim_engine == "batch"
+    groups: dict[tuple, list[Run]] = {}
+    serial: list[Run] = []
+    for run in misses:
+        if batch and run.group is not None:
+            groups.setdefault(run.group, []).append(run)
+        elif commit:
+            serial.append(run)
+
+    def finish(run: Run, result) -> None:
+        if not commit:
+            run.value, run.source, run._spec = result, "sim", None
+            return
+        t0 = time.perf_counter()
+        report = check_trace(result.trace)
+        t1 = time.perf_counter()
+        run.value = store.value(run.key, result, report)
+        stats.phase_time["check"] += t1 - t0
+        stats.phase_time["diagnose"] += time.perf_counter() - t1
+        store.commit(run.key, run.value)
+        run.source, run._spec = "sim", None
+
+    cap = lanes or batch_lanes()
+    counters0 = batch_counters()
+    for group in groups.values():
+        for start in range(0, len(group), cap):
+            chunk = group[start:start + cap]
+            if commit and len(chunk) < 2:
+                serial.extend(chunk)
+                continue
+            t0 = time.perf_counter()
+            try:
+                results = run_batch([run.spec() for run in chunk])
+            except Exception:
+                stats.batch_fallbacks += 1
+                if commit:
+                    serial.extend(chunk)  # whole, on the same specs
+                continue
+            finally:
+                stats.phase_time["simulate"] += time.perf_counter() - t0
+            stats.batch_groups += 1
+            stats.batch_points += len(chunk)
+            stats.executed += len(chunk)
+            for run, result in zip(chunk, results):
+                finish(run, result)
+    if groups:
         stats.add_batch_counters(counters0, batch_counters())
-        return leftover
+
+    for run in serial:
+        result = _run_serial(run, store, stats, retries)
+        if result is not None:
+            finish(run, result)
+    if store.cache is not None:
+        stats.disk_errors = store.cache.counters.errors
+    return [run for run in runs if run.error is not None]
 
 
-class PoolExecutor(Executor):
-    """Crash-tolerant single-host ``ProcessPoolExecutor`` fan-out.
-
-    The pool half of the fault-tolerance contract: a chunk that exceeds
-    its wall-clock budget is abandoned (its worker may be hung, so the
-    pool is dropped without joining it), a point that raises comes back
-    with one failure on its ledger, and a pool collapse
-    (:class:`BrokenProcessPool` — a worker OOM-killed or dying mid-task)
-    returns every unfinished point.  Leftovers go to the serial path,
-    which owns retries and quarantine.
-    """
-
-    name = "pool"
-
-    def __init__(self, n_workers: int, timeout: float | None = None):
-        self.n_workers = max(int(n_workers), 1)
-        self.timeout = timeout
-
-    def execute(self, items, merge, stats, quarantine=None):
-        from repro.experiments import runner
-        points = [point for point, _ in items]
-        scheduler = ChunkScheduler(self.n_workers)
-        chunks = scheduler.shards(points)
-        stats.chunk_size = scheduler.chunk_size
-        leftover: list[tuple] = []
-        abandoned = False
-        pool = ProcessPoolExecutor(max_workers=self.n_workers)
-
-        def merge_outcomes(outcomes: list[tuple]) -> None:
-            for point, run, phases, error in outcomes:
-                if error is None:
-                    merge(point, run, phases)
-                else:
-                    leftover.append((point, 1))
-
+def _run_serial(run: Run, store: ResultStore, stats, retries: int):
+    """One run on the serial oracle, retried up to ``retries`` times; its
+    result, or ``None`` with ``run.error`` set."""
+    failures = 0
+    slept = 0.0
+    stats.executed += 1
+    while True:
+        if failures:
+            stats.retries += 1
+            delay = retry_delay(failures, slept)
+            slept += delay
+            if delay > 0.0:
+                time.sleep(delay)
+        t0 = time.perf_counter()
         try:
-            futures = [(pool.submit(runner._execute_chunk, chunk), chunk)
-                       for chunk in chunks]
-            for index, (future, chunk) in enumerate(futures):
-                budget = (None if self.timeout is None
-                          else self.timeout * len(chunk))
-                try:
-                    outcomes = future.result(timeout=budget)
-                except FutureTimeout:
-                    stats.timeouts += 1
-                    leftover.extend((point, 0) for point in chunk)
-                    abandoned = True
-                    continue
-                except BrokenProcessPool:
-                    stats.pool_failures += 1
-                    for late_future, late_chunk in futures[index:]:
-                        if (late_future.done() and not late_future.cancelled()
-                                and late_future.exception() is None):
-                            merge_outcomes(late_future.result())
-                        else:
-                            leftover.extend((p, 0) for p in late_chunk)
-                    break
-                except Exception:
-                    # Chunk-level failure (e.g. the result failed to
-                    # pickle): every point gets one failure on its ledger.
-                    leftover.extend((point, 1) for point in chunk)
-                    continue
-                merge_outcomes(outcomes)
+            return _simulate(run)
+        except Exception as exc:
+            failures += 1
+            if failures > retries:
+                run.error, run._spec = exc, None
+                if type(exc) is ValueError:
+                    store.commit_failure(run.key, str(exc))
+                return None
         finally:
-            # A hung worker must not hang the campaign: once a chunk has
-            # been abandoned, drop the pool without waiting for it.
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
-        return leftover
-
-
-class SerialExecutor(Executor):
-    """The terminal executor: bounded retry + jittered backoff + quarantine.
-
-    Each point gets ``retries`` re-executions beyond its first attempt
-    (failures inherited from earlier executors count against the budget),
-    with jittered exponential backoff between attempts
-    (:func:`retry_delay`) whose accumulated sleep is capped per point
-    (``ADASSURE_RETRY_CAP``) so a flaky tail cannot stretch a campaign
-    indefinitely.  A point that exhausts the budget is quarantined —
-    recorded in ``stats`` and via ``quarantine`` — instead of aborting
-    the campaign.  Never leaves leftovers.
-    """
-
-    name = "serial"
-
-    def __init__(self, retries: int):
-        self.retries = max(int(retries), 0)
-
-    def execute(self, items, merge, stats, quarantine=None):
-        from repro.experiments import runner
-        for point, failures in items:
-            slept = 0.0
-            while True:
-                if failures:
-                    stats.retries += 1
-                    delay = retry_delay(failures, slept)
-                    slept += delay
-                    if delay > 0.0:
-                        time.sleep(delay)
-                try:
-                    merge(*runner._execute_point(point))
-                    break
-                except Exception as exc:
-                    failures += 1
-                    if failures > self.retries:
-                        error = f"{type(exc).__name__}: {exc}"
-                        stats.quarantined.append((point, error))
-                        if quarantine is not None:
-                            quarantine(point, error)
-                        break
-        return []
+            stats.phase_time["simulate"] += time.perf_counter() - t0

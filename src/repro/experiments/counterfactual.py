@@ -36,6 +36,7 @@ hit split).  See ``docs/counterfactual.md`` for the full algorithm.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import time
@@ -54,13 +55,14 @@ from repro.core.diagnosis import (
 )
 from repro.core.knowledge import KnowledgeBase, default_knowledge_base
 from repro.core.verdicts import CheckReport
+from repro.experiments.backend import Run, execute
 from repro.experiments.stats import STATS, GridStats
 from repro.faults.campaign import (
     FaultCampaign,
     fault_classes,
     reparameterized_fault,
 )
-from repro.sim.engine import RunResult, run_scenario
+from repro.sim.engine import LaneSpec, RunResult, lane_spec
 from repro.sim.scenario import Scenario, acc_scenario, standard_scenarios
 
 __all__ = [
@@ -545,22 +547,18 @@ class Subject:
         from repro.control.estimator import EkfConfig
         return EkfConfig(gate_nis=self.gate)
 
-    def build_follower(self, scenario: Scenario):
-        """The follower exactly as ``run_scenario`` (or, under
-        ``defect``, the E13 harness) constructs it."""
-        from repro.control.acc import AccController
-        from repro.control.base import make_lateral_controller
-        from repro.control.follower import SpeedProfile, WaypointFollower
-        lateral = make_lateral_controller(self.controller)
-        if self.defect:
-            from repro.control.defects import DefectiveController, make_defect
-            lateral = DefectiveController(
-                lateral, make_defect(self.defect, **dict(self.defect_args)))
-        return WaypointFollower(
-            lateral,
-            profile=SpeedProfile(cruise_speed=scenario.cruise_speed),
-            acc=AccController() if scenario.lead is not None else None,
-        )
+    def lane(self, intervention: "Intervention",
+             scenario: Scenario | None = None) -> LaneSpec:
+        """One probe's run description: the subject's stack (its
+        estimator override and, under ``defect``, the E13 defective
+        controller) under ``intervention``'s campaigns."""
+        from repro.control.defects import make_defect
+        attack, faults = intervention.campaigns()
+        defect = (make_defect(self.defect, **dict(self.defect_args))
+                  if self.defect else None)
+        return lane_spec(scenario or self.build_scenario(), self.controller,
+                         campaign=attack, faults=faults,
+                         ekf_config=self.ekf_config(), defect=defect)
 
     def build_scenario(self) -> Scenario:
         """Reconstruct the scenario exactly as the grid runner does."""
@@ -644,8 +642,9 @@ class ProbeEngine:
         self.store = scored_store()
         self.baseline_fired: frozenset[str] = frozenset()
         self.flipped = 0
-        self.stats = GridStats(workers=1)
+        self.stats = GridStats()
         self._wall_start = time.perf_counter()
+        self._scenario: Scenario | None = None
         self.stats.sim_engine = self.sim_engine
         self.stats.sim_engine_reason = engine_reason
         self._speculative: dict[str, RunResult] = {}
@@ -672,26 +671,22 @@ class ProbeEngine:
         return self.budget.used
 
     # -- execution ------------------------------------------------------
-    def _simulate(self, intervention: Intervention) -> RunResult:
-        scenario = self.subject.build_scenario()
-        attack, faults = intervention.campaigns()
-        if self.subject.defect:
-            # `run_scenario` cannot express a defective controller; build
-            # the follower the way the E13 harness does.
-            from repro.sim.engine import SimulationRunner
-            follower = self.subject.build_follower(scenario)
-            return SimulationRunner(scenario, follower, attack,
-                                    self.subject.ekf_config(),
-                                    faults=faults).run()
-        return run_scenario(scenario, controller=self.subject.controller,
-                            campaign=attack, faults=faults,
-                            ekf_config=self.subject.ekf_config())
+    def _lane(self, intervention: Intervention) -> LaneSpec:
+        # Every probe shares the subject's scenario object, built once.
+        if self._scenario is None:
+            self._scenario = self.subject.build_scenario()
+        return self.subject.lane(intervention, self._scenario)
+
+    def _run(self, intervention: Intervention, params: dict,
+             group: tuple | None = None) -> Run:
+        """One probe as a :class:`~repro.experiments.backend.Run`."""
+        return Run(params, functools.partial(self._lane, intervention),
+                   group)
 
     def _resolve_or_run(self, intervention: Intervention):
         from repro.core.checker import check_trace
         params = probe_params(self.subject, intervention)
-        canon = self.store.canonical(params)
-        spec = self._speculative.pop(canon, None)
+        spec = self._speculative.pop(self.store.canonical(params), None)
         if spec is not None:
             # Consume a speculative lane: it was simulated in a prefetch
             # batch but the check and commit were deferred to here so
@@ -705,24 +700,13 @@ class ProbeEngine:
             self.stats.speculative_wasted = len(self._speculative)
             self.stats.phase_time["check"] += t2 - t1
             return spec, report, "memo"
-        hit = self.store.resolve(params)
-        if hit is not None:
-            (result, report), source = hit
-            if source == "memo":
-                self.stats.memo_hits += 1
-            else:
-                self.stats.disk_hits += 1
-            return result, report, source
-        t0 = time.perf_counter()
-        result = self._simulate(intervention)
-        t1 = time.perf_counter()
-        report = check_trace(result.trace)
-        t2 = time.perf_counter()
-        self.store.commit(params, (result, report))
-        self.stats.executed += 1
-        self.stats.phase_time["simulate"] += t1 - t0
-        self.stats.phase_time["check"] += t2 - t1
-        return result, report, "sim"
+        # One probe at a time, on the serial oracle.
+        run = self._run(intervention, params)
+        execute([run], self.store, self.stats)
+        if run.error is not None:
+            raise run.error
+        result, report = run.value
+        return result, report, run.source
 
     def prefetch(self, interventions) -> int:
         """Batch-simulate uncached probes through the lockstep engine.
@@ -731,56 +715,34 @@ class ProbeEngine:
         semantic: results are bit-identical to the serial path (the
         differential suite pins this), so prefetching never changes an
         explanation — and it charges no budget (the later
-        :meth:`outcome` calls do).  Returns the number of lanes batched.
-        Any engine rejection falls back silently to per-probe serial
-        simulation.
+        :meth:`outcome` calls do).  All pending probes go in one
+        speculative group; returns the number of lanes batched.  An
+        engine rejection simulates nothing: the probes then run one at a
+        time when a search asks for them.
         """
         if not self.speculate or self.sim_engine != "batch":
             return 0
-        from repro.sim.batch import LaneSpec, run_batch
-        pending: list[tuple[dict, str, Intervention]] = []
-        seen: set[str] = set()
+        group = (self.subject.scenario, self.subject.duration)
+        runs: dict[str, Run] = {}
         for intervention in interventions:
             params = probe_params(self.subject, intervention)
             canon = self.store.canonical(params)
-            if canon in seen or canon in self._speculative:
-                continue
-            seen.add(canon)
-            if self.store.resolve(params) is None:
-                pending.append((params, canon, intervention))
-        if not pending:
+            if canon not in runs and canon not in self._speculative:
+                runs[canon] = self._run(intervention, params, group)
+        if not runs:
             return 0
-        scenario = self.subject.build_scenario()
-        ekf_config = self.subject.ekf_config()
-        specs = []
-        for _, _, intervention in pending:
-            attack, faults = intervention.campaigns()
-            specs.append(LaneSpec(scenario=scenario,
-                                  follower=self.subject.build_follower(
-                                      scenario),
-                                  campaign=attack, ekf_config=ekf_config,
-                                  faults=faults))
-        from repro.sim.batch.engine import batch_counters
-        counters0 = batch_counters()
-        t0 = time.perf_counter()
-        try:
-            results = run_batch(specs)
-        except Exception:
-            self.stats.batch_fallbacks += 1
-            return 0
-        finally:
-            self.stats.phase_time["simulate"] += time.perf_counter() - t0
-        self.stats.add_batch_counters(counters0, batch_counters())
-        for (_, canon, _), result in zip(pending, results):
-            # Held raw: check + commit happen lazily in _resolve_or_run
-            # iff a search consumes the lane.
-            self._speculative[canon] = result
-        self.stats.batch_groups += 1
-        self.stats.batch_points += len(pending)
-        self.stats.executed += len(pending)
-        self.stats.speculative_issued += len(pending)
+        execute(list(runs.values()), self.store, self.stats,
+                lanes=len(runs), commit=False)
+        issued = 0
+        for canon, run in runs.items():
+            if run.source == "sim":
+                # Held raw: check + commit happen lazily in
+                # _resolve_or_run iff a search consumes the lane.
+                self._speculative[canon] = run.value
+                issued += 1
+        self.stats.speculative_issued += issued
         self.stats.speculative_wasted = len(self._speculative)
-        return len(pending)
+        return issued
 
     def outcome(self, intervention: Intervention) -> ProbeOutcome:
         """Run one probe (budget-charged) and score it against the

@@ -44,13 +44,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.experiments.backend import (
-    BatchExecutor,
-    Executor,
-    SerialExecutor,
-    StripedScheduler,
+    CacheResultStore,
     build_grid,
+    execute,
     retry_delay,
 )
+from repro.config import env_number
 from repro.locking import FileLease, default_lease_ttl, lease_state
 
 __all__ = [
@@ -77,14 +76,8 @@ suite."""
 
 def _dist_timeout(timeout: float | None = None) -> float:
     if timeout is None:
-        env = os.environ.get("ADASSURE_DIST_TIMEOUT")
-        if env:
-            try:
-                timeout = float(env)
-            except ValueError:
-                timeout = None
-    if timeout is None:
-        timeout = DEFAULT_DIST_TIMEOUT
+        timeout = env_number("ADASSURE_DIST_TIMEOUT", DEFAULT_DIST_TIMEOUT,
+                             float)
     return max(float(timeout), 1.0)
 
 
@@ -97,14 +90,9 @@ def resolve_shard_points(n_points: int, n_workers: int,
     dominates the simulation work.
     """
     if shard_points is None:
-        env = os.environ.get("ADASSURE_SHARD_POINTS")
-        if env:
-            try:
-                shard_points = int(env)
-            except ValueError:
-                shard_points = None
-    if shard_points is None:
-        shard_points = -(-n_points // max(4 * max(n_workers, 1), 1))
+        shard_points = env_number(
+            "ADASSURE_SHARD_POINTS",
+            -(-n_points // max(4 * max(n_workers, 1), 1)))
     return max(int(shard_points), 1)
 
 
@@ -245,14 +233,14 @@ class ShardBoard:
         self.points = spec.points()
         self.dir = cache.root / "checkpoints" / f"{spec.grid_id}.shards"
         self.board_path = self.dir / "board.json"
-        scheduler = StripedScheduler(spec.shard_points)
-        stripes = scheduler.shards(self.points)
-        self.shards: list[Shard] = []
-        start = 0
-        for stripe in stripes:
-            self.shards.append(Shard(index=len(self.shards), start=start,
-                                     stop=start + len(stripe)))
-            start += len(stripe)
+        # Contiguous (rather than round-robin) stripes keep batch-
+        # compatible neighbours together, so a worker that runs its shard
+        # through the lockstep engine still finds full groups.
+        size = max(spec.shard_points, 1)
+        self.shards: list[Shard] = [
+            Shard(index=index, start=start,
+                  stop=min(start + size, len(self.points)))
+            for index, start in enumerate(range(0, len(self.points), size))]
 
     # -- paths ----------------------------------------------------------
     def lease_path(self, index: int) -> Path:
@@ -471,22 +459,19 @@ def run_worker(
     engine = runner.resolve_sim_engine(sim_engine)
     retries = runner._point_retries(retries)
     chaos_budget = _chaos_kill_budget()
-    committed_total = 0
     waited = 0.0
     max_wait_s = (_dist_timeout(None) if max_wait_s is None
                   else float(max_wait_s))
 
-    def commit(point: tuple, run, phases) -> None:
-        nonlocal committed_total
-        from repro.experiments.cache import cache_key
-        cache.store(cache_key(*point, catalog=spec.catalog),
-                    run.result, run.report, run.diagnosis)
+    def committed() -> None:
         report.points_executed += 1
-        committed_total += 1
-        if chaos_budget is not None and committed_total >= chaos_budget:
+        if (chaos_budget is not None
+                and report.points_executed >= chaos_budget):
             # Chaos hook: die *after* the result commit but *before* any
             # shard bookkeeping — the exactly-once window under test.
             os.kill(os.getpid(), signal.SIGKILL)
+
+    store = _ShardStore(cache, spec.catalog, committed)
 
     while True:
         progressed = False
@@ -500,9 +485,7 @@ def run_worker(
                 continue
             report.stale_breaks += lease.stale_breaks
             points = board.shard_points(shard)
-            missing = [p for p in points
-                       if not cache.contains(
-                           _point_key(p, spec.catalog))]
+            missing = [p for p in points if not store.contains(p)]
             skipped = len(points) - len(missing)
             if skipped:
                 # A previous claimant committed part of this shard and
@@ -511,22 +494,17 @@ def run_worker(
                 report.points_skipped += skipped
             heartbeat = HeartbeatThread(lease)
             heartbeat.start()
-            stats = GridStats(workers=1, grid_points=len(points))
-            quarantined: list = []
-
-            def quarantine(point: tuple, error: str) -> None:
-                quarantined.append((point, error))
-                report.quarantined.append((point, error))
-
             try:
-                items = [(p, 0) for p in missing]
-                if engine == "batch" and len(items) > 1:
-                    items = BatchExecutor().execute(items, commit, stats)
-                SerialExecutor(retries).execute(items, commit, stats,
-                                                quarantine)
+                failed = execute([runner.grid_run(p) for p in missing],
+                                 store, GridStats(), engine=engine,
+                                 retries=retries)
             finally:
                 heartbeat.stop()
                 report.heartbeats += heartbeat.beats
+            quarantined = [
+                (run.key, f"{type(run.error).__name__}: {run.error}")
+                for run in failed]
+            report.quarantined.extend(quarantined)
             holder = lease.holder()
             if holder is not None and holder.get("owner") != lease.owner_id:
                 # Duplicate claimant stole the lease mid-shard (forced
@@ -571,26 +549,36 @@ def run_worker(
     return report
 
 
-def _point_key(point: tuple, catalog: str) -> str:
-    from repro.experiments.cache import cache_key
-    return cache_key(*point, catalog=catalog)
+class _ShardStore(CacheResultStore):
+    """A worker's commit point: the shared disk cache only.  No memo (a
+    point another process committed must be read back from disk, never
+    from stale process state) and no manifest (the shard board is the
+    worker's ledger); ``committed`` runs after each durable commit."""
+
+    def __init__(self, cache, catalog: str, committed):
+        super().__init__(cache, catalog, None, lambda point: None,
+                         lambda point, run: None)
+        self.committed = committed
+
+    def commit(self, point: tuple, run) -> None:
+        super().commit(point, run)
+        self.committed()
 
 
 # ---------------------------------------------------------------------------
-# Coordinator: the DistributedExecutor run_grid plugs in
+# Coordinator: the fleet run_grid hands its misses to
 # ---------------------------------------------------------------------------
 
-class DistributedExecutor(Executor):
+class DistributedExecutor:
     """Spawns a local worker fleet and adopts their committed results.
 
     The coordinator side of the multi-host mode: it serializes the
     campaign spec, materializes the shard board, launches ``n_workers``
     ``adassure worker`` subprocesses pointed at the same cache directory,
     and polls the board until the campaign converges.  Completed points
-    are *adopted* from the shared store (``merge(point, run, None)`` —
-    the ``None`` phases mark them as executed elsewhere); anything still
-    missing when the fleet exits (dead workers, quarantines, deadline)
-    is returned as leftovers for the in-process serial fallback — the
+    are *adopted* from the shared store (``run.source == "fleet"``);
+    anything still missing when the fleet exits (dead workers,
+    quarantines, deadline) is returned for this process to execute — the
     campaign converges even if every worker dies.
 
     Additional hosts join the same campaign by running ``adassure worker
@@ -598,15 +586,14 @@ class DistributedExecutor(Executor):
     neither knows nor cares who commits a point first.
     """
 
-    name = "distributed"
-
-    def __init__(self, grid: list[tuple], store, n_workers: int,
+    def __init__(self, grid: list[tuple], store, n_workers: int, stats,
                  shard_points: int | None = None,
                  sim_engine: str | None = None,
                  timeout: float | None = None):
         self.grid = grid
         self.store = store
         self.n_workers = max(int(n_workers), 1)
+        self.stats = stats
         self.shard_points = shard_points
         self.sim_engine = sim_engine
         self.timeout = timeout
@@ -616,9 +603,6 @@ class DistributedExecutor(Executor):
         env = os.environ.copy()
         from repro.experiments.cache import default_cache_dir
         env["ADASSURE_CACHE_DIR"] = str(default_cache_dir())
-        # Workers run their shards serially/batched; they are the
-        # parallelism, so no nested pools.
-        env["ADASSURE_WORKERS"] = "1"
         if self.sim_engine:
             env["ADASSURE_SIM"] = self.sim_engine
         pkg_root = str(Path(repro.__file__).resolve().parent.parent)
@@ -634,7 +618,10 @@ class DistributedExecutor(Executor):
             stderr=subprocess.DEVNULL if quiet else None,
         )
 
-    def execute(self, items, merge, stats, quarantine=None):
+    def execute(self, runs: list) -> list:
+        """Run the fleet over the grid; adopt what it committed of
+        ``runs`` and return the rest."""
+        stats = self.stats
         cache = self.store.cache
         assert cache is not None, "distributed mode requires the disk cache"
         shard_points = resolve_shard_points(len(self.grid), self.n_workers,
@@ -650,7 +637,7 @@ class DistributedExecutor(Executor):
         spec_path = spec.save(cache)
         board = ShardBoard(cache, spec)
         board.ensure()
-        stats.executor = self.name
+        stats.executor = "distributed"
         stats.shards_total = len(board.shards)
         stats.dist_workers = self.n_workers
 
@@ -683,16 +670,17 @@ class DistributedExecutor(Executor):
                 stats.shards_reclaimed += 1
         stats.shards_claimed = done
 
-        # Adopt everything the fleet committed; whatever is missing
-        # (dead workers, worker-side quarantines, deadline) degrades to
-        # the in-process serial fallback.
-        leftover: list[tuple] = []
-        for point, failures in items:
-            run = self.store.load(point)
-            if run is not None:
-                merge(point, run, None)
-            else:
-                leftover.append((point, failures))
+        # Adopt everything the fleet committed (a disk hit lands in the
+        # memo and the manifest); whatever is missing (dead workers,
+        # worker-side quarantines, deadline) runs in this process.
+        leftover = []
+        for run in runs:
+            hit = self.store.resolve(run.key)
+            if hit is None:
+                leftover.append(run)
+                continue
+            run.value, run.source = hit[0], "fleet"
+            stats.dist_points += 1
         if board.all_done() and not leftover:
             board.cleanup()
         return leftover

@@ -15,14 +15,15 @@ dead-reckoning assertion remain necessary.
 
 from __future__ import annotations
 
+import functools
 import statistics
 
 from repro.attacks.campaign import standard_attack
 from repro.control.estimator import EkfConfig
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.plan import ProbePlan, scenario_lane
+from repro.experiments.plan import ProbePlan
 from repro.experiments.tables import Table
-from repro.sim.engine import run_scenario
+from repro.sim.engine import lane_spec
 from repro.sim.scenario import standard_scenarios
 
 __all__ = ["build_mitigation_table"]
@@ -31,12 +32,10 @@ _GATE = 13.8  # chi-square, 2 dof, p ~ 0.001
 _ATTACKS = ("gps_bias", "gps_drift", "gps_freeze", "gps_noise")
 
 
-def build_mitigation_table(config: ExperimentConfig | None = None,
-                           workers: int | None = None) -> Table:
+def build_mitigation_table(config: ExperimentConfig | None = None) -> Table:
     """Damage with vs. without the innovation gate, per GPS attack.
 
-    ``workers`` is accepted for experiment-interface uniformity; the
-    whole sweep is declared up front to a
+    The whole sweep is declared up front to a
     :class:`~repro.experiments.plan.ProbePlan` — all (attack, seed,
     gate) configurations share one scenario/duration compatibility
     group, so a cold campaign drains as batch-engine lane groups, and
@@ -64,32 +63,21 @@ def build_mitigation_table(config: ExperimentConfig | None = None,
                 "duration": config.duration, "gate": None,
             }
 
-            # Campaigns are built fresh inside every closure: the ungated
-            # and gated runs of one seed can land in the same batch group,
-            # and attack objects carry RNG streams / replay state that a
+            # Each spec builds its own campaign: the ungated and gated
+            # runs of one seed can land in the same batch group, and
+            # attack objects carry RNG streams / replay state that a
             # lane must not share with its neighbour.
-            def campaign(attack=attack):
-                return standard_attack(attack, onset=config.attack_onset)
-
-            def simulate(scenario=scenario, campaign=campaign):
-                return run_scenario(scenario, controller="pure_pursuit",
-                                    campaign=campaign())
-
-            def simulate_gated(scenario=scenario, campaign=campaign):
-                return run_scenario(scenario, controller="pure_pursuit",
-                                    campaign=campaign(),
-                                    ekf_config=EkfConfig(gate_nis=_GATE))
+            def spec(scenario=scenario, attack=attack, gate=None):
+                return lane_spec(
+                    scenario, campaign=standard_attack(
+                        attack, onset=config.attack_onset),
+                    ekf_config=None if gate is None else EkfConfig(
+                        gate_nis=gate))
 
             sweep[(attack, seed)] = (
-                plan.plan_scored(
-                    params, simulate,
-                    lane=lambda scenario=scenario, campaign=campaign:
-                    scenario_lane(scenario, campaign=campaign())),
-                plan.plan_scored(
-                    dict(params, gate=_GATE), simulate_gated,
-                    lane=lambda scenario=scenario, campaign=campaign:
-                    scenario_lane(scenario, campaign=campaign(),
-                                  ekf_config=EkfConfig(gate_nis=_GATE))),
+                plan.plan_scored(params, spec),
+                plan.plan_scored(dict(params, gate=_GATE),
+                                 functools.partial(spec, gate=_GATE)),
             )
 
     for attack in ("none",) + _ATTACKS:

@@ -16,9 +16,9 @@ from __future__ import annotations
 from repro.attacks.campaign import combined_attack
 from repro.core.diagnosis import diagnose, diagnose_multi
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.plan import ProbePlan, scenario_lane
+from repro.experiments.plan import ProbePlan
 from repro.experiments.tables import Table
-from repro.sim.engine import run_scenario
+from repro.sim.engine import lane_spec
 from repro.sim.scenario import standard_scenarios
 
 __all__ = ["build_multi_attack_table", "ATTACK_PAIRS"]
@@ -33,12 +33,10 @@ ATTACK_PAIRS: tuple[tuple[str, str], ...] = (
 """Concurrent pairs, chosen to span disjoint and overlapping signatures."""
 
 
-def build_multi_attack_table(config: ExperimentConfig | None = None,
-                             workers: int | None = None) -> Table:
+def build_multi_attack_table(config: ExperimentConfig | None = None) -> Table:
     """Top-k coverage of both true causes under concurrent attacks.
 
-    ``workers`` is accepted for experiment-interface uniformity; the
-    pair x seed sweep is declared up front to a
+    The pair x seed sweep is declared up front to a
     :class:`~repro.experiments.plan.ProbePlan` (every run shares the
     full-duration scenario compatibility group, so a cold campaign
     drains as batch-engine lane groups) and commits through the shared
@@ -59,20 +57,16 @@ def build_multi_attack_table(config: ExperimentConfig | None = None,
             # Full scenario duration always: slow-drift members of a pair
             # need time to accumulate their dead-reckoning signature.
             scenario = standard_scenarios(seed=seed)[config.scenario]
-            campaign = combined_attack(pair, onset=config.attack_onset)
 
-            def simulate(scenario=scenario, campaign=campaign):
-                return run_scenario(scenario, controller="pure_pursuit",
-                                    campaign=campaign)
+            def spec(scenario=scenario, pair=pair):
+                return lane_spec(scenario, campaign=combined_attack(
+                    pair, onset=config.attack_onset))
 
             sweep[(pair, seed)] = plan.plan_scored(
                 {"kind": "multi_attack", "pair": list(pair),
                  "scenario": config.scenario, "seed": seed,
                  "onset": config.attack_onset},
-                simulate,
-                lane=lambda scenario=scenario, campaign=campaign:
-                scenario_lane(scenario, campaign=campaign),
-                group=(config.scenario, None),
+                spec, group=(config.scenario, None),
             )
 
     for pair in ATTACK_PAIRS:

@@ -20,9 +20,9 @@ import numpy as np
 from repro.attacks.campaign import standard_attack
 from repro.core.diagnosis import diagnose
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.plan import ProbePlan, scenario_lane
+from repro.experiments.plan import ProbePlan
 from repro.experiments.tables import Table
-from repro.sim.engine import run_scenario
+from repro.sim.engine import lane_spec
 from repro.sim.scenario import acc_scenario
 
 __all__ = ["build_acc_debugging", "RADAR_ATTACKS"]
@@ -30,12 +30,10 @@ __all__ = ["build_acc_debugging", "RADAR_ATTACKS"]
 RADAR_ATTACKS: tuple[str, ...] = ("radar_scale", "radar_ghost", "radar_blind")
 
 
-def build_acc_debugging(config: ExperimentConfig | None = None,
-                        workers: int | None = None) -> Table:
+def build_acc_debugging(config: ExperimentConfig | None = None) -> Table:
     """Radar-attack outcomes on the car-following scenario.
 
-    ``workers`` is accepted for experiment-interface uniformity; the
-    attack x seed sweep is declared up front to a
+    The attack x seed sweep is declared up front to a
     :class:`~repro.experiments.plan.ProbePlan` (all runs share the
     ``acc_follow`` compatibility group, so a cold campaign drains as
     batch-engine lane groups) and commits through the shared
@@ -54,18 +52,15 @@ def build_acc_debugging(config: ExperimentConfig | None = None,
     for attack in ("none",) + RADAR_ATTACKS:
         for seed in config.seeds:
             scenario = acc_scenario(seed=seed)
-            campaign = standard_attack(attack, onset=config.attack_onset)
 
-            def simulate(scenario=scenario, campaign=campaign):
-                return run_scenario(scenario, campaign=campaign)
+            def spec(scenario=scenario, attack=attack):
+                return lane_spec(scenario, campaign=standard_attack(
+                    attack, onset=config.attack_onset))
 
             sweep[(attack, seed)] = plan.plan_scored(
                 {"kind": "acc", "attack": attack, "seed": seed,
                  "onset": config.attack_onset},
-                simulate,
-                lane=lambda scenario=scenario, campaign=campaign:
-                scenario_lane(scenario, campaign=campaign),
-                group=("acc_follow", None),
+                spec, group=("acc_follow", None),
             )
 
     for attack in ("none",) + RADAR_ATTACKS:

@@ -15,15 +15,15 @@ missed it, and A20 was authored in response (see catalog docstring).
 
 from __future__ import annotations
 
-from repro.control.base import make_lateral_controller
-from repro.control.defects import DEFECT_CLASSES, DefectiveController, make_defect
-from repro.control.follower import SpeedProfile, WaypointFollower
+import functools
+
+from repro.control.defects import DEFECT_CLASSES, make_defect
 from repro.core.diagnosis import diagnose
 from repro.core.knowledge import defect_knowledge_base
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.plan import ProbePlan, scenario_lane
+from repro.experiments.plan import ProbePlan
 from repro.experiments.tables import Table
-from repro.sim.engine import SimulationRunner
+from repro.sim.engine import LaneSpec, lane_spec
 from repro.sim.scenario import standard_scenarios
 
 __all__ = ["build_defect_debugging", "DEFECT_PARAMS"]
@@ -40,31 +40,21 @@ DEFECT_PARAMS: dict[str, dict] = {
 _SCENARIO = "s_curve"
 
 
-def _defect_follower(defect_name: str | None, scenario) -> WaypointFollower:
-    lateral = make_lateral_controller("pure_pursuit")
-    if defect_name is not None:
-        lateral = DefectiveController(
-            lateral, make_defect(defect_name, **DEFECT_PARAMS[defect_name])
-        )
-    return WaypointFollower(
-        lateral, profile=SpeedProfile(cruise_speed=scenario.cruise_speed)
-    )
-
-
-def _run_with_defect(defect_name: str | None, seed: int):
-    # Full scenario duration always: truncating the run would fire the
-    # A15 liveness check for the wrong reason (goal unreachable in time).
+def _spec(defect_name: str | None, seed: int) -> LaneSpec:
+    """Pure Pursuit with ``defect_name`` injected (``None``: the healthy
+    tracker).  Full scenario duration always: truncating the run would
+    fire the A15 liveness check for the wrong reason (goal unreachable in
+    time)."""
     scenario = standard_scenarios(seed=seed)[_SCENARIO]
-    return SimulationRunner(scenario,
-                            _defect_follower(defect_name, scenario)).run()
+    defect = (None if defect_name is None
+              else make_defect(defect_name, **DEFECT_PARAMS[defect_name]))
+    return lane_spec(scenario, "pure_pursuit", defect=defect)
 
 
-def build_defect_debugging(config: ExperimentConfig | None = None,
-                           workers: int | None = None) -> Table:
+def build_defect_debugging(config: ExperimentConfig | None = None) -> Table:
     """Defect detection + identification table.
 
-    ``workers`` is accepted for experiment-interface uniformity; the
-    defect x seed sweep is declared up front to a
+    The defect x seed sweep is declared up front to a
     :class:`~repro.experiments.plan.ProbePlan` — defective controllers
     are not vectorizable, so these run as per-lane *object* lanes inside
     the lockstep batch, still one simulation pass per compatible group —
@@ -85,20 +75,11 @@ def build_defect_debugging(config: ExperimentConfig | None = None,
     sweep: dict[tuple, object] = {}
     for defect_name in [None] + list(DEFECT_CLASSES):
         for seed in config.seeds:
-            scenario = standard_scenarios(seed=seed)[_SCENARIO]
-
-            def simulate(defect_name=defect_name, seed=seed):
-                return _run_with_defect(defect_name, seed)
-
             sweep[(defect_name, seed)] = plan.plan_scored(
                 {"kind": "defect", "defect": defect_name or "none",
                  "defect_params": DEFECT_PARAMS.get(defect_name, {}),
                  "scenario": _SCENARIO, "seed": seed},
-                simulate,
-                lane=lambda defect_name=defect_name, scenario=scenario:
-                scenario_lane(scenario,
-                              follower=_defect_follower(defect_name,
-                                                        scenario)),
+                functools.partial(_spec, defect_name, seed),
                 group=(_SCENARIO, None),
             )
 

@@ -32,7 +32,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_scored
 from repro.experiments.tables import Table
 from repro.faults.campaign import combined_fault, standard_fault
-from repro.sim.engine import run_scenario
+from repro.sim.engine import LaneSpec, lane_spec
 from repro.sim.scenario import standard_scenarios
 
 __all__ = ["build_degradation_table", "E14_FAULTS"]
@@ -61,24 +61,19 @@ def _campaign_for(fault_label: str, onset: float):
     return standard_fault(fault_label, onset=onset)
 
 
-def _run_cell(fault_label: str, supervised: bool, scenario_name: str,
-              seed: int, onset: float, duration: float | None):
+def _cell_spec(fault_label: str, supervised: bool, scenario_name: str,
+               seed: int, onset: float, duration: float | None) -> LaneSpec:
     scenario = standard_scenarios(seed=seed, duration=duration)[scenario_name]
-    return run_scenario(
-        scenario,
-        controller=_CONTROLLER,
-        faults=_campaign_for(fault_label, onset),
-        supervised=supervised,
-    )
+    return lane_spec(scenario, _CONTROLLER,
+                     faults=_campaign_for(fault_label, onset),
+                     supervised=supervised)
 
 
-def build_degradation_table(config: ExperimentConfig | None = None,
-                            workers: int | None = None) -> Table:
+def build_degradation_table(config: ExperimentConfig | None = None) -> Table:
     """Supervised vs. unsupervised stack across the fault grid.
 
-    ``workers`` is accepted for experiment-interface uniformity; these
-    off-grid runs execute in-process but go through the shared run cache
-    (:func:`~repro.experiments.runner.run_scored`).
+    Each cell runs on the serial oracle, one at a time, through the
+    shared run cache (:func:`~repro.experiments.runner.run_scored`).
     """
     config = config or ExperimentConfig.full()
     onset = config.attack_onset
@@ -108,9 +103,9 @@ def build_degradation_table(config: ExperimentConfig | None = None,
                 try:
                     result, report = run_scored(
                         params,
-                        lambda: _run_cell(fault_label, supervised,
-                                          config.scenario, seed, onset,
-                                          config.duration),
+                        lambda: _cell_spec(fault_label, supervised,
+                                           config.scenario, seed, onset,
+                                           config.duration),
                     )
                 except ValueError:
                     # The unprotected stack dies when a NaN burst reaches

@@ -16,8 +16,7 @@ from repro.experiments.tables import Table
 __all__ = ["build_detection_matrix"]
 
 
-def build_detection_matrix(config: ExperimentConfig | None = None,
-                           workers: int | None = None) -> Table:
+def build_detection_matrix(config: ExperimentConfig | None = None) -> Table:
     """Attack-class (rows) x assertion (columns) firing matrix.
 
     A cell shows the fraction of seeds in which the assertion fired after
@@ -31,7 +30,6 @@ def build_detection_matrix(config: ExperimentConfig | None = None,
         seeds=config.seeds,
         onset=config.attack_onset,
         duration=config.duration,
-        workers=workers,
     )
 
     table = Table(

@@ -20,8 +20,7 @@ __all__ = ["build_latency_table"]
 _CATEGORY_OF = {aid: make_assertion(aid).category for aid in CATALOG_IDS}
 
 
-def build_latency_table(config: ExperimentConfig | None = None,
-                        workers: int | None = None) -> Table:
+def build_latency_table(config: ExperimentConfig | None = None) -> Table:
     """Per-attack detection latency (median over seeds), split by family."""
     config = config or ExperimentConfig.full()
     runs = run_grid(
@@ -31,7 +30,6 @@ def build_latency_table(config: ExperimentConfig | None = None,
         seeds=config.seeds,
         onset=config.attack_onset,
         duration=config.duration,
-        workers=workers,
     )
 
     table = Table(

@@ -22,8 +22,8 @@ _SAMPLE_EVERY_S = 2.0
 _ATTACK = "gps_drift"
 
 
-def build_anomaly_traces(config: ExperimentConfig | None = None,
-                         workers: int | None = None) -> list[Table]:
+def build_anomaly_traces(
+        config: ExperimentConfig | None = None) -> list[Table]:
     """One table per scenario: |cte|(t) series, nominal vs. attacked."""
     config = config or ExperimentConfig.full()
     tables = []
@@ -35,7 +35,6 @@ def build_anomaly_traces(config: ExperimentConfig | None = None,
             seeds=(config.seeds[0],),
             onset=config.attack_onset,
             duration=config.duration,
-            workers=workers,
         )
         columns = ["t [s]"]
         for controller in config.controllers:

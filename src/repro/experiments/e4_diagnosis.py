@@ -24,7 +24,6 @@ __all__ = ["build_diagnosis_accuracy"]
 
 
 def build_diagnosis_accuracy(config: ExperimentConfig | None = None,
-                             workers: int | None = None,
                              counterfactual: bool = False,
                              probe_budget: int = 8) -> Table:
     """Per-attack top-1/top-2 diagnosis accuracy plus common confusion."""
@@ -37,7 +36,6 @@ def build_diagnosis_accuracy(config: ExperimentConfig | None = None,
         seeds=config.seeds,
         onset=config.attack_onset,
         duration=config.duration,
-        workers=workers,
     )
 
     tiebreaks = 0

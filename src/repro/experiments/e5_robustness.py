@@ -19,8 +19,8 @@ from repro.experiments.tables import Table
 __all__ = ["build_controller_robustness"]
 
 
-def build_controller_robustness(config: ExperimentConfig | None = None,
-                                workers: int | None = None) -> Table:
+def build_controller_robustness(
+        config: ExperimentConfig | None = None) -> Table:
     """Controller x attack behavioural damage and assertion coverage."""
     config = config or ExperimentConfig.full()
     scenario = config.trace_scenarios[-1] if config.trace_scenarios else "s_curve"
@@ -31,7 +31,6 @@ def build_controller_robustness(config: ExperimentConfig | None = None,
         seeds=(config.seeds[0],),
         onset=config.attack_onset,
         duration=config.duration,
-        workers=workers,
     )
 
     table = Table(

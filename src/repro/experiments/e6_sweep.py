@@ -20,8 +20,7 @@ __all__ = ["build_intensity_sweep"]
 _HARM_CTE = 1.5  # meters: materially off-lane
 
 
-def build_intensity_sweep(config: ExperimentConfig | None = None,
-                          workers: int | None = None) -> Table:
+def build_intensity_sweep(config: ExperimentConfig | None = None) -> Table:
     """Detection rate and damage vs. attack intensity."""
     config = config or ExperimentConfig.full()
     table = Table(
@@ -41,7 +40,6 @@ def build_intensity_sweep(config: ExperimentConfig | None = None,
                 intensity=intensity,
                 onset=config.attack_onset,
                 duration=config.duration,
-                workers=workers,
             )
             latencies = []
             detected = harmed = 0

@@ -22,8 +22,7 @@ __all__ = ["build_monitor_overhead"]
 _SUBSET_SIZES = (1, 2, 4, 8, 12, len(CATALOG_IDS))
 
 
-def build_monitor_overhead(config: ExperimentConfig | None = None,
-                           workers: int | None = None) -> Table:
+def build_monitor_overhead(config: ExperimentConfig | None = None) -> Table:
     """Monitor cost per step vs. number of active assertions."""
     config = config or ExperimentConfig.full()
     # One representative trace, reused for every subset size.
@@ -34,7 +33,6 @@ def build_monitor_overhead(config: ExperimentConfig | None = None,
         seeds=(config.seeds[0],),
         onset=config.attack_onset,
         duration=config.duration,
-        workers=workers,
     )[0]
     records = list(run.result.trace)
     dt_ms = run.result.trace.dt * 1e3

@@ -19,8 +19,7 @@ from repro.experiments.tables import Table
 __all__ = ["build_assertion_ablation"]
 
 
-def build_assertion_ablation(config: ExperimentConfig | None = None,
-                             workers: int | None = None) -> Table:
+def build_assertion_ablation(config: ExperimentConfig | None = None) -> Table:
     """Diagnosis accuracy per cumulative catalog stage."""
     config = config or ExperimentConfig.full()
     runs = run_grid(
@@ -30,7 +29,6 @@ def build_assertion_ablation(config: ExperimentConfig | None = None,
         seeds=config.seeds,
         onset=config.attack_onset,
         duration=config.duration,
-        workers=workers,
     )
     kb = default_knowledge_base()
 

@@ -17,7 +17,6 @@ __all__ = ["build_gap_proposals", "build_refinement_loop"]
 
 
 def build_refinement_loop(config: ExperimentConfig | None = None,
-                          workers: int | None = None,
                           propose_gaps: bool = False):
     """Gap counts per methodology iteration (staged catalog growth).
 
@@ -35,7 +34,6 @@ def build_refinement_loop(config: ExperimentConfig | None = None,
         seeds=config.seeds,
         onset=config.attack_onset,
         duration=config.duration,
-        workers=workers,
     )
     corpus = [AnomalyCase(trace=r.result.trace, true_cause=r.attack,
                           report=r.report)

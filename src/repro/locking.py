@@ -30,6 +30,8 @@ import time
 import uuid
 from pathlib import Path
 
+from repro.config import env_number
+
 __all__ = ["FileLease", "LeaseConflict", "default_lease_ttl", "lease_state"]
 
 DEFAULT_LEASE_TTL = 60.0
@@ -37,16 +39,10 @@ DEFAULT_LEASE_TTL = 60.0
 
 
 def default_lease_ttl() -> float:
-    """``$ADASSURE_LEASE_TTL`` (seconds) or the built-in default."""
-    env = os.environ.get("ADASSURE_LEASE_TTL")
-    if env:
-        try:
-            ttl = float(env)
-            if ttl > 0:
-                return ttl
-        except ValueError:
-            pass
-    return DEFAULT_LEASE_TTL
+    """``$ADASSURE_LEASE_TTL`` (seconds) or the built-in default (also
+    for a non-positive value); a malformed value raises ``ValueError``."""
+    ttl = env_number("ADASSURE_LEASE_TTL", DEFAULT_LEASE_TTL, float)
+    return ttl if ttl > 0 else DEFAULT_LEASE_TTL
 
 
 class LeaseConflict(RuntimeError):

@@ -63,7 +63,7 @@ from repro.sim.batch.ekf import BatchEkf
 from repro.sim.batch.lanes import LaneState
 from repro.sim.batch.noise import build_lane_tapes
 from repro.sim.batch.route import BatchRoute
-from repro.sim.engine import _DIVERGENCE_CTE, RunResult
+from repro.sim.engine import _DIVERGENCE_CTE, LaneSpec, RunResult
 from repro.sim.lead import LeadVehicle
 from repro.sim.rng import RngStreams
 from repro.sim.scenario import Scenario, ScenarioOutcome
@@ -85,17 +85,6 @@ __all__ = ["LaneSpec", "BatchCompatError", "batch_counters", "prefix_key",
 
 class BatchCompatError(ValueError):
     """Lanes cannot share a batch (route/dt/duration/model/lead differ)."""
-
-
-@dataclass(slots=True)
-class LaneSpec:
-    """One run of the batch: the same inputs SimulationRunner takes."""
-
-    scenario: Scenario
-    follower: object
-    campaign: AttackCampaign | None = None
-    ekf_config: EkfConfig | None = None
-    faults: FaultCampaign | None = None
 
 
 _FLOAT_COLS = (

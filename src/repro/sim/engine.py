@@ -47,7 +47,8 @@ if TYPE_CHECKING:  # annotation-only import; repro.attacks imports repro.sim
     from repro.attacks.campaign import AttackCampaign
     from repro.faults.campaign import FaultCampaign
 
-__all__ = ["RunResult", "SimulationRunner", "run_scenario"]
+__all__ = ["LaneSpec", "RunResult", "SimulationRunner", "build_follower",
+           "lane_spec", "run_scenario"]
 
 _DIVERGENCE_CTE = 30.0  # meters; beyond this the run is flagged diverged
 
@@ -62,6 +63,29 @@ class RunResult:
     scenario: Scenario
     controller_name: str
     attack_label: str
+
+
+@dataclass(slots=True)
+class LaneSpec:
+    """One closed-loop run, fully described: the inputs
+    :class:`SimulationRunner` takes.
+
+    The same spec runs on the serial oracle (:meth:`run`) or as one lane
+    of :func:`~repro.sim.batch.run_batch`, bit-identically.  Build it
+    with :func:`lane_spec`; each spec owns its follower and campaigns
+    (they carry per-run state), so never share them between specs.
+    """
+
+    scenario: Scenario
+    follower: object
+    campaign: "AttackCampaign | None" = None
+    ekf_config: EkfConfig | None = None
+    faults: "FaultCampaign | None" = None
+
+    def run(self) -> RunResult:
+        """Simulate this spec on the serial engine."""
+        return SimulationRunner(self.scenario, self.follower, self.campaign,
+                                self.ekf_config, faults=self.faults).run()
 
 
 class SimulationRunner:
@@ -364,6 +388,54 @@ class SimulationRunner:
         return None
 
 
+def build_follower(
+    scenario: Scenario,
+    controller: str = "pure_pursuit",
+    *,
+    profile: SpeedProfile | None = None,
+    defect=None,
+    supervised: bool = False,
+    supervisor_config: SupervisorConfig | None = None,
+) -> "WaypointFollower | SupervisedController":
+    """The follower every run site uses: the named lateral controller
+    (wrapped in a :class:`~repro.control.defects.DefectiveController` when
+    ``defect`` is given), the scenario's cruise profile unless ``profile``
+    overrides it, ACC iff the scenario has a lead vehicle, and the
+    graceful-degradation supervisor when ``supervised`` (or a
+    ``supervisor_config``) is asked for."""
+    lateral = make_lateral_controller(controller)
+    if defect is not None:
+        from repro.control.defects import DefectiveController
+        lateral = DefectiveController(lateral, defect)
+    if profile is None:
+        profile = SpeedProfile(cruise_speed=scenario.cruise_speed)
+    follower: WaypointFollower | SupervisedController = WaypointFollower(
+        lateral,
+        profile=profile,
+        acc=AccController() if scenario.lead is not None else None,
+    )
+    if supervised or supervisor_config is not None:
+        follower = SupervisedController(follower, config=supervisor_config)
+    return follower
+
+
+def lane_spec(
+    scenario: Scenario,
+    controller: str = "pure_pursuit",
+    *,
+    campaign: "AttackCampaign | None" = None,
+    faults: "FaultCampaign | None" = None,
+    ekf_config: EkfConfig | None = None,
+    **follower_options,
+) -> LaneSpec:
+    """The one run description builder: a :class:`LaneSpec` with a fresh
+    :func:`build_follower` (``follower_options`` are its keywords)."""
+    return LaneSpec(
+        scenario=scenario,
+        follower=build_follower(scenario, controller, **follower_options),
+        campaign=campaign, ekf_config=ekf_config, faults=faults)
+
+
 def run_scenario(
     scenario: Scenario,
     controller: str = "pure_pursuit",
@@ -392,14 +464,7 @@ def run_scenario(
         supervisor_config: watchdog/degradation policy override (implies
             ``supervised``).
     """
-    if profile is None:
-        profile = SpeedProfile(cruise_speed=scenario.cruise_speed)
-    follower: WaypointFollower | SupervisedController = WaypointFollower(
-        make_lateral_controller(controller),
-        profile=profile,
-        acc=AccController() if scenario.lead is not None else None,
-    )
-    if supervised or supervisor_config is not None:
-        follower = SupervisedController(follower, config=supervisor_config)
-    return SimulationRunner(scenario, follower, campaign, ekf_config,
-                            faults=faults).run()
+    return lane_spec(scenario, controller, campaign=campaign, faults=faults,
+                     ekf_config=ekf_config, profile=profile,
+                     supervised=supervised,
+                     supervisor_config=supervisor_config).run()

@@ -1,0 +1,84 @@
+"""Numeric ``ADASSURE_*`` knobs: one parser, loud on malformed values.
+
+Every knob resolves through :func:`repro.config.env_number`; a value that
+does not parse raises a ``ValueError`` naming the variable and the value
+instead of silently running with the default.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.config import env_number
+
+
+def _memo_limit():
+    from repro.experiments.runner import _memo_limit
+    return _memo_limit()
+
+
+def _batch_lanes():
+    from repro.experiments.backend import batch_lanes
+    return batch_lanes()
+
+
+def _point_retries():
+    from repro.experiments.runner import _point_retries
+    return _point_retries(None)
+
+
+def _retry_cap():
+    from repro.experiments.backend import retry_cap
+    return retry_cap()
+
+
+def _dist_workers():
+    from repro.experiments.runner import resolve_dist_workers
+    return resolve_dist_workers()
+
+
+def _dist_timeout():
+    from repro.experiments.distributed import _dist_timeout
+    return _dist_timeout()
+
+
+def _shard_points():
+    from repro.experiments.distributed import resolve_shard_points
+    return resolve_shard_points(100, 4)
+
+
+def _lease_ttl():
+    from repro.locking import default_lease_ttl
+    return default_lease_ttl()
+
+
+KNOBS = [
+    ("ADASSURE_MEMO_LIMIT", "lots", _memo_limit),
+    ("ADASSURE_BATCH_LANES", "64x", _batch_lanes),
+    ("ADASSURE_POINT_RETRIES", "two", _point_retries),
+    ("ADASSURE_RETRY_CAP", "30s", _retry_cap),
+    ("ADASSURE_DIST_WORKERS", "2.5", _dist_workers),
+    ("ADASSURE_DIST_TIMEOUT", "forever", _dist_timeout),
+    ("ADASSURE_SHARD_POINTS", "1e3", _shard_points),
+    ("ADASSURE_LEASE_TTL", "1min", _lease_ttl),
+]
+
+
+@pytest.mark.parametrize("name, value, resolve", KNOBS,
+                         ids=[name for name, _, _ in KNOBS])
+def test_malformed_knob_raises_naming_variable_and_value(
+        monkeypatch, name, value, resolve):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(ValueError) as excinfo:
+        resolve()
+    assert name in str(excinfo.value)
+    assert repr(value) in str(excinfo.value)
+
+
+def test_unset_and_blank_mean_default(monkeypatch):
+    monkeypatch.delenv("ADASSURE_TEST_KNOB", raising=False)
+    assert env_number("ADASSURE_TEST_KNOB", 7) == 7
+    monkeypatch.setenv("ADASSURE_TEST_KNOB", "  ")
+    assert env_number("ADASSURE_TEST_KNOB", 2.5, float) == 2.5
+    monkeypatch.setenv("ADASSURE_TEST_KNOB", " 12 ")
+    assert env_number("ADASSURE_TEST_KNOB", 7) == 12

@@ -192,7 +192,8 @@ class TestRetryBackoff:
         monkeypatch.setenv("ADASSURE_RETRY_CAP", "7.5")
         assert retry_cap() == 7.5
         monkeypatch.setenv("ADASSURE_RETRY_CAP", "not-a-number")
-        assert retry_cap() == 30.0
+        with pytest.raises(ValueError, match="ADASSURE_RETRY_CAP"):
+            retry_cap()  # malformed fails loudly, never the default
 
     def test_base_tracks_runner_backoff(self, monkeypatch):
         # Tests zero the module backoff to skip sleeps; retry_delay must
@@ -204,10 +205,10 @@ class TestRetryBackoff:
 class TestResolvers:
     def test_resolve_executor(self, monkeypatch):
         monkeypatch.delenv("ADASSURE_EXECUTOR", raising=False)
-        assert runner.resolve_executor() == "auto"
+        assert runner.resolve_executor() == "serial"
         assert runner.resolve_executor("distributed") == "distributed"
-        monkeypatch.setenv("ADASSURE_EXECUTOR", "pool")
-        assert runner.resolve_executor() == "pool"
+        monkeypatch.setenv("ADASSURE_EXECUTOR", "distributed")
+        assert runner.resolve_executor() == "distributed"
         with pytest.raises(ValueError, match="unknown executor"):
             runner.resolve_executor("teleport")
 
@@ -247,7 +248,7 @@ class TestRunWorker:
     def test_worker_skips_already_committed_points(self, cache_dir):
         # A serial campaign (or a dead claimant) already committed
         # everything: the worker only writes done markers.
-        run_grid(workers=1, executor="serial", **GRID)
+        run_grid(executor="serial", **GRID)
         clear_cache()  # memo only; the disk commits stay
         spec = _spec(shard_points=2)
         report = run_worker(spec, worker_id="late", ttl=30.0)
@@ -321,7 +322,7 @@ class TestLeaseHealth:
 
 class TestDistributedRunGrid:
     def test_distributed_matches_serial_run(self, cache_dir, tmp_path_factory):
-        expected = run_grid(workers=1, executor="serial", **GRID)
+        expected = run_grid(executor="serial", **GRID)
         # A fresh cache directory: the fleet must re-execute everything.
         import os
         os.environ["ADASSURE_CACHE_DIR"] = str(
@@ -337,7 +338,6 @@ class TestDistributedRunGrid:
             assert got.diagnosis.top_k(1) == want.diagnosis.top_k(1)
         stats = STATS.last
         assert stats.executor == "distributed"
-        assert stats.pool_policy == "distributed"
         assert stats.shards_total == 4
         assert stats.dist_points + stats.executed == 4
         assert RunCache().stats()["entries"] == 4  # exactly once
@@ -346,7 +346,7 @@ class TestDistributedRunGrid:
         monkeypatch.setenv("ADASSURE_CACHE", "0")
         clear_cache()
         with pytest.warns(RuntimeWarning, match="shared result store"):
-            runs = run_grid(executor="distributed", workers=1, **GRID)
+            runs = run_grid(executor="distributed", **GRID)
         assert len(runs) == 4
         assert STATS.last.executor == "local"
         clear_cache()

@@ -24,7 +24,9 @@ import time
 
 import pytest
 
-from repro.experiments import runner
+from repro.core.checker import check_trace
+from repro.core.diagnosis import diagnose
+from repro.experiments import backend, runner
 from repro.experiments.cache import RunCache, cache_key
 from repro.experiments.distributed import (
     GridSpec,
@@ -39,7 +41,7 @@ GRID = dict(scenarios=("s_curve",), controllers=("pure_pursuit",),
             attacks=("none", "gps_bias"), seeds=(1, 7),
             onset=5.0, duration=6.0)
 
-_REAL_EXECUTE = runner._execute_point
+_REAL_SIMULATE = backend._simulate
 
 
 def _spec(shard_points):
@@ -68,7 +70,6 @@ def _spawn_worker(spec_path, cache_dir, worker_id, *, kill_after=None,
     env = os.environ.copy()
     env["ADASSURE_CACHE_DIR"] = str(cache_dir)
     env["ADASSURE_CACHE"] = "1"
-    env["ADASSURE_WORKERS"] = "1"
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -99,7 +100,7 @@ def serial_verdicts(tmp_path_factory):
     os.environ["ADASSURE_CACHE_DIR"] = str(ref_dir)
     clear_cache()
     try:
-        runs = run_grid(workers=1, executor="serial", **GRID)
+        runs = run_grid(executor="serial", **GRID)
         return _verdict_set(runs)
     finally:
         clear_cache()
@@ -112,7 +113,7 @@ def serial_verdicts(tmp_path_factory):
 def _resume_and_verify(cache_dir, serial_verdicts, n_points=4):
     """Load the campaign back (disk hits only) and check both invariants."""
     clear_cache()  # memo only — verdicts must come from the shared store
-    runs = run_grid(workers=1, executor="serial", **GRID)
+    runs = run_grid(executor="serial", **GRID)
     assert STATS.last.executed == 0, "resume re-executed committed points"
     assert _verdict_set(runs) == serial_verdicts
     assert RunCache().stats()["entries"] == n_points  # exactly once
@@ -185,23 +186,23 @@ class TestDuplicateClaimants:
         board = ShardBoard(RunCache(), spec)
         stolen = {"done": False}
 
-        def steal_mid_shard(point):
+        def steal_mid_shard(run):
             if not stolen["done"]:
                 stolen["done"] = True
                 # A duplicate claimant (force-broken lease / wild clock
                 # skew) overwrites the lease while we are mid-shard.
                 board.lease_path(0).write_text(json.dumps(
                     {"owner": "thief", "heartbeat": time.time()}))
-            return _REAL_EXECUTE(point)
+            return _REAL_SIMULATE(run)
 
-        monkeypatch.setattr(runner, "_execute_point", steal_mid_shard)
+        monkeypatch.setattr(backend, "_simulate", steal_mid_shard)
         report = run_worker(spec, worker_id="loser", ttl=30.0)
         assert report.lease_conflicts == 1  # loudly reported
         assert report.points_executed == 4  # the work still completed
         health = lease_health(RunCache())
         assert health["lease_conflicts"] >= 1  # durable event trail
 
-        monkeypatch.setattr(runner, "_execute_point", _REAL_EXECUTE)
+        monkeypatch.setattr(backend, "_simulate", _REAL_SIMULATE)
         _resume_and_verify(cache_dir, serial_verdicts)
 
     def test_double_execution_commits_identical_bytes(self, cache_dir):
@@ -211,11 +212,15 @@ class TestDuplicateClaimants:
         point = spec.points()[0]
         cache = RunCache()
         key = cache_key(*point, catalog=spec.catalog)
-        _, run_a, _ = runner._execute_point(point)
-        cache.store(key, run_a.result, run_a.report, run_a.diagnosis)
+
+        def execute_point():
+            result = runner.grid_spec(point).run()
+            report = check_trace(result.trace)
+            return result, report, diagnose(report)
+
+        cache.store(key, *execute_point())
         first = cache._trace_path(key).read_bytes()
-        _, run_b, _ = runner._execute_point(point)
-        cache.store(key, run_b.result, run_b.report, run_b.diagnosis)
+        cache.store(key, *execute_point())
         assert cache._trace_path(key).read_bytes() == first
         assert cache.stats()["entries"] == 1
 

@@ -153,9 +153,12 @@ class TestPlannerDoc:
     def test_api_surface_documented(self, doc):
         from repro.experiments import plan
 
-        for name in ("ProbePlan", "scenario_lane", "PlannedRun"):
+        for name in ("ProbePlan", "PlannedRun"):
             assert hasattr(plan, name), f"plan.{name} gone but documented"
             assert name in doc, f"{name} missing from docs/planner.md"
+        from repro.sim import engine
+        assert hasattr(engine, "lane_spec")
+        assert "lane_spec" in doc
         assert hasattr(plan.ProbePlan, "plan_scored")
         assert "plan_scored" in doc
 

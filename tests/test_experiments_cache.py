@@ -12,7 +12,6 @@ from repro.experiments.cache import (
 from repro.experiments.runner import (
     _MEMO,
     clear_cache,
-    resolve_workers,
     run_grid,
     run_scored,
     set_memo_limit,
@@ -141,36 +140,36 @@ class TestRunScored:
     """Off-grid runs (E10-E13 style) go through the same cache layers."""
 
     @staticmethod
-    def _simulate(seed=3):
+    def _spec(seed=3):
         from repro.attacks.campaign import standard_attack
-        from repro.sim.engine import run_scenario
+        from repro.sim.engine import lane_spec
         from repro.sim.scenario import standard_scenarios
 
         scenario = standard_scenarios(seed=seed, duration=12.0)["s_curve"]
-        return run_scenario(scenario, controller="pure_pursuit",
-                            campaign=standard_attack("gps_bias", onset=5.0))
+        return lane_spec(scenario, controller="pure_pursuit",
+                         campaign=standard_attack("gps_bias", onset=5.0))
 
     PARAMS = {"kind": "test", "scenario": "s_curve", "attack": "gps_bias",
               "seed": 3, "onset": 5.0, "duration": 12.0}
 
     def test_layers_and_identity(self, fresh_cache):
-        result, report = run_scored(self.PARAMS, self._simulate)
+        result, report = run_scored(self.PARAMS, self._spec)
         assert STATS.last.executed == 1
         # Second call: memo hit, no simulation.
-        again = run_scored(self.PARAMS, self._simulate)
+        again = run_scored(self.PARAMS, self._spec)
         assert STATS.last.memo_hits == 1
         assert again[1].fired_ids == report.fired_ids
         # Memo cleared: served from disk, still identical.
         clear_cache()
-        res2, rep2 = run_scored(self.PARAMS, self._simulate)
+        res2, rep2 = run_scored(self.PARAMS, self._spec)
         assert STATS.last.disk_hits == 1
         assert rep2.fired_ids == report.fired_ids
         assert res2.metrics == result.metrics
         assert res2.trace.records == result.trace.records
 
     def test_different_params_execute(self, fresh_cache):
-        run_scored(self.PARAMS, self._simulate)
-        run_scored(dict(self.PARAMS, seed=4), lambda: self._simulate(4))
+        run_scored(self.PARAMS, self._spec)
+        run_scored(dict(self.PARAMS, seed=4), lambda: self._spec(4))
         assert STATS.last.executed == 1
 
 
@@ -308,24 +307,6 @@ class TestMemoLru:
     def test_set_memo_limit_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             set_memo_limit(0)
-
-
-class TestWorkerResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("ADASSURE_WORKERS", "7")
-        assert resolve_workers(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("ADASSURE_WORKERS", "7")
-        assert resolve_workers(None) == 7
-
-    def test_default_is_at_least_one(self, monkeypatch):
-        monkeypatch.delenv("ADASSURE_WORKERS", raising=False)
-        assert resolve_workers(None) >= 1
-
-    def test_garbage_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("ADASSURE_WORKERS", "lots")
-        assert resolve_workers(None) >= 1
 
 
 class TestCacheCli:

@@ -82,5 +82,8 @@ class TestFileLease:
     def test_ttl_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ADASSURE_LEASE_TTL", "123.5")
         assert FileLease(tmp_path / "x.lease").ttl == 123.5
-        monkeypatch.setenv("ADASSURE_LEASE_TTL", "bogus")
+        monkeypatch.setenv("ADASSURE_LEASE_TTL", "-1")
         assert FileLease(tmp_path / "x.lease").ttl == DEFAULT_LEASE_TTL
+        monkeypatch.setenv("ADASSURE_LEASE_TTL", "bogus")
+        with pytest.raises(ValueError, match="ADASSURE_LEASE_TTL"):
+            FileLease(tmp_path / "x.lease")  # malformed fails loudly

@@ -176,8 +176,7 @@ class TestChooseSimEngine:
 def _plan_gps_sweep(plan, seeds, duration=8.0):
     """Declare a tiny straight-road gps_bias sweep on ``plan``."""
     from repro.attacks.campaign import standard_attack
-    from repro.experiments.plan import scenario_lane
-    from repro.sim.engine import run_scenario
+    from repro.sim.engine import lane_spec
     from repro.sim.scenario import standard_scenarios
 
     handles = {}
@@ -185,20 +184,16 @@ def _plan_gps_sweep(plan, seeds, duration=8.0):
         scenario = standard_scenarios(seed=seed,
                                       duration=duration)["straight"]
 
-        def campaign():
-            return standard_attack("gps_bias", onset=2.0)
-
-        def simulate(scenario=scenario, campaign=campaign):
-            return run_scenario(scenario, campaign=campaign())
+        def spec(scenario=scenario):
+            return lane_spec(scenario, campaign=standard_attack(
+                "gps_bias", onset=2.0))
 
         handles[seed] = plan.plan_scored(
             {"kind": "mitigation", "scenario": "straight",
              "controller": "pure_pursuit", "attack": "gps_bias",
              "seed": seed, "onset": 2.0, "duration": duration,
              "gate": None},
-            simulate,
-            lane=lambda scenario=scenario, campaign=campaign:
-            scenario_lane(scenario, campaign=campaign()),
+            spec,
         )
     return handles
 
@@ -263,7 +258,7 @@ class TestProbePlan:
 
     def test_lane_none_forces_serial(self, fresh_cache):
         from repro.experiments.plan import ProbePlan
-        from repro.sim.engine import run_scenario
+        from repro.sim.engine import lane_spec
         from repro.sim.scenario import standard_scenarios
         plan = ProbePlan(sim_engine="batch")
         for seed in (1, 2):
@@ -272,8 +267,8 @@ class TestProbePlan:
                 {"kind": "mitigation", "scenario": "straight",
                  "controller": "pure_pursuit", "attack": "none",
                  "seed": seed, "onset": 2.0, "duration": 8.0, "gate": None},
-                lambda scenario=scenario: run_scenario(scenario),
-                lane=None)
+                lambda scenario=scenario: lane_spec(scenario),
+                batch=False)
         stats = plan.drain()
         assert stats.executed == 2
         assert stats.plan_batched == 0

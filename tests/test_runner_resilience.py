@@ -1,60 +1,33 @@
 """Crash tolerance of the grid runner.
 
 The fault-tolerance contract of :func:`repro.experiments.runner.run_grid`:
-a poisoned worker, a hung point, a flaky point, or an interrupt must not
-cost a campaign more than the affected points — and never its
-correctness.  These tests sabotage ``runner._execute_point`` through
-monkeypatching; with the default ``fork`` start method on Linux the
-patched module state propagates into pool workers, so child-only
-behaviours are keyed on the parent PID captured at import time.
+a flaky point, a hopeless point, or an interrupt must not cost a
+campaign more than the affected points — and never its correctness.
+These tests sabotage the serial oracle, ``backend._simulate``, through
+monkeypatching; each stand-in sees the :class:`Run` and keys on its grid
+point, ``run.key``.
 """
 
 import json
-import os
 
 import pytest
 
-from repro.experiments import runner
+from repro.experiments import backend, runner
 from repro.experiments.runner import clear_cache, run_grid
 from repro.experiments.stats import STATS
-
-_PARENT = os.getpid()
-"""PID of the pytest process: sabotage keyed on it fires only in
-forked pool children, so the serial fallback (run in the parent)
-succeeds."""
 
 GRID = dict(scenarios=("s_curve",), controllers=("pure_pursuit",),
             attacks=("gps_bias", "odom_scale"), seeds=(1, 7),
             onset=5.0, duration=12.0)
 
-_REAL_EXECUTE = runner._execute_point
-
-
-# The sabotage stand-ins are module-level so the pool can pickle them by
-# reference (a monkeypatched ``runner._execute_point`` is sent to workers
-# by qualified name; forked children already hold this module).
-
-def _poison_odom_scale(point):
-    """Kills the *worker process* on odom_scale points — children only,
-    so the parent's serial fallback still succeeds."""
-    if os.getpid() != _PARENT and point[2] == "odom_scale":
-        os._exit(13)
-    return _REAL_EXECUTE(point)
-
-
-def _hang_first_gps_bias(point):
-    """Wedges the worker on the (gps_bias, seed 1) point — children only."""
-    if os.getpid() != _PARENT and point[2] == "gps_bias" and point[4] == 1:
-        import time
-        time.sleep(8.0)
-    return _REAL_EXECUTE(point)
+_REAL_SIMULATE = backend._simulate
 
 
 @pytest.fixture(autouse=True)
 def serial_engine(monkeypatch):
     """Pin the serial engine: every test here sabotages
-    ``runner._execute_point``, which the auto-selected batch prepass
-    would legitimately bypass."""
+    ``backend._simulate``, which the auto-selected batch engine would
+    legitimately bypass."""
     monkeypatch.setenv("ADASSURE_SIM", "serial")
 
 
@@ -74,54 +47,33 @@ def _same_runs(a, b):
         assert ra.report.fired_ids == rb.report.fired_ids
 
 
-class TestPoolCollapse:
-    def test_poisoned_worker_degrades_to_serial(self, no_cache,
-                                                monkeypatch):
-        expected = run_grid(workers=1, **GRID)
-        clear_cache()
-        monkeypatch.setattr(runner, "_execute_point", _poison_odom_scale)
-        survived = run_grid(workers=2, **GRID)
-        assert STATS.last.pool_failures >= 1
-        assert STATS.last.quarantined == []
-        _same_runs(survived, expected)
-
-    def test_hung_point_times_out_and_reruns_serially(self, no_cache,
-                                                      monkeypatch):
-        expected = run_grid(workers=1, **GRID)
-        clear_cache()
-        monkeypatch.setattr(runner, "_execute_point", _hang_first_gps_bias)
-        survived = run_grid(workers=2, point_timeout=3.0, **GRID)
-        assert STATS.last.timeouts >= 1
-        _same_runs(survived, expected)
-
-
 class TestRetryAndQuarantine:
     def test_flaky_point_succeeds_after_retries(self, no_cache,
                                                 monkeypatch):
         attempts = {"n": 0}
 
-        def flaky(point):
-            if point[2] == "gps_bias" and point[4] == 1:
+        def flaky(run):
+            if run.key[2] == "gps_bias" and run.key[4] == 1:
                 attempts["n"] += 1
                 if attempts["n"] <= 2:
                     raise OSError("transient")
-            return _REAL_EXECUTE(point)
+            return _REAL_SIMULATE(run)
 
-        monkeypatch.setattr(runner, "_execute_point", flaky)
-        runs = run_grid(workers=1, retries=2, **GRID)
+        monkeypatch.setattr(backend, "_simulate", flaky)
+        runs = run_grid(retries=2, **GRID)
         assert len(runs) == 4
         assert STATS.last.retries == 2
         assert STATS.last.quarantined == []
 
     def test_hopeless_point_is_quarantined_not_fatal(self, no_cache,
                                                      monkeypatch):
-        def hopeless(point):
-            if point[2] == "odom_scale":
+        def hopeless(run):
+            if run.key[2] == "odom_scale":
                 raise RuntimeError("sick point")
-            return _REAL_EXECUTE(point)
+            return _REAL_SIMULATE(run)
 
-        monkeypatch.setattr(runner, "_execute_point", hopeless)
-        runs = run_grid(workers=1, retries=1, **GRID)
+        monkeypatch.setattr(backend, "_simulate", hopeless)
+        runs = run_grid(retries=1, **GRID)
         assert len(runs) == 2  # both odom_scale points dropped
         assert all(r.attack == "gps_bias" for r in runs)
         quarantined = STATS.last.quarantined
@@ -132,11 +84,11 @@ class TestRetryAndQuarantine:
         assert "RuntimeError" in rendered
 
     def test_stats_json_reports_quarantine(self, no_cache, monkeypatch):
-        def hopeless(point):
+        def hopeless(run):
             raise RuntimeError("sick point")
 
-        monkeypatch.setattr(runner, "_execute_point", hopeless)
-        runs = run_grid(workers=1, retries=0, **GRID)
+        monkeypatch.setattr(backend, "_simulate", hopeless)
+        runs = run_grid(retries=0, **GRID)
         assert runs == []
         payload = STATS.last.as_dict()
         assert len(payload["quarantined"]) == 4
@@ -153,15 +105,15 @@ class TestCheckpointResume:
         done_before_interrupt = 2
         calls = {"n": 0}
 
-        def interrupted(point):
+        def interrupted(run):
             if calls["n"] >= done_before_interrupt:
                 raise KeyboardInterrupt
             calls["n"] += 1
-            return _REAL_EXECUTE(point)
+            return _REAL_SIMULATE(run)
 
-        monkeypatch.setattr(runner, "_execute_point", interrupted)
+        monkeypatch.setattr(backend, "_simulate", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            run_grid(workers=1, **GRID)
+            run_grid(**GRID)
 
         # The two completed points were checkpointed incrementally.
         manifests = list(tmp_path.rglob("checkpoints/*.json"))
@@ -171,9 +123,9 @@ class TestCheckpointResume:
         assert ledger["total"] == 4
 
         # Resume: only the missing half executes, the rest are disk hits.
-        monkeypatch.setattr(runner, "_execute_point", _REAL_EXECUTE)
+        monkeypatch.setattr(backend, "_simulate", _REAL_SIMULATE)
         clear_cache()  # drop the memo; force the disk/checkpoint path
-        runs = run_grid(workers=1, **GRID)
+        runs = run_grid(**GRID)
         assert len(runs) == 4
         assert STATS.last.executed == 4 - done_before_interrupt
         assert STATS.last.disk_hits == done_before_interrupt
@@ -209,7 +161,7 @@ class TestCheckpointResume:
 
         monkeypatch.setattr(CheckpointManifest, "complete", dying_complete)
         with pytest.raises(KeyboardInterrupt):
-            run_grid(workers=1, **GRID)
+            run_grid(**GRID)
 
         # Three commits landed (two ledgered, one in the crash window).
         assert RunCache().stats()["entries"] == 3
@@ -220,7 +172,7 @@ class TestCheckpointResume:
         # Resume: the unledgered commit is a disk hit, not a re-run.
         monkeypatch.setattr(CheckpointManifest, "complete", real_complete)
         clear_cache()
-        runs = run_grid(workers=1, **GRID)
+        runs = run_grid(**GRID)
         assert len(runs) == 4
         assert STATS.last.executed == 1      # only the truly missing point
         assert STATS.last.disk_hits == 3     # no point lost...
@@ -234,9 +186,9 @@ class TestCheckpointResume:
         monkeypatch.setenv("ADASSURE_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("ADASSURE_CACHE", raising=False)
         clear_cache()
-        run_grid(workers=1, **GRID)
+        run_grid(**GRID)
         # A different grid must get its own ledger, not resume this one.
-        run_grid(workers=1, **{**GRID, "seeds": (1,)})
+        run_grid(**{**GRID, "seeds": (1,)})
         manifests = list(tmp_path.rglob("checkpoints/*.json"))
         assert len(manifests) == 2
         totals = sorted(json.loads(m.read_text())["total"]
@@ -307,7 +259,7 @@ class TestManifestLease:
         holder.flush()  # materialize the (empty) ledger on disk
 
         with pytest.warns(RuntimeWarning, match="held by another"):
-            runs = run_grid(workers=1, **GRID)
+            runs = run_grid(**GRID)
         assert len(runs) == 4  # the campaign itself still completed
         assert STATS.last.lease_conflicts == 1
 

@@ -319,9 +319,9 @@ class TestGridRunnerEquivalence:
             attacks=("none", "gps_bias"), seeds=(1, 7), duration=8.0,
         )
         clear_cache(disk=True)
-        serial = run_grid(workers=1, sim_engine="serial", **grid)
+        serial = run_grid(sim_engine="serial", **grid)
         clear_cache(disk=True)
-        batch = run_grid(workers=1, sim_engine="batch", **grid)
+        batch = run_grid(sim_engine="batch", **grid)
         assert len(serial) == len(batch) == 8
         for a, b in zip(serial, batch):
             assert (a.scenario, a.controller, a.attack, a.seed) == \
@@ -339,7 +339,7 @@ class TestGridRunnerEquivalence:
         clear_cache(disk=True)
         run_grid(scenarios=("straight",), controllers=("pure_pursuit",),
                  attacks=("none", "gps_bias"), seeds=(1, 2), duration=8.0,
-                 workers=1, sim_engine="batch")
+                 sim_engine="batch")
         stats = STATS.last
         assert stats.sim_engine == "batch"
         assert stats.batch_groups == 1
@@ -362,34 +362,10 @@ class TestGridRunnerEquivalence:
         runs = runner_mod.run_grid(
             scenarios=("straight",), controllers=("pure_pursuit",),
             attacks=("none", "gps_bias"), seeds=(1,), duration=8.0,
-            workers=1, sim_engine="batch")
+            sim_engine="batch")
         assert len(runs) == 2
         assert STATS.last.batch_fallbacks == 1
         assert STATS.last.batch_points == 0
-
-    def test_single_core_auto_serial(self, tmp_path, monkeypatch):
-        # With an env-provided worker count on a 1-core host, the pool
-        # is a measured regression — the runner must choose serial and
-        # say so in the stats.  An explicit argument still wins.
-        import repro.experiments.runner as runner_mod
-        from repro.experiments.stats import STATS
-        monkeypatch.setenv("ADASSURE_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("ADASSURE_WORKERS", "4")
-        # Pin serial: the auto-batch prepass would consume both points
-        # before the pool-vs-serial decision this test is about.
-        monkeypatch.setenv("ADASSURE_SIM", "serial")
-        monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 1)
-
-        grid = dict(scenarios=("straight",), controllers=("pure_pursuit",),
-                    attacks=("none", "gps_bias"), seeds=(1,), duration=8.0)
-        runner_mod.clear_cache(disk=True)
-        runner_mod.run_grid(**grid)
-        assert STATS.last.pool_policy == "serial-single-core"
-        assert STATS.last.workers == 1
-
-        runner_mod.clear_cache(disk=True)
-        runner_mod.run_grid(workers=2, **grid)
-        assert STATS.last.pool_policy == "pool"
 
     def test_resolve_sim_engine(self, monkeypatch):
         from repro.experiments.runner import resolve_sim_engine
