@@ -58,10 +58,6 @@ class PlannedRun(Run):
 
     plan: "ProbePlan | None" = None
 
-    @property
-    def params(self) -> dict:
-        return self.key
-
     def result(self) -> tuple[RunResult, CheckReport]:
         if not self.done:
             self.plan.drain()
