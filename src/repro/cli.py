@@ -469,9 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also export each table as CSV + Markdown")
     p_exp.add_argument("--sim-engine", choices=("serial", "batch"),
                        default=None,
-                       help="simulation engine for uncached grid points "
+                       help="simulation engine for uncached runs "
                             "(default: $ADASSURE_SIM, else auto — batch "
-                            "when >=2 points are pending and NumPy "
+                            "when >=2 runs are pending and NumPy "
                             "imports; 'batch' steps compatible points in "
                             "lockstep as NumPy arrays, bit-identical "
                             "results)")
