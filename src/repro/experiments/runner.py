@@ -331,6 +331,7 @@ def run_grid(
     """
     wall_start = time.perf_counter()
     stats = GridStats()
+    mode = resolve_executor(executor)
 
     grid = build_grid(scenarios, controllers, attacks, seeds,
                       intensity=intensity, onset=onset, duration=duration)
@@ -354,7 +355,6 @@ def run_grid(
     # One run per unique point; `runs` pins this grid's results so LRU
     # eviction mid-call is safe.
     runs = [grid_run(point) for point in dict.fromkeys(grid)]
-    mode = resolve_executor(executor)
     if mode == "distributed" and cache is None:
         warnings.warn(
             "the distributed executor needs the disk cache as its "
@@ -362,16 +362,16 @@ def run_grid(
             "falling back to this process",
             RuntimeWarning, stacklevel=2)
         mode = "serial"
-    fleet = None
-    if mode == "distributed":
-        # Workers resolve their engine from the shipped name (serial
-        # unless asked); auto-selection stays a local concern.
-        from repro.experiments.distributed import DistributedExecutor
-        fleet = DistributedExecutor(
-            grid, store, resolve_dist_workers(dist_workers), stats,
-            shard_points=shard_points,
-            sim_engine=resolve_sim_engine(sim_engine)).execute
     try:
+        fleet = None
+        if mode == "distributed":
+            # Workers resolve their engine from the shipped name (serial
+            # unless asked); auto-selection stays a local concern.
+            from repro.experiments.distributed import DistributedExecutor
+            fleet = DistributedExecutor(
+                grid, store, resolve_dist_workers(dist_workers), stats,
+                shard_points=shard_points,
+                sim_engine=resolve_sim_engine(sim_engine)).execute
         failed = execute(runs, store, stats, engine=sim_engine,
                          retries=_point_retries(retries), fleet=fleet,
                          run_batch=run_batch)
