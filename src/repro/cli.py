@@ -28,7 +28,8 @@ Commands:
   a catalog spec.
 * ``faults`` — list the benign fault classes (``adassure faults list``).
 * ``serve`` — run the streaming trace-ingest server (fleet monitoring:
-  TCP endpoint, worker shards, crash-safe session checkpoints).
+  TCP endpoint, live per-session monitors that also give the verdict,
+  crash-safe session checkpoints).
 * ``stream`` — stream a saved trace into a running server and print the
   verdict; ``--status`` asks the server for its fleet aggregates.
 * ``list`` — show available scenarios, controllers, attacks, faults,
@@ -337,8 +338,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.store import LeaseConflict
 
     config = ServerConfig(
-        host=args.host, port=args.port, shards=args.shards,
-        store_dir=args.store_dir,
+        host=args.host, port=args.port, store_dir=args.store_dir,
         idle_timeout_s=args.idle_timeout,
         max_inflight_bytes=args.max_inflight_mb << 20,
     )
@@ -354,7 +354,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
         checkpointed = server.store.session_ids()
         print(f"listening on {config.host}:{server.port}  "
-              f"(shards={config.shards}, store={server.store.root}, "
+              f"(store={server.store.root}, "
               f"{len(checkpointed)} resumable session(s))")
         try:
             await server.serve_forever()
@@ -587,13 +587,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.set_defaults(func=_cmd_faults)
 
     p_serve = sub.add_parser(
-        "serve", help="run the streaming trace-ingest server")
+        "serve", help="run the streaming trace-ingest server",
+        description="Run the streaming trace-ingest server.  Each session's "
+                    "monitor checks records as their chunks arrive, pushes "
+                    "violations on ACKs, and gives the session's verdict at "
+                    "FINISH; everything runs in this one process.")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8790,
                          help="TCP port (0 = ephemeral; default 8790)")
-    p_serve.add_argument("--shards", type=int, default=2,
-                         help="worker-process shards for verdict scoring "
-                              "(0 = score inline; default 2)")
     p_serve.add_argument("--store-dir", default=None, metavar="DIR",
                          help="session checkpoint directory (default: "
                               "$ADASSURE_SERVICE_DIR or the cache root)")

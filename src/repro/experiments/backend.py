@@ -491,6 +491,7 @@ def execute(runs: list[Run], store: ResultStore, stats, *,
     from repro.sim.batch.engine import batch_counters
 
     run_batch = run_batch or batch_engine.run_batch
+    executed0 = stats.executed
     misses: list[Run] = []
     for run in runs:
         hit = store.resolve(run.key)
@@ -568,6 +569,9 @@ def execute(runs: list[Run], store: ResultStore, stats, *,
         result = _run_serial(run, store, stats, retries)
         if result is not None:
             finish(run, result)
+    if stats.executed > executed0:
+        used = "batch" if batch else "serial"
+        stats.engine_executes[used] = stats.engine_executes.get(used, 0) + 1
     if store.cache is not None:
         stats.disk_errors = store.cache.counters.errors
     return [run for run in runs if run.error is not None]

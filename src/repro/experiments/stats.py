@@ -43,7 +43,9 @@ class GridStats:
     quarantined: list = field(default_factory=list)
     """Points that kept failing after every retry: ``(point, error)``."""
     sim_engine: str = "serial"
-    """Simulation engine the uncached points went through."""
+    """Simulation engine the uncached points went through (in a merged
+    total: the one engine every simulating execute used, or
+    ``"mixed"``)."""
     batch_groups: int = 0
     """Compatible groups stepped in lockstep by the batch engine."""
     batch_points: int = 0
@@ -51,7 +53,10 @@ class GridStats:
     batch_fallbacks: int = 0
     """Groups the batch engine rejected back to the serial oracle."""
     sim_engine_reason: str = ""
-    """Why that engine was chosen: explicit, env, or the auto heuristic."""
+    """Why that engine was chosen: explicit, env, or the auto heuristic
+    (in a merged total: only when a single execute simulated)."""
+    engine_executes: dict = field(default_factory=dict)
+    """Executes that simulated anything, per engine they used."""
     planned: int = 0
     """Off-grid runs declared to a :class:`~repro.experiments.plan.ProbePlan`."""
     plan_batched: int = 0
@@ -123,13 +128,17 @@ class GridStats:
         self.disk_errors += other.disk_errors
         self.retries += other.retries
         self.quarantined.extend(other.quarantined)
-        if other.sim_engine != "serial":
-            self.sim_engine = other.sim_engine
+        if other.engine_executes:
+            for engine, n in other.engine_executes.items():
+                self.engine_executes[engine] = (
+                    self.engine_executes.get(engine, 0) + n)
+            engines = list(self.engine_executes)
+            self.sim_engine = engines[0] if len(engines) == 1 else "mixed"
+            single = sum(self.engine_executes.values()) == 1
+            self.sim_engine_reason = other.sim_engine_reason if single else ""
         self.batch_groups += other.batch_groups
         self.batch_points += other.batch_points
         self.batch_fallbacks += other.batch_fallbacks
-        if other.sim_engine_reason:
-            self.sim_engine_reason = other.sim_engine_reason
         self.planned += other.planned
         self.plan_batched += other.plan_batched
         self.plan_fallbacks += other.plan_fallbacks
@@ -170,6 +179,7 @@ class GridStats:
             "batch_points": self.batch_points,
             "batch_fallbacks": self.batch_fallbacks,
             "sim_engine_reason": self.sim_engine_reason,
+            "engine_executes": dict(self.engine_executes),
             "planned": self.planned,
             "plan_batched": self.plan_batched,
             "plan_fallbacks": self.plan_fallbacks,
@@ -200,9 +210,7 @@ class GridStats:
             f"(executed {self.executed}, memo hits {self.memo_hits}, "
             f"disk hits {self.disk_hits}, disk errors {self.disk_errors})",
             f"cache hit   : {100.0 * self.cache_hit_rate:.1f}%",
-            f"engine      : {self.sim_engine}"
-            + (f"  ({self.sim_engine_reason})" if self.sim_engine_reason
-               else ""),
+            f"engine      : {self._engine_summary()}",
             f"wall time   : {self.wall_time:.2f}s  "
             f"(busy {self.busy_time:.2f}s)",
         ]
@@ -253,6 +261,17 @@ class GridStats:
             for point, error in self.quarantined:
                 lines.append(f"  {point}: {error}")
         return "\n".join(lines)
+
+    def _engine_summary(self) -> str:
+        """The engine line: the one simulating execute's engine and why,
+        else executes per engine."""
+        counts = self.engine_executes
+        if not counts:
+            return "none  (no execute had misses to simulate)"
+        if sum(counts.values()) == 1 and self.sim_engine_reason:
+            return f"{self.sim_engine}  ({self.sim_engine_reason})"
+        return ", ".join(f"{engine} in {n} execute(s)"
+                         for engine, n in sorted(counts.items()))
 
 
 class StatsCollector:

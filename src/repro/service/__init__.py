@@ -5,8 +5,8 @@ runs in-process; this package runs it as a *service*.  Vehicles — real or
 simulated — stream length-prefixed binary trace chunks over TCP into
 per-session incremental monitors; the server applies bounded-queue
 backpressure, checkpoints sessions so disconnected clients resume
-mid-trace with exactly-once verdict semantics, fans verdict scoring
-across a shard of worker processes (and survives a shard dying), and
+mid-trace with exactly-once verdict semantics, finishes each session's
+verdict from its live monitor (no second, offline check), and
 aggregates fleet-level statistics: per-cause violation rates and
 detection-latency percentiles.
 
@@ -16,20 +16,20 @@ Layers:
 * :mod:`repro.service.session`  — one vehicle's incremental monitor state;
 * :mod:`repro.service.store`    — crash-safe session checkpoints (lease-
   guarded, reusing the campaign manifest machinery);
-* :mod:`repro.service.shards`   — the worker-process pool verdicts are
-  scored on, with dead-shard reassignment;
+* :mod:`repro.service.shards`   — the verdict step: finish a session's
+  monitor and diagnose;
 * :mod:`repro.service.aggregates` — fleet-level rates and percentiles;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the asyncio
   endpoints behind ``adassure serve`` and ``adassure stream``;
-* :mod:`repro.service.loadgen`  — the sessions/sec + p99-latency load
-  benchmark (``BENCH_service.json``).
+* :mod:`repro.service.loadgen`  — fleet traces off the experiment grid,
+  and a sessions/sec + p99-latency load driver.
 
 The robustness contract (enforced by ``tests/test_service_chaos.py``):
 for every injected failure — client disconnect mid-frame, torn or
-duplicated frames, stalled clients hitting backpressure, a killed worker
-shard — the server stays up and every completed session's verdict is
-byte-identical to offline :func:`repro.core.checker.check_trace` on the
-same trace.
+duplicated frames, stalled clients hitting backpressure, failed
+checkpoint saves — the server stays up and every completed session's
+verdict is dict-equal to offline :func:`score_trace_bytes` (plain
+:func:`repro.core.checker.check_trace`) on the same trace.
 """
 
 from repro.service.aggregates import FleetAggregates

@@ -4,15 +4,14 @@ Traces come from the real experiment pipeline (:func:`run_grid` over a
 small attack grid), not synthetic noise, so the server ingests the same
 violation-dense data the paper's experiments produce — and so the
 simulation provenance (``sim_engine``, ``executor``) lands in the
-``--stats`` output and ultimately in ``BENCH_service.json``: a benchmark
-number without the engine that produced its inputs is not reproducible.
+``--stats`` output: a load number without the engine that produced its
+inputs is not reproducible.  The repo's benchmark (``perfbench``, the
+``serve`` workload) streams :func:`generate_fleet_traces` at an
+``adassure serve`` child.
 
 Run standalone::
 
     python -m repro.service.loadgen --sessions 32 --stats
-
-or import :func:`run_load` from a benchmark harness
-(``benchmarks/bench_service.py`` builds ``BENCH_service.json`` on it).
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ async def _drive_session(host: str, port: int, index: int, trace: Trace,
 
 
 async def run_load(n_sessions: int = 32, *, chunk_records: int = 64,
-                   shards: int = 2, duration: float = 20.0,
+                   duration: float = 20.0,
                    sim_engine: str | None = None,
                    store_dir: str | None = None,
                    host: str | None = None,
@@ -91,8 +90,8 @@ async def run_load(n_sessions: int = 32, *, chunk_records: int = 64,
     """Stream ``n_sessions`` concurrent sessions; returns the metrics dict.
 
     With no ``host``/``port``, an in-process server is started on an
-    ephemeral port (the benchmark mode: one process, loopback TCP, real
-    shards).  Point it at a live server to load-test across machines.
+    ephemeral port (one process, loopback TCP).  Point it at a live
+    server to load-test across machines.
     """
     traces, provenance = generate_fleet_traces(
         n_sessions, duration=duration, sim_engine=sim_engine)
@@ -102,8 +101,7 @@ async def run_load(n_sessions: int = 32, *, chunk_records: int = 64,
 
     server: TraceIngestServer | None = None
     if host is None or port is None:
-        server = TraceIngestServer(ServerConfig(
-            shards=shards, store_dir=store_dir))
+        server = TraceIngestServer(ServerConfig(store_dir=store_dir))
         await server.start()
         host, port = server.config.host, server.port
     try:
@@ -134,7 +132,6 @@ async def run_load(n_sessions: int = 32, *, chunk_records: int = 64,
         },
         "violation_rate": fleet["violation_rate"],
         "busy_retries": sum(r["busy_retries"] for r in results),
-        "shards": status["shards"],
         "trace_provenance": provenance,
     }
 
@@ -145,7 +142,6 @@ def main(argv: list[str] | None = None) -> int:
         description="Stream a synthetic fleet at the trace-ingest server.")
     parser.add_argument("--sessions", type=int, default=32)
     parser.add_argument("--chunk-records", type=int, default=64)
-    parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--duration", type=float, default=20.0,
                         help="simulated seconds per trace (default 20)")
     parser.add_argument("--sim-engine", default=None,
@@ -162,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
 
     metrics = asyncio.run(run_load(
         args.sessions, chunk_records=args.chunk_records,
-        shards=args.shards, duration=args.duration,
+        duration=args.duration,
         sim_engine=args.sim_engine, host=args.host, port=args.port))
     if args.stats:
         print(json.dumps(metrics, indent=2))

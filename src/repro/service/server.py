@@ -2,10 +2,12 @@
 
 One connection serves one streaming session (plus stateless STATUS
 queries).  The handler is a small frame loop; everything stateful lives
-in :class:`~repro.service.session.SessionState` (exactly-once cursor),
-:class:`~repro.service.store.SessionStore` (crash-safe checkpoints) and
-:class:`~repro.service.shards.ShardPool` (verdict scoring off the event
-loop).  The loop's job is to keep the failure matrix honest:
+in :class:`~repro.service.session.SessionState` (exactly-once cursor
+and the live monitor the verdict is finished from, by
+:class:`~repro.service.shards.ShardPool`) and
+:class:`~repro.service.store.SessionStore` (crash-safe checkpoints).
+Everything runs in this one process.  The loop's job is to keep the
+failure matrix honest:
 
 ===================  ====================================================
 failure              behavior
@@ -18,7 +20,6 @@ stalled client       idle timeout -> suspend, close (no slot held)
 overload             BUSY with ``retry_after_s``; the chunk is **not**
                      applied and client credit is never buffered
                      unboundedly
-shard death          invisible: re-dispatch inside :class:`ShardPool`
 server kill -9       next server resumes every session from its
                      checkpoint; finished sessions re-deliver their
                      **stored** verdict (never recomputed)
@@ -33,7 +34,7 @@ malformed ``meta``   non-fatal ERROR, no session opened, counted in
 Backpressure is a single global credit: bytes of chunk payloads accepted
 but not yet applied-and-checkpointed.  A chunk that would exceed
 ``max_inflight_bytes`` is refused with BUSY before any buffering
-happens, so a stalled shard or a flood of concurrent streams degrades
+happens, so a slow disk or a flood of concurrent streams degrades
 into polite retry-after, not memory growth.
 """
 
@@ -45,7 +46,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.monitor import OnlineMonitor
 from repro.service.aggregates import FleetAggregates
 from repro.service.protocol import (
     FrameTruncated,
@@ -106,8 +106,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0
     """0 = ephemeral; read the bound port off ``server.port`` after start."""
-    shards: int = 2
-    """Worker-process shards for verdict scoring (0 = inline)."""
     store_dir: str | Path | None = None
     """Checkpoint directory (default: the shared cache root)."""
     max_inflight_bytes: int = 32 << 20
@@ -117,9 +115,6 @@ class ServerConfig:
     """Hint sent with BUSY frames."""
     idle_timeout_s: float = 30.0
     """A connection silent this long is a stalled client: suspend+close."""
-    live_monitor: bool = True
-    """Feed an incremental monitor and push violations on ACKs; the
-    final verdict never depends on this."""
     chunk_delay_s: float = 0.0
     """Artificial per-chunk apply delay — a test knob that makes ingest
     slow enough for the chaos suite to drive the server into BUSY."""
@@ -131,7 +126,7 @@ class TraceIngestServer:
     def __init__(self, config: ServerConfig | None = None):
         self.config = config or ServerConfig()
         self.store = SessionStore(self.config.store_dir)
-        self.shards = ShardPool(self.config.shards)
+        self.scorer = ShardPool()
         self.monitors = MonitorPool()
         self.aggregates = FleetAggregates()
         self.sessions: dict[str, SessionState] = {}
@@ -180,12 +175,11 @@ class TraceIngestServer:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         # Checkpoint whatever is still live so a restart resumes it; a
-        # failed save must not keep the shards or the lease alive.
+        # failed save must not keep the lease alive.
         try:
             for session in list(self.sessions.values()):
                 self._suspend(session)
         finally:
-            self.shards.shutdown()
             self.store.release()
 
     async def __aenter__(self) -> "TraceIngestServer":
@@ -283,9 +277,8 @@ class TraceIngestServer:
         meta = await self._meta(writer, header)
         if meta is None:
             return None
-        session = SessionState(
-            session_id, meta,
-            monitor=self._acquire_monitor())
+        session = SessionState(session_id, meta,
+                               monitor=self.monitors.acquire())
         self.sessions[session_id] = session
         await self._send(writer, FrameType.WELCOME,
                          {"session_id": session_id, "next_seq": 0})
@@ -327,7 +320,7 @@ class TraceIngestServer:
             if meta is None:
                 return None
             session = SessionState(session_id, meta,
-                                   monitor=self._acquire_monitor())
+                                   monitor=self.monitors.acquire())
             self.sessions[session_id] = session
             self.resumes += 1
             await self._send(writer, FrameType.RESUMED, {
@@ -345,7 +338,7 @@ class TraceIngestServer:
                 "verdict": checkpoint.verdict})
             return None
         session = SessionState(session_id, checkpoint.meta,
-                               monitor=self._acquire_monitor())
+                               monitor=self.monitors.acquire())
         session.replay(checkpoint.records, checkpoint.next_seq)
         self.sessions[session_id] = session
         self.resumes += 1
@@ -406,8 +399,7 @@ class TraceIngestServer:
                 "message": "FINISH on an empty session", "fatal": False})
             return session  # still live; keep it bound for suspend
         t0 = time.perf_counter()
-        trace_bytes = session.assemble_bytes()
-        verdict = await self.shards.score(session.session_id, trace_bytes)
+        verdict = await self.scorer.score(session)
         session.finished = True
         session.verdict = verdict
         # Persist BEFORE sending: if the VERDICT frame is lost to a
@@ -425,9 +417,6 @@ class TraceIngestServer:
         return None  # connection may HELLO/RESUME another session
 
     # -- session plumbing -------------------------------------------------
-    def _acquire_monitor(self) -> OnlineMonitor | None:
-        return self.monitors.acquire() if self.config.live_monitor else None
-
     def _release_monitor(self, session: SessionState) -> None:
         self.monitors.release(session.monitor)
         session.monitor = None
@@ -469,7 +458,6 @@ class TraceIngestServer:
     def status(self) -> dict:
         return {
             "fleet": self.aggregates.as_dict(),
-            "shards": self.shards.stats(),
             "sessions": {
                 "active": len(self.sessions),
                 "checkpointed": len(self.store.session_ids()),

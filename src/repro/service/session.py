@@ -3,8 +3,9 @@
 A session is one trace streamed by one client.  The server keeps, per
 session:
 
-* the **record log** — every record received so far, in order (this is
-  what the final verdict is scored from);
+* the **record log** — every record received so far, in order (the
+  trace the verdict describes, and what a resumed session replays into
+  a fresh monitor);
 * the **pending chunks** — the ``(seq, payload)`` pairs accepted since
   the last checkpoint, exactly as received: a checkpoint appends these
   to the store, so it costs O(chunk), never a re-encode of the log;
@@ -19,13 +20,14 @@ session:
   the client can fall back to resume.  Between those two rules a record
   can never be fed to the monitor twice or skipped.
 
-The final verdict is *not* the incremental monitor's report: it is
-:func:`score_trace_bytes` — plain offline
-:func:`~repro.core.checker.check_trace` over the assembled trace, run on
-a worker shard.  That makes the service's verdict byte-identical to the
-offline oracle *by construction* (same function, same records — the
-binary chunk format round-trips float64 exactly), and makes shard death
-recoverable: the record log, not the worker, owns the state.
+The final verdict *is* the incremental monitor's report: at FINISH the
+server closes the session's monitor over the record log
+(:class:`~repro.service.shards.ShardPool`) and :func:`verdict_of` adds
+diagnosis, attack onset and detection latency.  The online monitor and
+the vectorized offline checker produce identical reports
+(``tests/test_checker_equivalence.py``), so the verdict is dict-equal to
+:func:`score_trace_bytes` — the offline reference over the same records
+— without re-encoding the trace or checking it a second time.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.core.catalog import default_catalog
 from repro.core.checker import check_trace
 from repro.core.diagnosis import diagnose
 from repro.core.monitor import OnlineMonitor
-from repro.core.verdicts import Violation
+from repro.core.verdicts import CheckReport, Violation
 from repro.trace.io import TraceIOError, trace_from_bytes, trace_to_npz_bytes
 from repro.trace.schema import Trace, TraceMeta, TraceRecord
 
@@ -47,6 +49,7 @@ __all__ = [
     "chunk_to_bytes",
     "records_from_chunk",
     "score_trace_bytes",
+    "verdict_of",
 ]
 
 
@@ -72,20 +75,10 @@ def records_from_chunk(data: bytes) -> tuple[TraceMeta, list[TraceRecord]]:
     return trace.meta, list(trace.records)
 
 
-def score_trace_bytes(data: bytes) -> dict:
-    """Score one complete session trace: the worker-shard work unit.
-
-    Takes the binary trace payload (not a ``Trace`` object) so the bytes
-    cross the process boundary without a pickle of 40+ record fields, and
-    returns a JSON-ready dict (the VERDICT frame's header).  Top-level so
-    a ``ProcessPoolExecutor`` can import it by reference.
-
-    The report inside is exactly offline
-    :func:`~repro.core.checker.check_trace` on the same records — the
-    byte-identical verdict contract the chaos suite enforces.
-    """
-    trace = trace_from_bytes(data)
-    report = check_trace(trace)
+def verdict_of(trace: Trace, report: CheckReport) -> dict:
+    """The verdict of ``trace`` checked as ``report``: the VERDICT
+    frame's JSON-ready header (report, top diagnosed cause, attack onset
+    and detection latency)."""
     diagnosis = diagnose(report) if report.any_fired else None
     onset = trace.attack_onset()
     latency = (report.detection_latency(onset) if onset is not None
@@ -99,6 +92,17 @@ def score_trace_bytes(data: bytes) -> dict:
         "attack_onset": onset,
         "detection_latency": latency,
     }
+
+
+def score_trace_bytes(data: bytes) -> dict:
+    """The offline reference verdict of one complete binary trace.
+
+    Plain offline :func:`~repro.core.checker.check_trace` over the
+    decoded records, through the same :func:`verdict_of` the server
+    uses: the service's verdicts are held dict-equal to this.
+    """
+    trace = trace_from_bytes(data)
+    return verdict_of(trace, check_trace(trace))
 
 
 class MonitorPool:

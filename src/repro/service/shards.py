@@ -1,144 +1,32 @@
-"""Worker-process shards the server scores verdicts on.
+"""The server's verdict step: close a session's live monitor at FINISH.
 
-Verdict scoring — the vectorized :func:`~repro.core.checker.check_trace`
-plus diagnosis over a whole session trace — is the service's only
-CPU-heavy step, so it must not run on the event loop.  A
-:class:`ShardPool` owns N single-process ``ProcessPoolExecutor`` shards;
-sessions hash onto a shard, so one vehicle's verdicts are serialized
-(no ordering surprises) while the fleet's spread across cores.
+Each session's pooled :class:`~repro.core.monitor.OnlineMonitor` has
+stepped the whole catalog over every record as its chunks arrived (or
+over the checkpointed log, when the session resumed).  The verdict only
+has to finish it: close open episodes, run the end-of-trace checks, and
+add diagnosis, onset and latency through
+:func:`~repro.service.session.verdict_of`.  That costs about a
+millisecond per session, so it runs on the event loop: no worker
+process, no re-encoded trace, no second check.
 
-The robustness contract: **a dead shard loses no session**.  All session
-state lives server-side (the record log and its checkpoint); a shard
-holds a verdict computation for milliseconds.  When a shard's worker is
-killed (OOM, crash, the chaos suite's ``SIGKILL``), the submit fails
-with ``BrokenProcessPool``; the pool marks the shard dead, respawns it,
-and transparently re-dispatches the computation — first to the respawned
-shard, then, if that also fails, inline in the server process.  The
-failure is counted (``shard_failures`` / ``reassignments``), never
-surfaced to the client as anything but a slightly slower verdict.
-
-``shards=0`` disables worker processes entirely (inline scoring on the
-event-loop thread) — the mode tests and single-core hosts use.
+The class keeps the name of the worker-process pool it replaced because
+the benchmark's layer table (``perfbench/layers.py``) times
+``ShardPool.score`` as the ``service.score`` layer.
 """
 
 from __future__ import annotations
 
-import asyncio
-import zlib
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-
-from repro.service.session import score_trace_bytes
+from repro.service.session import SessionState, verdict_of
 
 __all__ = ["ShardPool"]
 
 
-class _Shard:
-    """One worker process (lazily spawned)."""
-
-    __slots__ = ("index", "pool", "respawns")
-
-    def __init__(self, index: int):
-        self.index = index
-        self.pool: ProcessPoolExecutor | None = None
-        self.respawns = 0
-
-    def ensure(self) -> ProcessPoolExecutor:
-        if self.pool is None:
-            self.pool = ProcessPoolExecutor(max_workers=1)
-        return self.pool
-
-    def kill_pool(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown(wait=False, cancel_futures=True)
-            self.pool = None
-
-    def worker_pids(self) -> list[int]:
-        """PIDs of the shard's live worker processes (chaos hooks)."""
-        if self.pool is None:
-            return []
-        return [p.pid for p in self.pool._processes.values()]
-
-
 class ShardPool:
-    """N single-worker process shards with dead-shard re-dispatch."""
+    """Builds each finished session's verdict from its own monitor."""
 
-    def __init__(self, n_shards: int = 2):
-        self.n_shards = max(int(n_shards), 0)
-        self._shards = [_Shard(i) for i in range(self.n_shards)]
-        self.scored = 0
-        self.scored_inline = 0
-        self.shard_failures = 0
-        self.reassignments = 0
-
-    @property
-    def inline(self) -> bool:
-        return self.n_shards == 0
-
-    def shard_for(self, session_id: str) -> int | None:
-        # crc32, not hash(): stable across processes and runs, so tests
-        # (and operators reading two servers' logs) can predict placement.
-        if self.inline:
-            return None
-        return zlib.crc32(session_id.encode("utf-8")) % self.n_shards
-
-    async def score(self, session_id: str, trace_bytes: bytes) -> dict:
-        """Score a session's trace on its shard; survive shard death.
-
-        Escalation ladder: home shard -> respawned home shard -> inline.
-        Each rung only engages when the one before died; the result is
-        identical on every rung (same pure function, same bytes).
-        """
-        if self.inline:
-            self.scored += 1
-            self.scored_inline += 1
-            return score_trace_bytes(trace_bytes)
-        loop = asyncio.get_running_loop()
-        shard = self._shards[self.shard_for(session_id)]
-        for attempt in range(2):
-            try:
-                result = await loop.run_in_executor(
-                    shard.ensure(), score_trace_bytes, trace_bytes)
-                self.scored += 1
-                return result
-            except BrokenProcessPool:
-                # The worker died mid-flight (killed, OOM, crashed).
-                # State is all server-side, so respawn and re-dispatch.
-                self.shard_failures += 1
-                shard.kill_pool()
-                shard.respawns += 1
-                if attempt == 0:
-                    self.reassignments += 1
-        # The shard will not come back (e.g. fork refused under memory
-        # pressure): degrade to inline scoring rather than fail the
-        # session.
-        self.scored += 1
-        self.scored_inline += 1
-        return score_trace_bytes(trace_bytes)
-
-    # -- chaos / introspection hooks ------------------------------------
-    def worker_pids(self) -> list[int]:
-        pids: list[int] = []
-        for shard in self._shards:
-            pids.extend(shard.worker_pids())
-        return pids
-
-    def warm(self) -> None:
-        """Spawn every shard's worker up front (predictable latency)."""
-        for shard in self._shards:
-            if not self.inline:
-                shard.ensure().submit(int, 0).result()
-
-    def stats(self) -> dict:
-        return {
-            "shards": self.n_shards,
-            "scored": self.scored,
-            "scored_inline": self.scored_inline,
-            "shard_failures": self.shard_failures,
-            "reassignments": self.reassignments,
-            "respawns": sum(s.respawns for s in self._shards),
-        }
-
-    def shutdown(self) -> None:
-        for shard in self._shards:
-            shard.kill_pool()
+    async def score(self, session: SessionState) -> dict:
+        """The verdict of ``session``'s record log, dict-equal to
+        :func:`~repro.service.session.score_trace_bytes` on the same
+        records."""
+        trace = session.assemble_trace()
+        return verdict_of(trace, session.monitor.finish(trace))

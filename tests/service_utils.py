@@ -7,6 +7,8 @@ import dataclasses
 
 from repro.core.checker import check_trace
 from repro.service.server import ServerConfig, TraceIngestServer
+from repro.service.session import score_trace_bytes
+from repro.trace.io import trace_to_npz_bytes
 
 from conftest import make_trace
 
@@ -14,7 +16,6 @@ from conftest import make_trace
 @contextlib.asynccontextmanager
 async def serving(store_dir, **config_kwargs):
     """A started :class:`TraceIngestServer` on an ephemeral port."""
-    config_kwargs.setdefault("shards", 0)
     server = TraceIngestServer(ServerConfig(
         store_dir=str(store_dir), **config_kwargs))
     await server.start()
@@ -50,3 +51,9 @@ def attacked_trace(num_steps: int = 200,
 def offline_verdict(trace) -> dict:
     """The oracle every service verdict must byte-match."""
     return check_trace(trace).to_dict()
+
+
+def reference_verdict(trace) -> dict:
+    """The whole offline verdict (report, cause, onset, latency) every
+    service verdict must dict-match."""
+    return score_trace_bytes(trace_to_npz_bytes(trace))

@@ -2,7 +2,7 @@
 
 Each test drives the real client/server code with a failure knob turned
 on — mid-frame disconnects, torn and duplicated frames, stalled clients
-against backpressure, SIGKILLed worker shards, raw garbage on the socket
+against backpressure, failed checkpoint saves, raw garbage on the socket
 — and then holds the line on two invariants:
 
 1. the server stays up (later sessions complete normally), and
@@ -16,10 +16,6 @@ from __future__ import annotations
 import asyncio
 import errno
 import json
-import multiprocessing
-import os
-import signal
-import time
 
 import pytest
 
@@ -237,44 +233,16 @@ class TestBackpressure:
         assert outcome.verdict["report"] == offline_verdict(trace)
 
 
-class TestShardDeath:
-    def test_sigkilled_worker_is_respawned_and_session_completes(
-            self, tmp_path):
-        trace = attacked_trace()
-
-        async def go():
-            async with serving(tmp_path, shards=1) as server:
-                server.shards.warm()
-                pids = server.shards.worker_pids()
-                assert pids, "warm() must spawn the shard worker"
-                for pid in pids:
-                    os.kill(pid, signal.SIGKILL)
-                outcome = await stream_trace(
-                    trace, "127.0.0.1", server.port, "veh-kill",
-                    chunk_records=50)
-                return outcome, server.shards.stats(), pids
-
-        outcome, stats, old_pids = asyncio.run(go())
-        assert stats["shard_failures"] >= 1
-        assert stats["respawns"] >= 1
-        assert outcome.verdict["report"] == offline_verdict(trace)
-        for pid in old_pids:  # the killed workers are really gone
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                pass
-
-    def test_partial_verdicts_preserved_across_shard_loss(self, tmp_path):
-        """Verdicts issued before the shard died stay correct and
+class TestVerdictReplay:
+    def test_earlier_verdict_replays_after_later_sessions(self, tmp_path):
+        """A verdict issued before later sessions ran stays correct and
         replayable afterwards."""
         first, second = attacked_trace(), attacked_trace(window=(50, 110))
 
         async def go():
-            async with serving(tmp_path, shards=1) as server:
+            async with serving(tmp_path) as server:
                 a = await stream_trace(first, "127.0.0.1", server.port,
                                        "veh-a", chunk_records=50)
-                for pid in server.shards.worker_pids():
-                    os.kill(pid, signal.SIGKILL)
                 b = await stream_trace(second, "127.0.0.1", server.port,
                                        "veh-b", chunk_records=50)
                 replay = await stream_trace(first, "127.0.0.1", server.port,
@@ -302,7 +270,7 @@ class TestFleetChaos:
         ]
 
         async def go():
-            async with serving(tmp_path, shards=2) as server:
+            async with serving(tmp_path) as server:
                 outcomes = await asyncio.gather(*[
                     stream_trace(t, "127.0.0.1", server.port,
                                  f"veh-fleet-{i}", chunk_records=25, **k)
@@ -435,16 +403,13 @@ class TestCheckpointFailure:
         assert outcome.verdict["report"] == offline_verdict(trace)
 
     def test_stop_shuts_down_when_saves_fail(self, tmp_path, monkeypatch):
-        """stop() with a live session whose save raises still stops the
-        shard workers and releases the store lease."""
+        """stop() with a live session whose save raises still evicts the
+        session and releases the store lease."""
         trace = attacked_trace()
 
         async def go():
-            server = TraceIngestServer(ServerConfig(
-                store_dir=str(tmp_path), shards=1))
+            server = TraceIngestServer(ServerConfig(store_dir=str(tmp_path)))
             await server.start()
-            server.shards.warm()
-            pids = server.shards.worker_pids()
             reader, writer = await _open_session(
                 server.port, "veh-stop", trace.meta)
             assert (await _send_chunk(reader, writer, 0,
@@ -453,19 +418,11 @@ class TestCheckpointFailure:
             monkeypatch.setattr(SessionStore, "_atomic_write", _disk_full)
             await server.stop()
             writer.close()
-            return server, pids
+            return server
 
-        server, pids = asyncio.run(go())
-        assert pids, "warm() must spawn the shard worker"
+        server = asyncio.run(go())
         assert server.sessions == {}
         assert server.checkpoint_errors >= 1
-        assert server.shards.worker_pids() == []
-        deadline = time.monotonic() + 10.0
-        while (set(pids) & {p.pid for p in multiprocessing.active_children()}
-               and time.monotonic() < deadline):
-            time.sleep(0.05)
-        assert not set(pids) & {
-            p.pid for p in multiprocessing.active_children()}
         monkeypatch.undo()
         successor = SessionStore(tmp_path)
         successor.acquire()  # raises LeaseConflict if the lease leaked
@@ -658,10 +615,10 @@ class TestSegmentLayout:
 
 
 class TestCheckpointCost:
-    def test_streaming_encodes_the_trace_once_at_finish(
+    def test_streaming_never_re_encodes_the_trace(
             self, tmp_path, monkeypatch):
-        """Checkpoints append chunk payloads as received: no record is
-        re-encoded until FINISH assembles the trace for scoring."""
+        """Checkpoints append chunk payloads as received, and FINISH
+        finishes the live monitor: no record is ever re-encoded."""
         trace = attacked_trace()
         payloads = _payloads(trace, 25)
         encodes = []
@@ -692,6 +649,6 @@ class TestCheckpointCost:
         before_finish, verdict = asyncio.run(go())
         assert len(payloads) == 8
         assert before_finish == []
-        assert encodes == [len(trace)]
+        assert encodes == []
         assert verdict.type is FrameType.VERDICT
         assert verdict.header["report"] == offline_verdict(trace)

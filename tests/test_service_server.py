@@ -8,6 +8,7 @@ to completion with ``asyncio.run`` inside a plain sync test.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 
 import pytest
 
@@ -18,7 +19,12 @@ from repro.service.server import ServerConfig, TraceIngestServer
 from repro.service.session import chunk_to_bytes
 from repro.service.store import SessionStore
 
-from service_utils import attacked_trace, offline_verdict, serving
+from service_utils import (
+    attacked_trace,
+    offline_verdict,
+    reference_verdict,
+    serving,
+)
 
 
 class TestStreaming:
@@ -76,6 +82,59 @@ class TestStreaming:
         assert fleet["sessions_completed"] == 2
         assert fleet["sessions_violating"] == 1
         assert fleet["per_cause"]["clean"]["sessions"] == 1
+
+
+class TestVerdictFromLiveMonitor:
+    """The verdict is the session monitor's own report, however the
+    monitor got its records: fed live, recycled from the pool after
+    ``reset()``, or replayed from a checkpoint on resume."""
+
+    def test_default_server_starts_no_child_process(self, tmp_path):
+        trace = attacked_trace()
+
+        async def go():
+            async with serving(tmp_path) as server:
+                outcome = await stream_trace(
+                    trace, "127.0.0.1", server.port, "veh-one-process",
+                    chunk_records=32)
+                return outcome, multiprocessing.active_children()
+
+        outcome, children = asyncio.run(go())
+        assert children == []
+        assert outcome.verdict == reference_verdict(trace)
+
+    def test_recycled_monitor_verdict_equals_offline_reference(
+            self, tmp_path):
+        first, second = attacked_trace(), attacked_trace(window=(30, 90))
+
+        async def go():
+            async with serving(tmp_path) as server:
+                a = await stream_trace(first, "127.0.0.1", server.port,
+                                       "veh-pool-a", chunk_records=40)
+                b = await stream_trace(second, "127.0.0.1", server.port,
+                                       "veh-pool-b", chunk_records=40)
+                return a, b, server.monitors
+
+        a, b, monitors = asyncio.run(go())
+        assert (monitors.created, monitors.reused) == (1, 1)
+        assert a.verdict == reference_verdict(first)
+        assert b.verdict == reference_verdict(second)
+
+    def test_replayed_monitor_verdict_equals_offline_reference(
+            self, tmp_path):
+        trace = attacked_trace()
+
+        async def go():
+            async with serving(tmp_path) as server:
+                outcome = await stream_trace(
+                    trace, "127.0.0.1", server.port, "veh-replay",
+                    chunk_records=25, disconnect_after_chunks=5)
+                return outcome, server.resumes
+
+        outcome, resumes = asyncio.run(go())
+        # the resume replayed the 5 checkpointed chunks into a monitor
+        assert outcome.reconnects >= 1 and resumes >= 1
+        assert outcome.verdict == reference_verdict(trace)
 
 
 class TestResumeExactlyOnce:
@@ -159,7 +218,7 @@ class TestResumeExactlyOnce:
         async def go():
             async with serving(tmp_path) as _:
                 second = TraceIngestServer(
-                    ServerConfig(store_dir=str(tmp_path), shards=0))
+                    ServerConfig(store_dir=str(tmp_path)))
                 with pytest.raises(LeaseConflict):
                     await second.start()
 

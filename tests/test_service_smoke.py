@@ -21,9 +21,10 @@ import pytest
 from repro.attacks.campaign import standard_attack
 from repro.core.checker import check_trace
 from repro.service.client import fetch_status, stream_trace
+from repro.service.loadgen import generate_fleet_traces
 from repro.sim.engine import run_scenario
 
-from service_utils import serving
+from service_utils import reference_verdict, serving
 from conftest import short_scenario
 
 
@@ -40,7 +41,7 @@ def test_two_session_smoke(fleet_traces, tmp_path):
     nominal, attacked = fleet_traces
 
     async def go():
-        async with serving(tmp_path, shards=1) as server:
+        async with serving(tmp_path) as server:
             outcomes = await asyncio.gather(
                 stream_trace(nominal, "127.0.0.1", server.port,
                              "smoke-nominal", chunk_records=64),
@@ -75,12 +76,12 @@ def test_smoke_verdict_replay_after_restart(fleet_traces, tmp_path):
     nominal, attacked = fleet_traces
 
     async def first():
-        async with serving(tmp_path, shards=1) as server:
+        async with serving(tmp_path) as server:
             await stream_trace(attacked, "127.0.0.1", server.port,
                                "smoke-replay", chunk_records=64)
 
     async def second():
-        async with serving(tmp_path, shards=0) as server:
+        async with serving(tmp_path) as server:
             return await stream_trace(attacked, "127.0.0.1", server.port,
                                       "smoke-replay", chunk_records=64)
 
@@ -89,3 +90,27 @@ def test_smoke_verdict_replay_after_restart(fleet_traces, tmp_path):
     assert outcome.resumed_finished, "verdict must come from the store"
     assert outcome.chunks_sent == 0
     assert outcome.verdict["report"] == check_trace(attacked).to_dict()
+
+
+def test_fleet_off_the_grid_gets_one_verdict_per_session(tmp_path):
+    """Fleet traces off the experiment grid carry the engine that made
+    them, and a concurrent fleet of them gets one verdict per session,
+    each dict-equal to the offline reference."""
+    traces, provenance = generate_fleet_traces(4, duration=10.0)
+    assert provenance["sim_engine"] in ("serial", "batch")
+    assert provenance["executor"]
+
+    async def go():
+        async with serving(tmp_path) as server:
+            outcomes = await asyncio.gather(*[
+                stream_trace(trace, "127.0.0.1", server.port,
+                             f"fleet-{i}", chunk_records=64)
+                for i, trace in enumerate(traces)])
+            status = await fetch_status("127.0.0.1", server.port)
+            return outcomes, status
+
+    outcomes, status = asyncio.run(go())
+    assert status["fleet"]["verdict_latency_s"]["n"] == len(traces) == 4
+    assert status["counters"]["verdicts_issued"] == 4
+    for trace, outcome in zip(traces, outcomes):
+        assert outcome.verdict == reference_verdict(trace)

@@ -1,10 +1,13 @@
-"""``--stats`` accounting for explanations: no phase goes uncounted.
+"""``--stats`` accounting: no phase goes uncounted, no engine misreported.
 
 A cold explanation batch-simulates its speculative probe lanes through
 ``ProbeEngine.prefetch``; that time belongs to ``simulate``, and the
 record's wall time must cover every phase it reports.  Its lanes share
 their pre-onset prefix, so the batched line reports fewer lane-steps
 simulated than requested.
+
+A campaign's engine line counts the executes that simulated, per
+engine: no one call's choice stands for the whole campaign.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections import OrderedDict
 
 import repro.sim.batch.engine as batch_engine
 from repro.experiments.counterfactual import explain
-from repro.experiments.runner import clear_cache
+from repro.experiments.runner import clear_cache, run_grid
 from repro.experiments.stats import STATS
 
 
@@ -71,3 +74,35 @@ def test_warm_explanation_simulates_nothing(fresh_store):
     assert stats.lane_steps_requested == stats.lane_steps_simulated == 0
     assert stats.phase_time["simulate"] == 0.0
     assert stats.wall_time > 0.0
+
+
+def _grid(attacks):
+    return run_grid(scenarios=("s_curve",), controllers=("pure_pursuit",),
+                    attacks=attacks, seeds=(1,), onset=2.0, duration=5.0)
+
+
+def test_campaign_engine_line_counts_executes_per_engine(fresh_store):
+    STATS.reset()
+    _grid(("none", "gps_bias"))  # two misses: batched
+    _grid(("gps_drift",))        # one miss: serial
+    assert STATS.total.engine_executes == {"batch": 1, "serial": 1}
+    assert STATS.total.sim_engine == "mixed"
+    assert ("engine      : batch in 1 execute(s), serial in 1 execute(s)"
+            in STATS.render())
+
+
+def test_warm_campaign_engine_line_says_nothing_was_simulated(fresh_store):
+    _grid(("none", "gps_bias"))
+    STATS.reset()
+    _grid(("none", "gps_bias"))
+    assert STATS.total.executed == 0
+    assert STATS.total.engine_executes == {}
+    assert ("engine      : none  (no execute had misses to simulate)"
+            in STATS.render())
+
+
+def test_single_simulating_execute_keeps_its_reason(fresh_store):
+    STATS.reset()
+    _grid(("none", "gps_bias"))
+    _grid(("none", "gps_bias"))  # warm: adds no engine
+    assert "engine      : batch  (auto: 2 pending run(s))" in STATS.render()
