@@ -18,21 +18,7 @@ Quickstart::
     print(ranking.top().cause)
 """
 
-from repro.attacks import (
-    AttackCampaign,
-    combined_attack,
-    make_attack,
-    standard_attack,
-)
-from repro.faults import (
-    FaultCampaign,
-    combined_fault,
-    make_fault,
-    standard_fault,
-)
-from repro.sim import RunResult, Scenario, run_scenario, standard_scenarios
-from repro.sim.scenario import acc_scenario
-from repro.trace import Trace, compute_metrics, diff_traces
+from repro._lazy import lazy_exports
 
 # 1.2: columnar trace backend + vectorized assertion checking; the run
 # cache moves to the binary trace format (cache layout v2 — older
@@ -63,3 +49,17 @@ __all__ = [
     "diff_traces",
     "__version__",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    ".attacks.campaign": (
+        "AttackCampaign", "combined_attack", "make_attack", "standard_attack",
+    ),
+    ".faults.campaign": (
+        "FaultCampaign", "combined_fault", "make_fault", "standard_fault",
+    ),
+    ".sim.engine": ("RunResult", "run_scenario"),
+    ".sim.scenario": ("Scenario", "acc_scenario", "standard_scenarios"),
+    ".trace.diff": ("diff_traces",),
+    ".trace.metrics": ("compute_metrics",),
+    ".trace.schema": ("Trace",),
+})

@@ -8,31 +8,7 @@ messages of exactly one channel; the engine records exact ground-truth
 labels, which is what lets the experiments score detection and diagnosis.
 """
 
-from repro.attacks.actuator import SteeringOffsetAttack, SteeringStuckAttack
-from repro.attacks.base import Attack, AttackWindow
-from repro.attacks.campaign import (
-    ATTACK_CLASSES,
-    AttackCampaign,
-    combined_attack,
-    make_attack,
-    standard_attack,
-)
-from repro.attacks.channel import CommandDelayAttack, CommandDropAttack
-from repro.attacks.compass import CompassOffsetAttack
-from repro.attacks.gps import (
-    GpsBiasAttack,
-    GpsDriftAttack,
-    GpsFreezeAttack,
-    GpsNoiseAttack,
-    GpsReplayAttack,
-)
-from repro.attacks.imu import ImuAccelBiasAttack, ImuGyroBiasAttack
-from repro.attacks.odometry import OdometryScaleAttack
-from repro.attacks.radar import (
-    RadarBlindAttack,
-    RadarGhostAttack,
-    RadarRangeScaleAttack,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Attack",
@@ -59,3 +35,23 @@ __all__ = [
     "standard_attack",
     "combined_attack",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    ".actuator": ("SteeringOffsetAttack", "SteeringStuckAttack"),
+    ".base": ("Attack", "AttackWindow"),
+    ".campaign": (
+        "ATTACK_CLASSES", "AttackCampaign", "combined_attack", "make_attack",
+        "standard_attack",
+    ),
+    ".channel": ("CommandDelayAttack", "CommandDropAttack"),
+    ".compass": ("CompassOffsetAttack",),
+    ".gps": (
+        "GpsBiasAttack", "GpsDriftAttack", "GpsFreezeAttack", "GpsNoiseAttack",
+        "GpsReplayAttack",
+    ),
+    ".imu": ("ImuAccelBiasAttack", "ImuGyroBiasAttack"),
+    ".odometry": ("OdometryScaleAttack",),
+    ".radar": (
+        "RadarBlindAttack", "RadarGhostAttack", "RadarRangeScaleAttack",
+    ),
+})

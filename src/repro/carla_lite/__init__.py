@@ -11,8 +11,12 @@ API-compatibility layer, not a CARLA re-implementation (the physics and
 sensor models live in :mod:`repro.sim`).
 """
 
-from repro.carla_lite.control import VehicleControl
-from repro.carla_lite.sensors import SensorActor
-from repro.carla_lite.world import Transform, VehicleActor, World
+from repro._lazy import lazy_exports
 
 __all__ = ["World", "VehicleActor", "VehicleControl", "SensorActor", "Transform"]
+
+__getattr__ = lazy_exports(__name__, {
+    ".control": ("VehicleControl",),
+    ".sensors": ("SensorActor",),
+    ".world": ("Transform", "VehicleActor", "World"),
+})

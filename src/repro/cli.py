@@ -48,25 +48,51 @@ seed lists) exit with status 2 and an actionable message on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import os
 import sys
 
-from repro.attacks.campaign import ATTACK_CLASSES, standard_attack
-from repro.core.catalog import CATALOG_IDS, default_catalog, make_assertion
-from repro.core.checker import check_trace
-from repro.core.diagnosis import diagnose
-from repro.core.report import render_check_report, render_diagnosis
-from repro.faults.campaign import FAULT_CLASSES, standard_fault
-from repro.sim.engine import run_scenario
-from repro.sim.scenario import acc_scenario, standard_scenarios
-from repro.trace.io import read_trace_auto, write_trace_jsonl, write_trace_npz
-
 __all__ = ["main"]
+
+# Each command imports what it runs inside its handler: building the
+# parser loads no simulator, controller or experiment module, so
+# ``adassure serve`` starts on the service's own imports.
 
 _CONTROLLERS = ("pure_pursuit", "stanley", "lqr", "mpc")
 
 
+class _InjectionChoices:
+    """``choices`` for ``--attack``/``--fault``: ``none`` plus the keys of
+    a registry (``ATTACK_CLASSES`` or ``FAULT_CLASSES``), read from its
+    module the first time argparse checks or lists a value."""
+
+    def __init__(self, module: str, registry: str):
+        self._module, self._registry = module, registry
+
+    @functools.cached_property
+    def _names(self) -> tuple[str, ...]:
+        module = importlib.import_module(self._module)
+        return ("none", *getattr(module, self._registry))
+
+    def __contains__(self, name) -> bool:
+        return name in self._names
+
+    def __iter__(self):
+        return iter(self._names)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.attacks.campaign import standard_attack
+    from repro.core.catalog import default_catalog
+    from repro.core.checker import check_trace
+    from repro.core.diagnosis import diagnose
+    from repro.core.report import render_check_report, render_diagnosis
+    from repro.faults.campaign import standard_fault
+    from repro.sim.engine import run_scenario
+    from repro.sim.scenario import acc_scenario, standard_scenarios
+    from repro.trace.io import write_trace_jsonl, write_trace_npz
+
     if args.intensity <= 0:
         raise ValueError(
             f"--intensity must be positive, got {args.intensity:g} "
@@ -113,6 +139,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from repro.core.catalog import default_catalog
+    from repro.core.checker import check_trace
+    from repro.core.diagnosis import diagnose
+    from repro.core.report import render_check_report, render_diagnosis
+    from repro.trace.io import read_trace_auto
+
     trace = read_trace_auto(args.trace)
     report = check_trace(trace, default_catalog())
     print(render_check_report(report))
@@ -178,6 +210,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.experiments.counterfactual import explain, resolve_cache_key
     from repro.experiments.stats import STATS
+    from repro.trace.io import read_trace_auto
 
     scenario = args.scenario
     controller = args.controller
@@ -299,6 +332,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.trace.diff import diff_traces
+    from repro.trace.io import read_trace_auto
 
     reference = read_trace_auto(args.reference)
     candidate = read_trace_auto(args.candidate)
@@ -310,6 +344,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.core.spec import CatalogSpec
     from repro.core.tuning import calibrate_catalog
+    from repro.trace.io import read_trace_auto
 
     traces = [read_trace_auto(path) for path in args.traces]
     result = calibrate_catalog(traces, target_headroom=args.headroom)
@@ -321,6 +356,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
+    from repro.faults.campaign import FAULT_CLASSES, standard_fault
+
     print("benign fault classes (adassure run --fault <class>):")
     for name in FAULT_CLASSES:
         fault = standard_fault(name).faults[0]
@@ -376,8 +413,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
+    from repro.core.report import render_check_report
     from repro.core.verdicts import CheckReport
     from repro.service.client import fetch_status, stream_trace
+    from repro.trace.io import read_trace_auto
 
     if args.status:
         status = asyncio.run(fetch_status(args.host, args.port))
@@ -406,6 +445,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.attacks.campaign import ATTACK_CLASSES
+    from repro.core.catalog import CATALOG_IDS, make_assertion
+    from repro.faults.campaign import FAULT_CLASSES
+    from repro.sim.scenario import standard_scenarios
+
     print("scenarios:  " + ", ".join(standard_scenarios()) + ", acc_follow")
     print("controllers: " + ", ".join(_CONTROLLERS))
     print("attacks:     none, " + ", ".join(ATTACK_CLASSES))
@@ -435,12 +479,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", default="s_curve")
     p_run.add_argument("--controller", default="pure_pursuit",
                        choices=_CONTROLLERS)
-    p_run.add_argument("--attack", default="none",
-                       choices=("none",) + tuple(ATTACK_CLASSES))
-    p_run.add_argument("--fault", default="none",
-                       choices=("none",) + tuple(FAULT_CLASSES),
+    # A metavar keeps argparse from listing the registry while the
+    # parser is built; --help still lists it through %(choices)s.
+    p_run.add_argument("--attack", default="none", metavar="ATTACK",
+                       choices=_InjectionChoices("repro.attacks.campaign",
+                                                 "ATTACK_CLASSES"),
+                       help="attack to inject: %(choices)s")
+    p_run.add_argument("--fault", default="none", metavar="FAULT",
+                       choices=_InjectionChoices("repro.faults.campaign",
+                                                 "FAULT_CLASSES"),
                        help="benign sensor fault to inject (composes "
-                            "with --attack; see 'adassure faults list')")
+                            "with --attack; see 'adassure faults list'): "
+                            "%(choices)s")
     p_run.add_argument("--supervised", action="store_true",
                        help="wrap the controller in the graceful-"
                             "degradation supervisor (watchdog + safe stop)")

@@ -1,15 +1,30 @@
-"""Numeric ``ADASSURE_*`` environment knobs, parsed one way.
+"""``ADASSURE_*`` environment knobs, parsed one way.
 
-A malformed value fails loudly instead of silently becoming the default:
-``ADASSURE_BATCH_LANES=lots`` is a typo to report, not a request for 64
-lanes.  Unset and empty variables mean the default.
+A malformed numeric value fails loudly instead of silently becoming the
+default: ``ADASSURE_BATCH_LANES=lots`` is a typo to report, not a
+request for 64 lanes.  Unset and empty variables mean the default.
+
+The module imports nothing from the package, so the run cache and the
+service's session store share :func:`default_cache_dir` without either
+pulling in the other's dependencies.
 """
 
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
-__all__ = ["env_number"]
+__all__ = ["default_cache_dir", "env_number"]
+
+
+def default_cache_dir() -> Path:
+    """``$ADASSURE_CACHE_DIR``, else ``~/.cache/adassure``."""
+    env = os.environ.get("ADASSURE_CACHE_DIR")
+    if env:
+        return Path(env).expanduser()
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
+    return base / "adassure"
 
 
 def env_number(name: str, default, kind: type = int):

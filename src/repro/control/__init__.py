@@ -11,30 +11,7 @@ that stack against benign sensor faults (:mod:`repro.faults`) with a
 staleness/NaN watchdog and a graceful-degradation policy.
 """
 
-from repro.control.acc import AccConfig, AccController
-from repro.control.base import (
-    ControlDecision,
-    LateralController,
-    SteerDecision,
-    make_lateral_controller,
-)
-from repro.control.defects import (
-    ControllerDefect,
-    DefectiveController,
-    make_defect,
-)
-from repro.control.estimator import Ekf, EkfConfig, Estimate
-from repro.control.follower import SpeedProfile, WaypointFollower
-from repro.control.lqr import LqrController
-from repro.control.mpc import MpcController
-from repro.control.pid import PidSpeedController
-from repro.control.pure_pursuit import PurePursuitController
-from repro.control.stanley import StanleyController
-from repro.control.supervisor import (
-    SupervisedController,
-    SupervisorConfig,
-    make_supervised_follower,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "LateralController",
@@ -60,3 +37,22 @@ __all__ = [
     "SupervisorConfig",
     "make_supervised_follower",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    ".acc": ("AccConfig", "AccController"),
+    ".base": (
+        "ControlDecision", "LateralController", "SteerDecision",
+        "make_lateral_controller",
+    ),
+    ".defects": ("ControllerDefect", "DefectiveController", "make_defect"),
+    ".estimator": ("Ekf", "EkfConfig", "Estimate"),
+    ".follower": ("SpeedProfile", "WaypointFollower"),
+    ".lqr": ("LqrController",),
+    ".mpc": ("MpcController",),
+    ".pid": ("PidSpeedController",),
+    ".pure_pursuit": ("PurePursuitController",),
+    ".stanley": ("StanleyController",),
+    ".supervisor": (
+        "SupervisedController", "SupervisorConfig", "make_supervised_follower",
+    ),
+})

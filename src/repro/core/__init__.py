@@ -17,33 +17,7 @@ This package is the paper's contribution.  It provides:
 * :mod:`repro.core.report` — human-readable debugging reports.
 """
 
-from repro.core.catalog import CATALOG_STAGES, default_catalog, make_assertion
-from repro.core.checker import check_trace
-from repro.core.diagnosis import (
-    Diagnosis,
-    DiagnosisResult,
-    MultiDiagnosis,
-    diagnose,
-    diagnose_multi,
-)
-from repro.core.dsl import (
-    BoundAssertion,
-    FunctionAssertion,
-    TraceAssertion,
-    WindowMeanBoundAssertion,
-)
-from repro.core.knowledge import (
-    CauseProfile,
-    KnowledgeBase,
-    default_knowledge_base,
-    defect_knowledge_base,
-)
-from repro.core.spec import AssertionSpec, CatalogSpec
-from repro.core.methodology import GapAnalysis, RefinementLoop
-from repro.core.monitor import OnlineMonitor
-from repro.core.report import render_check_report, render_diagnosis
-from repro.core.tuning import CalibrationResult, calibrate_catalog
-from repro.core.verdicts import AssertionSummary, CheckReport, Violation
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Violation",
@@ -76,3 +50,26 @@ __all__ = [
     "CatalogSpec",
     "AssertionSpec",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    ".catalog": ("CATALOG_STAGES", "default_catalog", "make_assertion"),
+    ".checker": ("check_trace",),
+    ".diagnosis": (
+        "Diagnosis", "DiagnosisResult", "MultiDiagnosis", "diagnose",
+        "diagnose_multi",
+    ),
+    ".dsl": (
+        "BoundAssertion", "FunctionAssertion", "TraceAssertion",
+        "WindowMeanBoundAssertion",
+    ),
+    ".knowledge": (
+        "CauseProfile", "KnowledgeBase", "default_knowledge_base",
+        "defect_knowledge_base",
+    ),
+    ".spec": ("AssertionSpec", "CatalogSpec"),
+    ".methodology": ("GapAnalysis", "RefinementLoop"),
+    ".monitor": ("OnlineMonitor",),
+    ".report": ("render_check_report", "render_diagnosis"),
+    ".tuning": ("CalibrationResult", "calibrate_catalog"),
+    ".verdicts": ("AssertionSummary", "CheckReport", "Violation"),
+})

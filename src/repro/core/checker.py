@@ -11,15 +11,13 @@ Two engines produce byte-identical reports:
   feeding records one by one.  Retained as the differential-testing
   oracle and for parity with live monitoring.
 
-Select explicitly with ``engine=``, or globally with the
-``ADASSURE_CHECKER`` environment variable (``vector`` | ``step``).
-Equivalence across the full attack x fault x controller grid is enforced
-by ``tests/test_checker_equivalence.py``.
+Production always runs ``"vector"``; tests select the ``"step"`` oracle
+with ``engine=``.  Equivalence across the full attack x fault x
+controller grid is enforced by ``tests/test_checker_equivalence.py``.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 
 from repro.core.catalog import default_catalog
@@ -37,7 +35,7 @@ def check_trace(
     trace: Trace,
     assertions: Sequence[TraceAssertion] | None = None,
     *,
-    engine: str | None = None,
+    engine: str = "vector",
 ) -> CheckReport:
     """Evaluate assertions over a recorded trace.
 
@@ -46,9 +44,8 @@ def check_trace(
         assertions: the assertion set (default: the full built-in catalog).
             Instances are reset before use, so a list can be reused across
             calls.
-        engine: ``"vector"`` (default) or ``"step"``; ``None`` reads
-            ``$ADASSURE_CHECKER`` and falls back to ``"vector"``.  Both
-            engines return byte-identical reports.
+        engine: ``"vector"`` (default) or ``"step"``; both return
+            byte-identical reports.
 
     Returns:
         A :class:`~repro.core.verdicts.CheckReport` with every violation
@@ -56,8 +53,6 @@ def check_trace(
     """
     if assertions is None:
         assertions = default_catalog()
-    if engine is None:
-        engine = os.environ.get("ADASSURE_CHECKER", "").strip().lower() or "vector"
     if engine not in _ENGINES:
         raise ValueError(
             f"unknown checker engine {engine!r}; expected one of {_ENGINES}"

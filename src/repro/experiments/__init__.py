@@ -7,50 +7,10 @@ so the benchmark suite can run them in a reduced *quick* mode while the CLI
 reproduces the full-size tables.
 """
 
-from repro.experiments.backend import (
-    CacheResultStore,
-    ResultStore,
-    Run,
-    ScoredResultStore,
-    build_grid,
-    execute,
-)
-from repro.experiments.cache import RunCache, cache_key
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.counterfactual import (
-    CausalReport,
-    Intervention,
-    ProbeEngine,
-    SeparationGap,
-    Subject,
-    counterfactual_tiebreak,
-    explain,
-    resolve_cache_key,
-)
-from repro.experiments.runner import (
-    GridRun,
-    clear_cache,
-    resolve_executor,
-    run_grid,
-    set_memo_limit,
-)
-from repro.experiments.stats import STATS, GridStats
-from repro.experiments.tables import Table
+import sys
+from collections.abc import Iterator, Mapping
 
-from repro.experiments.e1_detection import build_detection_matrix
-from repro.experiments.e2_latency import build_latency_table
-from repro.experiments.e3_traces import build_anomaly_traces
-from repro.experiments.e4_diagnosis import build_diagnosis_accuracy
-from repro.experiments.e5_robustness import build_controller_robustness
-from repro.experiments.e6_sweep import build_intensity_sweep
-from repro.experiments.e7_overhead import build_monitor_overhead
-from repro.experiments.e8_ablation import build_assertion_ablation
-from repro.experiments.e9_refinement import build_refinement_loop
-from repro.experiments.e10_mitigation import build_mitigation_table
-from repro.experiments.e11_multi_attack import build_multi_attack_table
-from repro.experiments.e12_acc import build_acc_debugging
-from repro.experiments.e13_defects import build_defect_debugging
-from repro.experiments.e14_degradation import build_degradation_table
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ExperimentConfig",
@@ -94,22 +54,64 @@ __all__ = [
     "build_degradation_table",
 ]
 
-ALL_EXPERIMENTS = {
-    "e1": build_detection_matrix,
-    "e2": build_latency_table,
-    "e3": build_anomaly_traces,
-    "e4": build_diagnosis_accuracy,
-    "e5": build_controller_robustness,
-    "e6": build_intensity_sweep,
-    "e7": build_monitor_overhead,
-    "e8": build_assertion_ablation,
-    "e9": build_refinement_loop,
-    "e10": build_mitigation_table,
-    "e11": build_multi_attack_table,
-    "e12": build_acc_debugging,
-    "e13": build_defect_debugging,
-    "e14": build_degradation_table,
+# Experiment id -> (defining module, builder name): the one table both
+# the lazy exports and ALL_EXPERIMENTS read.
+_BUILDERS = {
+    "e1": (".e1_detection", "build_detection_matrix"),
+    "e2": (".e2_latency", "build_latency_table"),
+    "e3": (".e3_traces", "build_anomaly_traces"),
+    "e4": (".e4_diagnosis", "build_diagnosis_accuracy"),
+    "e5": (".e5_robustness", "build_controller_robustness"),
+    "e6": (".e6_sweep", "build_intensity_sweep"),
+    "e7": (".e7_overhead", "build_monitor_overhead"),
+    "e8": (".e8_ablation", "build_assertion_ablation"),
+    "e9": (".e9_refinement", "build_refinement_loop"),
+    "e10": (".e10_mitigation", "build_mitigation_table"),
+    "e11": (".e11_multi_attack", "build_multi_attack_table"),
+    "e12": (".e12_acc", "build_acc_debugging"),
+    "e13": (".e13_defects", "build_defect_debugging"),
+    "e14": (".e14_degradation", "build_degradation_table"),
 }
+
+__getattr__ = lazy_exports(__name__, {
+    ".backend": (
+        "CacheResultStore", "ResultStore", "Run", "ScoredResultStore",
+        "build_grid", "execute",
+    ),
+    ".cache": ("RunCache", "cache_key"),
+    ".config": ("ExperimentConfig",),
+    ".counterfactual": (
+        "CausalReport", "Intervention", "ProbeEngine", "SeparationGap",
+        "Subject", "counterfactual_tiebreak", "explain", "resolve_cache_key",
+    ),
+    ".runner": (
+        "GridRun", "clear_cache", "resolve_executor", "run_grid",
+        "set_memo_limit",
+    ),
+    ".stats": ("STATS", "GridStats"),
+    ".tables": ("Table",),
+    **{module: (name,) for module, name in _BUILDERS.values()},
+})
+
+
+class _Builders(Mapping):
+    """Experiment id -> builder; a builder's module loads on lookup, so
+    listing or validating ids imports no experiment."""
+
+    def __getitem__(self, exp_id: str):
+        return getattr(sys.modules[__name__], _BUILDERS[exp_id][1])
+
+    def __contains__(self, exp_id) -> bool:
+        return exp_id in _BUILDERS
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_BUILDERS)
+
+    def __len__(self) -> int:
+        return len(_BUILDERS)
+
+
+ALL_EXPERIMENTS: Mapping = _Builders()
 """Experiment id -> builder, for the CLI and the benchmark suite.
 
 ``e1``-``e9`` reproduce the reconstructed paper evaluation; ``e10``-``e14``

@@ -454,8 +454,7 @@ def _simulate(run: Run):
 def execute(runs: list[Run], store: ResultStore, stats, *,
             engine: str | None = None, lanes: int | None = None,
             commit: bool = True, retries: int = 0,
-            fleet: Callable | None = None,
-            run_batch: Callable | None = None) -> list[Run]:
+            fleet: Callable | None = None) -> list[Run]:
     """Resolve, simulate, check and commit ``runs``; returns the failed
     ones (each with its ``error``; later runs still execute).
 
@@ -478,8 +477,6 @@ def execute(runs: list[Run], store: ResultStore, stats, *,
         fleet: called with the misses before anything is simulated here;
             returns the runs still missing (the distributed coordinator,
             which adopts what its workers committed).
-        run_batch: the lockstep engine's entry point (default
-            :func:`repro.sim.batch.run_batch`, looked up at call time).
 
     A plain :class:`ValueError` out of a simulation is a deterministic
     crash: it is committed as a stored failure (where the store keeps
@@ -487,10 +484,7 @@ def execute(runs: list[Run], store: ResultStore, stats, *,
     groups skip the engine: one lane gains nothing over the oracle.
     """
     from repro.core.checker import check_trace
-    from repro.sim import batch as batch_engine
-    from repro.sim.batch.engine import batch_counters
 
-    run_batch = run_batch or batch_engine.run_batch
     executed0 = stats.executed
     misses: list[Run] = []
     for run in runs:
@@ -539,8 +533,15 @@ def execute(runs: list[Run], store: ResultStore, stats, *,
         store.commit(run.key, run.value)
         run.source, run._spec = "sim", None
 
+    if groups:
+        # Only a run that reaches the lockstep engine loads it, so a warm
+        # campaign never imports repro.sim.batch.  run_batch is read off
+        # the package at each call, so a test can sabotage it.
+        from repro.sim import batch as batch_engine
+        from repro.sim.batch.engine import batch_counters
+
+        counters0 = batch_counters()
     cap = lanes or batch_lanes()
-    counters0 = batch_counters()
     for group in groups.values():
         for start in range(0, len(group), cap):
             chunk = group[start:start + cap]
@@ -549,7 +550,8 @@ def execute(runs: list[Run], store: ResultStore, stats, *,
                 continue
             t0 = time.perf_counter()
             try:
-                results = run_batch([run.spec() for run in chunk])
+                results = batch_engine.run_batch(
+                    [run.spec() for run in chunk])
             except Exception:
                 stats.batch_fallbacks += 1
                 if commit:

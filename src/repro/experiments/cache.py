@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import repro
+from repro.config import default_cache_dir
 from repro.core.spec import catalog_fingerprint
 from repro.core.verdicts import CheckReport
 from repro.locking import FileLease
@@ -78,16 +79,6 @@ instead of one deflated member per channel).
 _TRACE_SUFFIX = ".trace.npz"
 _SCORED_SUFFIX = ".scored.pkl"
 _FAILURE_SUFFIX = ".failure.json"
-
-
-def default_cache_dir() -> Path:
-    """``$ADASSURE_CACHE_DIR``, else ``~/.cache/adassure``."""
-    env = os.environ.get("ADASSURE_CACHE_DIR")
-    if env:
-        return Path(env).expanduser()
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
-    return base / "adassure"
 
 
 def cache_key(

@@ -601,7 +601,7 @@ class DistributedExecutor:
     def _spawn(self, spec_path: Path, index: int) -> subprocess.Popen:
         import repro
         env = os.environ.copy()
-        from repro.experiments.cache import default_cache_dir
+        from repro.config import default_cache_dir
         env["ADASSURE_CACHE_DIR"] = str(default_cache_dir())
         if self.sim_engine:
             env["ADASSURE_SIM"] = self.sim_engine

@@ -69,7 +69,6 @@ from repro.experiments.backend import (
 )
 from repro.experiments.cache import CheckpointManifest, RunCache
 from repro.experiments.stats import STATS, GridStats
-from repro.sim.batch import run_batch
 from repro.sim.engine import LaneSpec, RunResult, lane_spec
 from repro.sim.scenario import standard_scenarios
 
@@ -373,8 +372,7 @@ def run_grid(
                 shard_points=shard_points,
                 sim_engine=resolve_sim_engine(sim_engine)).execute
         failed = execute(runs, store, stats, engine=sim_engine,
-                         retries=_point_retries(retries), fleet=fleet,
-                         run_batch=run_batch)
+                         retries=_point_retries(retries), fleet=fleet)
         for run in failed:
             error = f"{type(run.error).__name__}: {run.error}"
             stats.quarantined.append((run.key, error))

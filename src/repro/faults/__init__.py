@@ -10,15 +10,7 @@ degradation assertions (A21/A22) and experiment E14 score behaviour
 inside fault windows.
 """
 
-from repro.faults.base import FAULT_CHANNELS, Fault
-from repro.faults.campaign import (
-    FAULT_CLASSES,
-    FaultCampaign,
-    combined_fault,
-    make_fault,
-    standard_fault,
-)
-from repro.faults.models import Dropout, Freeze, Intermittent, Latency, NaNBurst
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Fault",
@@ -34,3 +26,12 @@ __all__ = [
     "Latency",
     "Intermittent",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    ".base": ("FAULT_CHANNELS", "Fault"),
+    ".campaign": (
+        "FAULT_CLASSES", "FaultCampaign", "combined_fault", "make_fault",
+        "standard_fault",
+    ),
+    ".models": ("Dropout", "Freeze", "Intermittent", "Latency", "NaNBurst"),
+})

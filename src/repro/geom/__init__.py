@@ -11,22 +11,7 @@ driving control stack needs:
   the evaluation scenarios (straight, arc, s-curve, slalom, urban loop).
 """
 
-from repro.geom.angles import (
-    angle_diff,
-    circular_mean,
-    normalize_angle,
-    unwrap_angles,
-)
-from repro.geom.polyline import PathSample, Polyline, Projection
-from repro.geom.routes import (
-    arc_route,
-    lane_change_route,
-    s_curve_route,
-    slalom_route,
-    straight_route,
-    urban_loop_route,
-)
-from repro.geom.vec import Pose, Vec2
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Vec2",
@@ -45,3 +30,15 @@ __all__ = [
     "lane_change_route",
     "urban_loop_route",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    ".angles": (
+        "angle_diff", "circular_mean", "normalize_angle", "unwrap_angles",
+    ),
+    ".polyline": ("PathSample", "Polyline", "Projection"),
+    ".routes": (
+        "arc_route", "lane_change_route", "s_curve_route", "slalom_route",
+        "straight_route", "urban_loop_route",
+    ),
+    ".vec": ("Pose", "Vec2"),
+})

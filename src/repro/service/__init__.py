@@ -32,25 +32,7 @@ verdict is dict-equal to offline :func:`score_trace_bytes` (plain
 :func:`repro.core.checker.check_trace`) on the same trace.
 """
 
-from repro.service.aggregates import FleetAggregates
-from repro.service.client import (
-    StreamOutcome,
-    TraceStreamClient,
-    fetch_status,
-    stream_trace,
-)
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    Frame,
-    FrameType,
-    ProtocolError,
-    encode_frame,
-    read_frame,
-)
-from repro.service.server import ServerConfig, TraceIngestServer
-from repro.service.session import SessionState, score_trace_bytes
-from repro.service.shards import ShardPool
-from repro.service.store import SessionStore
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FleetAggregates",
@@ -71,3 +53,18 @@ __all__ = [
     "score_trace_bytes",
     "stream_trace",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    ".aggregates": ("FleetAggregates",),
+    ".client": (
+        "StreamOutcome", "TraceStreamClient", "fetch_status", "stream_trace",
+    ),
+    ".protocol": (
+        "PROTOCOL_VERSION", "Frame", "FrameType", "ProtocolError",
+        "encode_frame", "read_frame",
+    ),
+    ".server": ("ServerConfig", "TraceIngestServer"),
+    ".session": ("SessionState", "score_trace_bytes"),
+    ".shards": ("ShardPool",),
+    ".store": ("SessionStore",),
+})

@@ -29,6 +29,10 @@ fails                evicted anyway; RESUME continues from the last
                      checkpoint that landed (``checkpoint_errors``)
 malformed ``meta``   non-fatal ERROR, no session opened, counted in
                      ``protocol_errors``; the connection may HELLO again
+malformed ``seq``    non-fatal ERROR with ``next_seq``, nothing applied,
+                     counted in ``protocol_errors``
+non-increasing       non-fatal ERROR with ``next_seq`` (``ChunkRejected``);
+steps                no record reaches the monitor
 ===================  ====================================================
 
 Backpressure is a single global credit: bytes of chunk payloads accepted
@@ -67,12 +71,20 @@ def _finite(value) -> bool:
             and math.isfinite(value))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_seq(value) -> bool:
+    """A CHUNK's ``seq``: an integer (never a bool or a float) >= 0."""
+    return _is_int(value) and value >= 0
+
+
 _META_FIELDS = {
     "scenario": ("a string", lambda v: isinstance(v, str)),
     "controller": ("a string", lambda v: isinstance(v, str)),
     "attack": ("a string", lambda v: isinstance(v, str)),
-    "seed": ("an integer",
-             lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "seed": ("an integer", _is_int),
     "dt": ("a positive finite number", lambda v: _finite(v) and v > 0),
     "route_length": ("a finite number", _finite),
     "extra": ("an object", lambda v: isinstance(v, dict)),
@@ -353,7 +365,14 @@ class TraceIngestServer:
             await self._send(writer, FrameType.ERROR, {
                 "message": "CHUNK before HELLO/RESUME", "fatal": True})
             raise ConnectionResetError("protocol misuse")
-        seq = int(frame.header.get("seq", -1))
+        seq = frame.header.get("seq")
+        if not _is_seq(seq):
+            self.protocol_errors += 1
+            await self._send(writer, FrameType.ERROR, {
+                "message": f"CHUNK seq must be a non-negative integer, "
+                           f"got {seq!r}",
+                "fatal": False, "next_seq": session.next_seq})
+            return
         cost = len(frame.payload)
         if self._inflight_bytes + cost > self.config.max_inflight_bytes:
             # Refuse *before* buffering anything: the client resends

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.core.catalog import default_catalog
 from repro.core.checker import check_trace
 from repro.core.diagnosis import diagnose
@@ -70,8 +72,21 @@ def chunk_to_bytes(meta: TraceMeta, records: Sequence[TraceRecord]) -> bytes:
 
 
 def records_from_chunk(data: bytes) -> tuple[TraceMeta, list[TraceRecord]]:
-    """Decode one chunk payload back into its metadata and records."""
+    """Decode one chunk payload back into its metadata and records.
+
+    Raises:
+        TraceIOError: the payload does not decode.
+        ChunkRejected: its steps do not strictly increase (checked on the
+            decoded step column, before any record is materialised).
+    """
     trace = trace_from_bytes(data)
+    steps = trace.columns().get("step")
+    stalls = np.flatnonzero(steps[1:] <= steps[:-1])
+    if stalls.size:
+        i = stalls[0]
+        raise ChunkRejected(
+            f"chunk steps must strictly increase: step {steps[i + 1]} "
+            f"follows step {steps[i]}")
     return trace.meta, list(trace.records)
 
 
@@ -158,8 +173,8 @@ class SessionState:
         Returns the violations that closed during this chunk, or ``None``
         for a duplicate (already applied — acknowledge again, feed
         nothing).  Raises :class:`ChunkRejected` on a sequence gap, a
-        post-finish chunk, an undecodable payload, or records that do not
-        extend the log monotonically.
+        post-finish chunk, an undecodable payload, or records whose steps
+        do not strictly increase within the chunk and past the log's last.
         """
         if self.finished:
             raise ChunkRejected(

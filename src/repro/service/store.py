@@ -48,7 +48,7 @@ import time
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
-from repro.experiments.cache import default_cache_dir
+from repro.config import default_cache_dir
 from repro.locking import FileLease, LeaseConflict
 from repro.trace.io import TraceIOError, trace_from_bytes
 from repro.trace.schema import TraceMeta, TraceRecord

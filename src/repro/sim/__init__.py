@@ -8,24 +8,7 @@ this loop produces, so the substitution preserves the debugged behaviour
 (see DESIGN.md, "Substitutions").
 """
 
-from repro.sim.actuators import ActuatorLimits, Actuators
-from repro.sim.dynamics import (
-    DynamicBicycleModel,
-    KinematicBicycleModel,
-    VehicleParams,
-    VehicleState,
-)
-from repro.sim.engine import RunResult, SimulationRunner, run_scenario
-from repro.sim.lead import LeadSpeedEvent, LeadVehicle, LeadVehicleConfig
-from repro.sim.rng import RngStreams
-from repro.sim.scenario import (
-    Scenario,
-    ScenarioOutcome,
-    acc_scenario,
-    standard_scenarios,
-)
-from repro.sim.vehicle import Vehicle
-from repro.sim.batch import BatchCompatError, LaneSpec, run_batch
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BatchCompatError",
@@ -50,3 +33,19 @@ __all__ = [
     "RunResult",
     "run_scenario",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    ".actuators": ("ActuatorLimits", "Actuators"),
+    ".dynamics": (
+        "DynamicBicycleModel", "KinematicBicycleModel", "VehicleParams",
+        "VehicleState",
+    ),
+    ".engine": ("RunResult", "SimulationRunner", "run_scenario"),
+    ".lead": ("LeadSpeedEvent", "LeadVehicle", "LeadVehicleConfig"),
+    ".rng": ("RngStreams",),
+    ".scenario": (
+        "Scenario", "ScenarioOutcome", "acc_scenario", "standard_scenarios",
+    ),
+    ".vehicle": ("Vehicle",),
+    ".batch": ("BatchCompatError", "LaneSpec", "run_batch"),
+})

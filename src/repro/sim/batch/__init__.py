@@ -6,6 +6,10 @@ bit-for-bit (the serial engine is the differential oracle — see
 struct-of-arrays state.  Entry point: :func:`run_batch`.
 """
 
-from repro.sim.batch.engine import BatchCompatError, LaneSpec, run_batch
+from repro._lazy import lazy_exports
 
 __all__ = ["BatchCompatError", "LaneSpec", "run_batch"]
+
+__getattr__ = lazy_exports(__name__, {
+    ".engine": ("BatchCompatError", "LaneSpec", "run_batch"),
+})

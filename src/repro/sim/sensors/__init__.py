@@ -6,12 +6,7 @@ on these readings *after* the sensor and *before* the estimator — exactly
 the man-in-the-middle position of the spoofing attacks the paper debugs.
 """
 
-from repro.sim.sensors.base import Sensor, SensorConfig
-from repro.sim.sensors.compass import Compass, CompassReading
-from repro.sim.sensors.gps import Gps, GpsFix
-from repro.sim.sensors.imu import Imu, ImuReading
-from repro.sim.sensors.odometry import Odometry, OdometryReading
-from repro.sim.sensors.suite import SensorReadings, SensorSuite, SensorSuiteConfig
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Sensor",
@@ -28,3 +23,12 @@ __all__ = [
     "SensorSuiteConfig",
     "SensorReadings",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    ".base": ("Sensor", "SensorConfig"),
+    ".compass": ("Compass", "CompassReading"),
+    ".gps": ("Gps", "GpsFix"),
+    ".imu": ("Imu", "ImuReading"),
+    ".odometry": ("Odometry", "OdometryReading"),
+    ".suite": ("SensorReadings", "SensorSuite", "SensorSuiteConfig"),
+})

@@ -8,24 +8,7 @@ ground truth, observed (sensors + estimate), and commanded/applied controls
 deployment would have.
 """
 
-from repro.trace.analysis import (
-    first_crossing,
-    moving_average,
-    sign_change_rate,
-    sliding_windows,
-)
-from repro.trace.diff import TraceDiff, diff_traces
-from repro.trace.io import (
-    read_trace_csv,
-    read_trace_jsonl,
-    trace_from_jsonl_bytes,
-    trace_to_jsonl_bytes,
-    write_trace_csv,
-    write_trace_jsonl,
-)
-from repro.trace.metrics import TraceMetrics, compute_metrics
-from repro.trace.recorder import TraceRecorder
-from repro.trace.schema import Trace, TraceMeta, TraceRecord
+from repro._lazy import lazy_exports
 
 __all__ = [
     "TraceRecord",
@@ -47,3 +30,18 @@ __all__ = [
     "diff_traces",
     "TraceDiff",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    ".analysis": (
+        "first_crossing", "moving_average", "sign_change_rate",
+        "sliding_windows",
+    ),
+    ".diff": ("TraceDiff", "diff_traces"),
+    ".io": (
+        "read_trace_csv", "read_trace_jsonl", "trace_from_jsonl_bytes",
+        "trace_to_jsonl_bytes", "write_trace_csv", "write_trace_jsonl",
+    ),
+    ".metrics": ("TraceMetrics", "compute_metrics"),
+    ".recorder": ("TraceRecorder",),
+    ".schema": ("Trace", "TraceMeta", "TraceRecord"),
+})

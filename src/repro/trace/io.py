@@ -55,6 +55,10 @@ are laid out whole, so there is no meaningful prefix to salvage.
 from __future__ import annotations
 
 import csv
+# zipfile decodes .npz member names with the cp437 codec, which it
+# imports on first use: load it with this module, so a server's first
+# chunk pays for no import.
+import encodings.cp437  # noqa: F401
 import functools
 import gzip
 import io

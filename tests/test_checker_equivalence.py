@@ -200,19 +200,6 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="unknown checker engine"):
             check_trace(make_trace(5), [], engine="quantum")
 
-    def test_env_var_selects_engine(self, monkeypatch):
-        trace = make_trace(20)
-        monkeypatch.setenv("ADASSURE_CHECKER", "step")
-        via_env = check_trace(trace, default_catalog())
-        monkeypatch.delenv("ADASSURE_CHECKER")
-        default = check_trace(trace, default_catalog())
-        assert_reports_identical(via_env, default)
-
-    def test_env_var_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("ADASSURE_CHECKER", "warp")
-        with pytest.raises(ValueError, match="unknown checker engine"):
-            check_trace(make_trace(5), [])
-
     def test_duplicate_assertion_ids_rejected(self):
         pair = [BoundAssertion("D1", "a", "cte_true", 1.0),
                 BoundAssertion("D1", "b", "cte_true", 2.0)]

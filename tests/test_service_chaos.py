@@ -173,6 +173,54 @@ class TestGarbageOnTheWire:
         assert outcome.verdict["report"] == offline_verdict(trace)
 
 
+    @pytest.mark.parametrize("header", [
+        {"seq": "abc"}, {"seq": None}, {"seq": [1]}, {"seq": 0.0},
+        {"seq": True}, {"seq": -1}, {},
+    ])
+    def test_malformed_seq_is_a_counted_non_fatal_error(self, tmp_path,
+                                                        header):
+        """A CHUNK whose ``seq`` is not a non-negative integer gets a
+        non-fatal ERROR carrying the cursor and applies nothing: the
+        same connection then sends seq 0 as a first delivery, and the
+        session's verdict is exact."""
+        trace = attacked_trace()
+        records = list(trace.records)
+        chunks = [session_module.chunk_to_bytes(trace.meta, records[i:i + 50])
+                  for i in range(0, len(records), 50)]
+
+        async def go():
+            async with serving(tmp_path) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                writer.write(encode_frame(FrameType.HELLO, {
+                    "session_id": "veh-seq", "meta": trace.meta.to_dict()}))
+                writer.write(encode_frame(FrameType.CHUNK, header, chunks[0]))
+                await writer.drain()
+                replies = [await read_frame(reader), await read_frame(reader)]
+                for seq, payload in enumerate(chunks):
+                    writer.write(encode_frame(FrameType.CHUNK, {"seq": seq},
+                                              payload))
+                    await writer.drain()
+                    replies.append(await read_frame(reader))
+                writer.write(encode_frame(FrameType.FINISH, {}))
+                await writer.drain()
+                replies.append(await read_frame(reader))
+                writer.close()
+                return replies, server.protocol_errors
+
+        replies, protocol_errors = asyncio.run(go())
+        welcome, error, *acks, verdict = replies
+        assert welcome.type is FrameType.WELCOME
+        assert error is not None and error.type is FrameType.ERROR
+        assert error.header["fatal"] is False
+        assert error.header["next_seq"] == 0
+        assert "seq" in error.header["message"]
+        assert protocol_errors == 1
+        assert [a.type for a in acks] == [FrameType.ACK] * len(chunks)
+        assert not any(a.header["duplicate"] for a in acks)
+        assert verdict.type is FrameType.VERDICT
+        assert verdict.header["report"] == offline_verdict(trace)
+
 class TestBackpressure:
     def test_stalled_ingest_yields_busy_not_buffering(self, tmp_path):
         """Slow the server's apply path and shrink the inflight credit:

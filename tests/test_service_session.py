@@ -3,6 +3,8 @@ monitor pooling."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.catalog import default_catalog
@@ -100,6 +102,23 @@ class TestExactlyOnceGate:
         # same records again under a *new* seq: overlap, not extension
         with pytest.raises(ChunkRejected, match="does not extend"):
             session.apply_chunk(1, chunks[0][1])
+
+    def test_chunk_with_non_increasing_steps_rejected(self):
+        trace = make_trace(6)
+        records = list(trace.records)
+        session = self._session()
+        session.apply_chunk(0, chunk_to_bytes(trace.meta, records[:3]))
+        # Starts past the log's last step, then steps back and repeats.
+        stepping_back = [records[5], dataclasses.replace(records[3], step=3),
+                         dataclasses.replace(records[4], step=3)]
+        with pytest.raises(ChunkRejected, match="strictly increase"):
+            session.apply_chunk(
+                1, chunk_to_bytes(trace.meta, stepping_back))
+        assert [r.step for r in session.records] == [0, 1, 2]
+        assert session.next_seq == 1
+        assert session.apply_chunk(
+            1, chunk_to_bytes(trace.meta, records[3:])) is not None
+        assert [r.step for r in session.records] == list(range(6))
 
     def test_live_violations_surface_incrementally(self):
         trace = _attacked_trace()

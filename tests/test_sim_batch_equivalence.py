@@ -351,13 +351,15 @@ class TestGridRunnerEquivalence:
         # A batch engine crash must degrade to the serial path, not lose
         # the campaign.
         import repro.experiments.runner as runner_mod
+        import repro.sim.batch as batch_mod
         from repro.experiments.stats import STATS
         monkeypatch.setenv("ADASSURE_CACHE_DIR", str(tmp_path))
 
         def explode(specs):
             raise RuntimeError("batch engine down")
 
-        monkeypatch.setattr(runner_mod, "run_batch", explode)
+        # execute() looks the engine up on repro.sim.batch at call time.
+        monkeypatch.setattr(batch_mod, "run_batch", explode)
         runner_mod.clear_cache(disk=True)
         runs = runner_mod.run_grid(
             scenarios=("straight",), controllers=("pure_pursuit",),
