@@ -54,8 +54,26 @@ def _run(script: str) -> None:
 
 def test_scipy_loads_only_at_first_solve():
     _run("""
-        import repro.cli, repro.service.server, repro.experiments  # noqa: E401
-        assert not loaded("scipy"), "scipy imported at launch"
+        import importlib
+
+        import repro.cli, repro.service.server  # noqa: E401
+        from repro.experiments import ALL_EXPERIMENTS
+
+        # Everything a cached campaign, ``explain`` or a check launch
+        # loads: the controllers, both engines, the runner, the
+        # counterfactual search and every experiment builder.
+        for name in ("repro.control", "repro.sim", "repro.experiments"):
+            package = importlib.import_module(name)
+            for public in package.__all__:
+                getattr(package, public)
+        for name in ("repro.control.lqr", "repro.control.mpc",
+                     "repro.sim.engine", "repro.sim.batch",
+                     "repro.experiments.runner"):
+            importlib.import_module(name)
+        builders = [ALL_EXPERIMENTS[exp_id] for exp_id in ALL_EXPERIMENTS]
+        assert all(callable(build) for build in builders)
+        assert "repro.experiments.e14_degradation" in sys.modules
+        assert not loaded("scipy"), loaded("scipy")
 
         from repro.control.lqr import LqrController
         from repro.control.mpc import MpcController
