@@ -756,14 +756,23 @@ def main(argv: list[str] | None = None) -> int:
     try:
         pstats_file = _profile_file(args)
         if pstats_file is not None:
-            return _run_profiled(args, pstats_file)
-        return args.func(args)
+            code = _run_profiled(args, pstats_file)
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
     except ValueError as exc:
         # Input validation: every layer below raises ValueError with an
         # actionable message (bad intensities, onsets past the scenario
         # end, empty seed lists, malformed trace files).
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left early (``adassure faults list | head``).  Point
+        # stdout at devnull so the interpreter's exit flush cannot raise
+        # again, and fail quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

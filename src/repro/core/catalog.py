@@ -32,7 +32,14 @@ import math
 
 import numpy as np
 
-from repro.core.dsl import BoundAssertion, TraceAssertion, WindowMeanBoundAssertion
+from repro.core.dsl import (
+    BoundAssertion,
+    TraceAssertion,
+    WindowBuffer,
+    WindowMeanBoundAssertion,
+    carry_sums,
+    window_means,
+)
 from repro.geom.angles import angle_diff
 from repro.trace.schema import TraceColumns, TraceRecord
 
@@ -297,6 +304,8 @@ class RouteProgressAssertion(TraceAssertion):
     spoofed position all stall the station.
     """
 
+    _buffer = WindowBuffer(np.float64, np.float64, np.float64)
+
     def __init__(self, window: float = 5.0, min_fraction: float = 0.3,
                  min_target: float = 1.5):
         super().__init__(
@@ -338,7 +347,7 @@ class RouteProgressAssertion(TraceAssertion):
         actual = buf[-1][1] - buf[0][1]
         return actual / expected - 1.0
 
-    def margin_array(
+    def margin_chunk(
         self, cols: TraceColumns
     ) -> tuple[np.ndarray, np.ndarray]:
         t = cols.t
@@ -347,25 +356,34 @@ class RouteProgressAssertion(TraceAssertion):
         target = np.asarray(cols.target_speed, dtype=np.float64)
         margins = np.zeros(n, dtype=np.float64)
         applicable = np.zeros(n, dtype=bool)
-        # Segment boundaries: the per-step path clears its buffer when
-        # the station drops by more than 10 m between consecutive steps.
+        tail = type(self)._buffer.columns(self)
+        cum, prev = self._cum, self._prev_cum
         wraps = np.flatnonzero(station[1:] < station[:-1] - 10.0) + 1
-        seg_starts = np.concatenate(([0], wraps, [n]))
-        idx = np.arange(n)
-        win_lo = np.searchsorted(t, t - self.window, side="left")
-        for a, b in zip(seg_starts[:-1].tolist(), seg_starts[1:].tolist()):
-            lo = np.maximum(win_lo[a:b], a)
-            cum = np.cumsum(target[a:b])
-            prev = np.where(lo > a, cum[lo - a - 1], 0.0)
-            count = idx[a:b] - lo + 1
-            span = t[a:b] - t[lo]
-            mean_target = (cum - prev) / count
-            ok = ~(span < 0.75 * self.window) & ~(mean_target < self.min_target)
+        bounds = [0, *wraps.tolist(), n]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            tail_t, tail_station, tail_target = tail
+            if tail_t.size and station[a] < tail_station[-1] - 10.0:
+                # The per-step wrap test against the previous record.
+                tail_t, tail_station, tail_target = (c[:0] for c in tail)
+                cum = prev = 0.0
+            tail_cum = np.cumsum(np.concatenate(([prev], tail_target)))[1:]
+            mean_target, lo, times, cums = window_means(
+                t[a:b], target[a:b], tail_t, tail_cum, cum, prev,
+                self.window)
+            stations = np.concatenate((tail_station, station[a:b]))
+            span = t[a:b] - times[lo]
+            ok = (~(span < 0.75 * self.window)
+                  & ~(mean_target < self.min_target))
             expected = mean_target * span * self.min_fraction
-            actual = station[a:b] - station[lo]
+            actual = station[a:b] - stations[lo]
             with np.errstate(divide="ignore", invalid="ignore"):
                 margins[a:b] = np.where(ok, actual / expected - 1.0, 0.0)
             applicable[a:b] = ok
+            cum, prev, cut = carry_sums(cums, prev, lo)
+            targets = np.concatenate((tail_target, target[a:b]))
+            tail = (times[cut:], stations[cut:], targets[cut:])
+        self._cum, self._prev_cum = cum, prev
+        self._buffer = tail
         return margins, applicable
 
 
@@ -377,6 +395,8 @@ class SteeringOscillationAssertion(TraceAssertion):
     under 1 Hz, while added actuation latency or excessive gain produces a
     sustained multi-hertz oscillation.
     """
+
+    _buffer = WindowBuffer(np.float64, np.float64)
 
     def __init__(self, window: float = 4.0, max_rate_hz: float = 0.4,
                  deadband: float = 0.15, min_speed: float = 2.0):
@@ -418,56 +438,62 @@ class SteeringOscillationAssertion(TraceAssertion):
         rate = changes / span
         return 1.0 - rate / self.max_rate_hz
 
-    def margin_array(
+    def margin_chunk(
         self, cols: TraceColumns
     ) -> tuple[np.ndarray, np.ndarray]:
         t = cols.t
-        n = t.size
         steer = np.asarray(cols.steer_cmd, dtype=np.float64)
-        margins = np.zeros(n, dtype=np.float64)
-        lo = np.searchsorted(t, t - self.window, side="left")
-        span = t - t[lo]
+        tail_t, tail_steer = type(self)._buffer.columns(self)
+        tail_cum = np.cumsum(
+            np.concatenate(([self._prev_cum], tail_steer)))[1:]
+        means, lo, times, cums = window_means(
+            t, steer, tail_t, tail_cum, self._cum, self._prev_cum,
+            self.window)
+        values = np.concatenate((tail_steer, steer))
+        span = t - times[lo]
         applicable = (~(span < 0.75 * self.window)
                       & ~(cols.est_v < self.min_speed))
-        cum = np.cumsum(steer)
-        prev = np.where(lo > 0, cum[lo - 1], 0.0)
-        count = np.arange(1, n + 1) - lo
-        means = (cum - prev) / count
+        margins = np.zeros(t.size, dtype=np.float64)
         rows = np.flatnonzero(applicable)
-        if rows.size == 0:
-            return margins, applicable
-        # The sign-change count depends on the window *mean*, which moves
-        # every step — no shared prefix structure — so build one
-        # right-aligned 2D view of all applicable windows and count
-        # alternations along the rows.  Out-of-window cells are forced to
-        # sign 0, which the skip-zeros semantics ignores, exactly like
-        # the per-step deadband does; NaN deviations compare False on
-        # both sides -> sign 0 there too.
-        width = int(count[rows].max())
-        padded = np.concatenate((np.zeros(width - 1), steer))
-        windows = np.lib.stride_tricks.sliding_window_view(
-            padded, width)[rows]
-        dev = windows - means[rows, None]
-        signs = ((dev > self.deadband).astype(np.int8)
-                 - (dev < -self.deadband).astype(np.int8))
-        cols_idx = np.arange(width)
-        in_window = cols_idx[None, :] >= (lo[rows] - rows + width - 1)[:, None]
-        signs[~in_window] = 0
-        nonzero = signs != 0
-        # Index of the last nonzero sign strictly before each cell.
-        last_nz = np.maximum.accumulate(
-            np.where(nonzero, cols_idx[None, :], -1), axis=1)
-        prev_nz = np.concatenate(
-            (np.full((rows.size, 1), -1, dtype=last_nz.dtype),
-             last_nz[:, :-1]), axis=1)
-        prev_sign = np.take_along_axis(
-            signs, np.maximum(prev_nz, 0), axis=1)
-        prev_sign[prev_nz < 0] = 0
-        flips = nonzero & (prev_sign != 0) & (signs != prev_sign)
-        changes = np.count_nonzero(flips, axis=1)
-        rate = changes / span[rows]
-        margins[rows] = 1.0 - rate / self.max_rate_hz
+        if rows.size:
+            changes = self._sign_changes(values, means[rows], lo[rows],
+                                         rows + tail_t.size)
+            rate = changes / span[rows]
+            margins[rows] = 1.0 - rate / self.max_rate_hz
+        self._cum, self._prev_cum, cut = carry_sums(
+            cums, self._prev_cum, lo)
+        self._buffer = (times[cut:], values[cut:])
         return margins, applicable
+
+    def _sign_changes(self, values: np.ndarray, means: np.ndarray,
+                      lo: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """Deadband-filtered sign changes in each window
+        ``values[lo:end + 1]`` around its mean.
+
+        The count depends on the window *mean*, which moves every step
+        (no shared prefix structure), so this builds one right-aligned 2D
+        view of the windows and counts alternations along the rows.
+        Out-of-window cells are forced to sign 0, which the skip-zeros
+        semantics ignores, exactly like the per-step deadband does; NaN
+        deviations compare False on both sides -> sign 0 there too.
+        """
+        width = int((ends - lo).max()) + 1
+        padded = np.concatenate((np.zeros(width - 1), values))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded, width)[ends]
+        dev = windows - means[:, None]
+        cols_idx = np.arange(width)
+        in_window = cols_idx[None, :] >= (lo - ends + width - 1)[:, None]
+        signs = (((dev > self.deadband).astype(np.int8)
+                  - (dev < -self.deadband).astype(np.int8)) * in_window)
+        # Forward-fill each row's last nonzero sign: it starts at 0 and
+        # moves at the first nonzero cell and at every change after.
+        nonzero = signs != 0
+        last = np.maximum.accumulate(
+            np.where(nonzero, cols_idx[None, :], 0), axis=1)
+        held = np.take_along_axis(signs, last, axis=1)
+        moves = np.count_nonzero(held[:, 1:] != held[:, :-1], axis=1)
+        return moves - (held[:, 0] == 0) * nonzero.any(axis=1)
 
 
 class SteeringSaturationAssertion(TraceAssertion):
@@ -476,6 +502,8 @@ class SteeringSaturationAssertion(TraceAssertion):
     Persistent saturation means the controller has lost authority
     (divergence, an unreachable spoofed target, or a hard fault).
     """
+
+    _buffer = WindowBuffer(np.float64, np.bool_)
 
     def __init__(self, window: float = 3.0, max_fraction: float = 0.6,
                  steer_limit: float = 0.61):
@@ -502,21 +530,25 @@ class SteeringSaturationAssertion(TraceAssertion):
         fraction = sum(1 for _, sat in buf if sat) / len(buf)
         return 1.0 - fraction / self.max_fraction
 
-    def margin_array(
+    def margin_chunk(
         self, cols: TraceColumns
     ) -> tuple[np.ndarray, np.ndarray]:
         # Saturated-sample fractions are integer-count ratios, so the
         # prefix-sum-of-counts form is exact (int64 counts, one division).
         t = cols.get("t")
-        sat = np.abs(cols.get("steer_cmd")) >= self.threshold
-        cum = np.cumsum(sat.astype(np.int64))
-        lo = np.searchsorted(t, t - self.window, side="left")
-        count = np.arange(1, t.size + 1) - lo
+        tail_t, tail_flags = type(self)._buffer.columns(self)
+        times = np.concatenate((tail_t, t))
+        flags = np.concatenate((
+            tail_flags, np.abs(cols.get("steer_cmd")) >= self.threshold))
+        cum = np.cumsum(flags.astype(np.int64))
+        lo = np.searchsorted(times, t - self.window, side="left")
+        ends = np.arange(tail_t.size, times.size)
         prev = np.where(lo > 0, cum[lo - 1], 0)
-        fraction = (cum - prev) / count
-        margins = 1.0 - fraction / self.max_fraction
-        applicable = (t - t[lo]) >= 0.75 * self.window
-        return margins, applicable
+        fraction = (cum[ends] - prev) / (ends - lo + 1)
+        cut = int(lo[-1])
+        self._buffer = (times[cut:], flags[cut:])
+        return (1.0 - fraction / self.max_fraction,
+                ~(t - times[lo] < 0.75 * self.window))
 
 
 class SpeedTrackingAssertion(TraceAssertion):
@@ -526,6 +558,8 @@ class SpeedTrackingAssertion(TraceAssertion):
     longitudinal loop is broken (actuation fault, gross estimator error,
     or an infeasible speed profile).
     """
+
+    _buffer = WindowBuffer(np.float64, np.float64)
 
     def __init__(self, window: float = 3.0, bound: float = 2.0):
         super().__init__(
@@ -572,35 +606,38 @@ class SpeedTrackingAssertion(TraceAssertion):
         mean = (self._cum - self._prev_cum) / len(buf)
         return 1.0 - mean / self.bound
 
-    def margin_array(
+    def margin_chunk(
         self, cols: TraceColumns
     ) -> tuple[np.ndarray, np.ndarray]:
         t = cols.get("t")
+        n = t.size
         clear = (cols.get("target_speed") < 1.0) | (
             cols.get("lead_present")
             & (cols.get("radar_range") < (5.0 + 2.5 * cols.get("est_v")))
         )
-        margins = np.zeros(t.size, dtype=np.float64)
-        applicable = np.zeros(t.size, dtype=bool)
-        keep = ~clear
-        if not keep.any():
-            return margins, applicable
+        margins = np.zeros(n, dtype=np.float64)
+        applicable = np.zeros(n, dtype=bool)
         errors = np.abs(cols.get("est_v") - cols.get("target_speed"))
-        # Maximal runs of non-cleared samples; the window state restarts
-        # at each clear, so every run is an independent prefix-sum world.
-        flips = np.flatnonzero(keep[1:] != keep[:-1]) + 1
-        starts = np.concatenate(([0], flips))
-        ends = np.concatenate((flips, [keep.size]))
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            if not keep[s]:
+        tail_t, tail_cum = type(self)._buffer.columns(self)
+        cum, prev = self._cum, self._prev_cum
+        # Alternating runs of cleared and kept records; the window state
+        # restarts at each clear, so a kept run resumes the carried state
+        # only when it opens the block.
+        flips = np.flatnonzero(clear[1:] != clear[:-1]) + 1
+        bounds = [0, *flips.tolist(), n]
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            if clear[s]:
+                tail_t, tail_cum, cum, prev = tail_t[:0], tail_cum[:0], 0.0, 0.0
                 continue
-            tt = t[s:e]
-            cum = np.cumsum(errors[s:e])
-            lo = np.searchsorted(tt, tt - self.window, side="left")
-            count = np.arange(1, tt.size + 1) - lo
-            prev = np.where(lo > 0, cum[lo - 1], 0.0)
-            margins[s:e] = 1.0 - ((cum - prev) / count) / self.bound
-            applicable[s:e] = (tt - tt[lo]) >= 0.75 * self.window
+            mean, lo, times, cums = window_means(
+                t[s:e], errors[s:e], tail_t, tail_cum, cum, prev,
+                self.window)
+            margins[s:e] = 1.0 - mean / self.bound
+            applicable[s:e] = ~(t[s:e] - times[lo] < 0.75 * self.window)
+            cum, prev, cut = carry_sums(cums, prev, lo)
+            tail_t, tail_cum = times[cut:], cums[cut:]
+        self._cum, self._prev_cum = cum, prev
+        self._buffer = (tail_t, tail_cum)
         return margins, applicable
 
 
@@ -672,6 +709,11 @@ class SafeHeadwayAssertion(TraceAssertion):
             headway = cols.get("gap_true")[idx] / cols.get("true_v")[idx]
             margins[idx] = headway / self.min_headway - 1.0
         return margins, applicable
+
+    def margin_chunk(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return self.margin_array(cols)  # stateless: every block is whole
 
 
 class RadarJumpAssertion(TraceAssertion):
@@ -760,6 +802,8 @@ class ControlResponsivenessAssertion(TraceAssertion):
     steering command remains (near) zero.
     """
 
+    _buffer = WindowBuffer(np.float64, np.float64, np.float64)
+
     def __init__(self, window: float = 3.0, cte_threshold: float = 0.55,
                  min_response: float = 0.02, min_speed: float = 2.0):
         super().__init__(
@@ -794,31 +838,37 @@ class ControlResponsivenessAssertion(TraceAssertion):
         max_response = max(s for _, _, s in buf)
         return max_response / self.min_response - 1.0
 
-    def margin_array(
+    def margin_chunk(
         self, cols: TraceColumns
     ) -> tuple[np.ndarray, np.ndarray]:
         t = cols.t
-        n = t.size
         cte_abs = np.abs(np.asarray(cols.cte_est, dtype=np.float64))
         steer_abs = np.abs(np.asarray(cols.steer_cmd, dtype=np.float64))
-        margins = np.zeros(n, dtype=np.float64)
-        lo = np.searchsorted(t, t - self.window, side="left")
-        span = t - t[lo]
-        cum = np.cumsum(cte_abs)
-        prev = np.where(lo > 0, cum[lo - 1], 0.0)
-        count = np.arange(1, n + 1) - lo
-        mean_cte = (cum - prev) / count
+        tail_t, tail_cte, tail_steer = type(self)._buffer.columns(self)
+        tail_cum = np.cumsum(
+            np.concatenate(([self._prev_cum], tail_cte)))[1:]
+        mean_cte, lo, times, cums = window_means(
+            t, cte_abs, tail_t, tail_cum, self._cum, self._prev_cum,
+            self.window)
+        span = t - times[lo]
         applicable = (~(span < 0.75 * self.window)
                       & ~(cols.est_v < self.min_speed)
                       & ~(mean_cte < self.cte_threshold))
+        steers = np.concatenate((tail_steer, steer_abs))
+        margins = np.zeros(t.size, dtype=np.float64)
         # The window max has no prefix structure; scan only the (rare)
         # applicable windows.  fmax skips NaN like the per-step Python
         # max does — unless the window *starts* on NaN, which Python max
         # propagates, so mirror that case explicitly.
+        k = tail_t.size
         for i in np.flatnonzero(applicable).tolist():
-            seg = steer_abs[lo[i]:i + 1]
+            seg = steers[lo[i]:k + i + 1]
             mx = seg[0] if np.isnan(seg[0]) else np.fmax.reduce(seg)
             margins[i] = mx / self.min_response - 1.0
+        self._cum, self._prev_cum, cut = carry_sums(
+            cums, self._prev_cum, lo)
+        ctes = np.concatenate((tail_cte, cte_abs))
+        self._buffer = (times[cut:], ctes[cut:], steers[cut:])
         return margins, applicable
 
 
@@ -905,6 +955,11 @@ class DegradedTrackingAssertion(TraceAssertion):
         )
         return 1.0 - np.abs(cols.get("cte_true")) / self.bound, applicable
 
+    def margin_chunk(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return self.margin_array(cols)  # stateless: every block is whole
+
 
 class SafeStopEngagementAssertion(TraceAssertion):
     """A22 — multi-sensor loss must provoke a stop within a grace period.
@@ -972,23 +1027,32 @@ class SafeStopEngagementAssertion(TraceAssertion):
     _FLAG_CHANNELS = (("gps", "gps_fresh"), ("compass", "compass_fresh"),
                       ("odometry", "odom_fresh"), ("imu", "imu_fresh"))
 
-    def margin_array(
+    def margin_chunk(
         self, cols: TraceColumns
     ) -> tuple[np.ndarray, np.ndarray]:
         t = cols.t
-        n = t.size
-        idx = np.arange(n)
-        stale_cnt = np.zeros(n, dtype=np.int64)
+        idx = np.arange(t.size)
+        if self._last_fresh is None:
+            # The first record seeds every channel, as per step.
+            self._last_fresh = {ch: float(t[0]) for ch in self._STALE_AFTER}
+        stale_cnt = np.zeros(t.size, dtype=np.int64)
         for channel, flag in self._FLAG_CHANNELS:
-            # Time of the most recent fresh sample (the first record
-            # seeds every channel, mirroring the per-step init).
-            last = t[np.maximum.accumulate(
-                np.where(cols.get(flag), idx, 0))]
+            # Time of the most recent fresh sample, carried into the block.
+            latest = np.maximum.accumulate(np.where(cols.get(flag), idx, -1))
+            last = np.where(latest >= 0, t[latest],
+                            self._last_fresh[channel])
             stale_cnt += (t - last) > self._STALE_AFTER[channel]
+            self._last_fresh[channel] = float(last[-1])
         active = stale_cnt >= self.lost_channels
         starts = active.copy()
-        starts[1:] = active[1:] & ~active[:-1]
-        since = t[np.maximum.accumulate(np.where(starts, idx, 0))]
+        starts[1:] &= ~active[:-1]
+        carried = self._stale_since
+        if carried is not None:
+            starts[0] = False  # the previous record was already stale
+        begun = np.maximum.accumulate(np.where(starts, idx, -1))
+        since = np.where(begun >= 0, t[begun],
+                         math.nan if carried is None else carried)
+        self._stale_since = float(since[-1]) if active[-1] else None
         applicable = active & ~(t - since <= self.grace)
         stopping = 1.0 - cols.get("true_v") / self.stop_speed
         braking = -cols.get("accel_cmd") / self.brake_floor - 1.0
@@ -1072,6 +1136,11 @@ def _make_a12() -> TraceAssertion:
         ) -> tuple[np.ndarray, None]:
             lat = np.abs(cols.get("est_v") * cols.get("imu_yaw_rate"))
             return 1.0 - lat / 4.5, None
+
+        def margin_chunk(
+            self, cols: TraceColumns
+        ) -> tuple[np.ndarray, None]:
+            return self.margin_array(cols)  # stateless
 
     return LateralAccelAssertion()
 

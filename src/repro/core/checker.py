@@ -2,18 +2,21 @@
 
 Two engines produce byte-identical reports:
 
-* ``"vector"`` (default) — each assertion evaluates the whole trace at
-  once via :meth:`~repro.core.dsl.TraceAssertion.evaluate_offline`,
-  using the trace's columnar view and array-level margin/episode
-  extraction where the assertion supports it (stateful assertions fall
-  back to an exact sequential margin loop).
-* ``"step"`` — wraps the :class:`~repro.core.monitor.OnlineMonitor`,
-  feeding records one by one.  Retained as the differential-testing
-  oracle and for parity with live monitoring.
+* ``"vector"`` (default) — each assertion evaluates the whole trace as
+  one block via :meth:`~repro.core.dsl.TraceAssertion.evaluate_offline`:
+  the same resumable column code (``margin_chunk`` and ``advance``)
+  that :meth:`~repro.core.monitor.OnlineMonitor.feed_columns` runs on
+  every chunk the ingest service receives, started from a reset state.
+  Stateful assertions step their scalar margin record by record inside
+  that pass.
+* ``"step"`` — wraps the per-record
+  :meth:`~repro.core.monitor.OnlineMonitor.feed`, the on-vehicle API.
+  It is the differential-testing oracle, not a production path.
 
 Production always runs ``"vector"``; tests select the ``"step"`` oracle
 with ``engine=``.  Equivalence across the full attack x fault x
-controller grid is enforced by ``tests/test_checker_equivalence.py``.
+controller grid is enforced by ``tests/test_checker_equivalence.py``,
+and across every chunk split by ``tests/test_monitor_chunks.py``.
 """
 
 from __future__ import annotations

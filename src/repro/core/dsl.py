@@ -10,30 +10,36 @@ the catalog and keeps the diagnosis engine unit-free.
 
 The same objects serve two engines:
 
-* the **online** (per-step) path — :meth:`TraceAssertion.step` per record
-  plus :meth:`TraceAssertion.finish` at the end — used by the live
-  monitor and kept as the differential-testing oracle;
-* the **offline vectorized** path — :meth:`TraceAssertion.evaluate_offline`
-  computes the full margin array in one shot (via
-  :meth:`TraceAssertion.margin_array` over the trace's columnar view) and
-  runs debounce/episode extraction as array operations over the
-  run-length encoding of the bad/good margin signs.
+* the **per-step** path — :meth:`TraceAssertion.step` per record plus
+  :meth:`TraceAssertion.finish` at the end — the on-vehicle monitor API
+  and the differential-testing oracle;
+* the **block** path — :meth:`TraceAssertion.margin_chunk` computes the
+  margins of a block of records as arrays over the state the per-step
+  path carries (running sums, window tails, latches; stateful margins
+  are stepped record by record via :meth:`TraceAssertion.margins_of`),
+  and :meth:`TraceAssertion.advance` runs the debounce over the
+  run-length encoding of the bad/good margin signs, resuming the
+  per-step episode state.  The ingest service checks each streamed chunk
+  this way; the offline checker
+  (:meth:`TraceAssertion.evaluate_offline`) is one block over the whole
+  trace.
 
-Both paths produce byte-identical verdicts.  That is an engineered
-property, not an accident: every vectorized margin uses the same
-elementwise float64 operations as its scalar twin (IEEE-754 elementwise
-ops match Python scalar ops bit for bit), and windowed means are defined
-as *prefix-sum differences* on both paths — ``np.cumsum`` reproduces a
-sequential running sum exactly, whereas pairwise summation
-(``np.add.reduceat``) would not.  Equivalence over the full grid is
-enforced by ``tests/test_checker_equivalence.py`` and a CI benchmark
-smoke step.
+Both paths produce byte-identical verdicts, and they leave the same state
+behind, so they interleave freely.  That is an engineered property, not
+an accident: every vectorized margin uses the same elementwise float64
+operations as its scalar twin (IEEE-754 elementwise ops match Python
+scalar ops bit for bit), and windowed means are defined as *prefix-sum
+differences* on both paths — ``np.cumsum`` seeded with the carried running
+sum reproduces a sequential running sum exactly, whereas pairwise
+summation (``np.add.reduceat``) would not.  Equivalence is enforced by
+``tests/test_checker_equivalence.py`` (whole traces) and
+``tests/test_monitor_chunks.py`` (every chunk split and interleaving).
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -45,7 +51,91 @@ __all__ = [
     "BoundAssertion",
     "WindowMeanBoundAssertion",
     "FunctionAssertion",
+    "WindowBuffer",
+    "carry_sums",
+    "window_means",
 ]
+
+
+class WindowBuffer:
+    """A windowed assertion's per-step buffer, shared with its chunk path.
+
+    :meth:`TraceAssertion.margin` keeps the records still inside its
+    window as a list of tuples, mutated in place; the chunk path
+    (:meth:`TraceAssertion.margin_chunk`) reads and writes the same
+    state as one array per tuple position.  The attribute holds
+    whichever form was written last and converts on the other side's
+    first read, so consecutive chunks never round-trip the window
+    through Python tuples.
+
+    Declare it on the class (``_buffer = WindowBuffer(np.float64,
+    np.float64)``, one dtype per tuple position); assign a list or a
+    tuple of arrays; read the list as ``self._buffer`` and the arrays
+    as ``type(self)._buffer.columns(self)``.
+    """
+
+    def __init__(self, *dtypes):
+        self.dtypes = dtypes
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._key = name + "_store"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self._key]
+        if not isinstance(value, list):
+            value = list(zip(*(column.tolist() for column in value)))
+            obj.__dict__[self._key] = value
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self._key] = value
+
+    def columns(self, obj) -> tuple[np.ndarray, ...]:
+        value = obj.__dict__[self._key]
+        if isinstance(value, list):
+            rows = list(zip(*value)) or [()] * len(self.dtypes)
+            value = tuple(np.array(column, dtype=dtype)
+                          for column, dtype in zip(rows, self.dtypes))
+            obj.__dict__[self._key] = value
+        return value
+
+
+def window_means(
+    t: np.ndarray, values: np.ndarray, tail_t: np.ndarray,
+    tail_cum: np.ndarray, cum: float, prev_cum: float, window: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sliding-window means of a block, resumed from per-step state.
+
+    The per-step form of a windowed mean keeps the records still inside
+    the window (times ``tail_t``, running sums ``tail_cum``), the
+    running sum ``cum`` through the last record and ``prev_cum``, the
+    running sum just before the tail.  Seeding ``np.cumsum`` with
+    ``cum`` continues the sequential sum bit for bit, so the block's
+    means equal the per-step ``(cum - prev_cum) / len(window)``.
+
+    Returns ``(mean, lo, times, cums)``: ``times``/``cums`` are the tail
+    followed by the block, and ``lo[i]`` indexes the oldest record still
+    inside block record ``i``'s window.
+    """
+    block = np.cumsum(np.concatenate(([cum], values)))[1:]
+    times = np.concatenate((tail_t, t))
+    cums = np.concatenate((tail_cum, block))
+    lo = np.searchsorted(times, t - window, side="left")
+    prev = np.where(lo > 0, cums[lo - 1], prev_cum)
+    first = tail_t.size + 1
+    mean = (block - prev) / (np.arange(first, first + t.size) - lo)
+    return mean, lo, times, cums
+
+
+def carry_sums(cums: np.ndarray, prev_cum: float,
+               lo: np.ndarray) -> tuple[float, float, int]:
+    """The per-step ``(cum, prev_cum)`` after a :func:`window_means`
+    block, and the index where the carried tail now starts."""
+    cut = int(lo[-1])
+    return (float(cums[-1]), float(cums[cut - 1]) if cut else prev_cum,
+            cut)
 
 
 class TraceAssertion(abc.ABC):
@@ -132,9 +222,31 @@ class TraceAssertion(abc.ABC):
         Implementations must be bit-identical to iterating
         :meth:`margin`: use the same elementwise float64 operations, and
         express windowed means as prefix-sum differences on both paths.
-        The default returns ``None``, which makes
-        :meth:`evaluate_offline` fall back to the sequential margin loop
-        (state-machine subclasses stay exact without extra work).
+        This hook is whole-trace only: :meth:`evaluate_offline` uses it
+        when :meth:`margin_chunk` returns ``None``, and the block path
+        of the monitor never does (it cannot resume it mid-stream).  The
+        default returns ``None``, which makes :meth:`evaluate_offline`
+        fall back to the sequential margin loop (state-machine subclasses
+        stay exact without extra work).
+        """
+        return None
+
+    def margin_chunk(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """Vectorized margins of the next block of records, or ``None``.
+
+        The resumable twin of :meth:`margin_array`: ``cols`` holds the
+        records that follow everything this assertion has seen since
+        its last :meth:`reset`, by :meth:`step` or by earlier blocks.  An
+        implementation resumes from the state :meth:`margin` carries
+        (running sums, window tails, latches), returns the block's
+        ``(margins, applicable)`` bit-identical to calling :meth:`margin`
+        per record, and leaves that state exactly as those calls would.
+        The default returns ``None``, and the block's records are
+        stepped one by one through :meth:`margin` instead (state machines
+        stay exact without extra work).  A fresh assertion given the
+        whole trace is :meth:`evaluate_offline`'s case.
         """
         return None
 
@@ -226,108 +338,116 @@ class TraceAssertion(abc.ABC):
         Equivalent to ``reset(); [step(r) for r in trace]; finish(last)``
         but computes the margin stream as arrays via :meth:`margin_array`
         when the subclass supports it, then extracts debounced episodes
-        from the run-length encoding of the bad/good signs.  Verdicts
-        (episodes, margins, severities) are byte-identical to the
-        per-step path.  Returns the full violation list.
+        with :meth:`advance`.  Verdicts (episodes, margins, severities)
+        are byte-identical to the per-step path.  Returns the violations
+        :meth:`finish` closed.
         """
         self.reset()
         n = len(trace)
         if n == 0:
             return self.finish(None)
         cols = trace.columns()
-        t = cols.get("t")
-        computed = self.margin_array(cols)
+        # A fresh assertion evaluating the whole trace as one block.
+        computed = self.margin_chunk(cols)
         if computed is None:
-            # Sequential fallback: stateful margins see records in order,
-            # exactly as the online path does.
-            margins = np.empty(n, dtype=np.float64)
-            applicable = np.empty(n, dtype=bool)
-            for i, record in enumerate(trace):
-                m = self.margin(record)
-                if m is None:
-                    applicable[i] = False
-                    margins[i] = 0.0
-                else:
-                    applicable[i] = True
-                    margins[i] = m
-        else:
-            margins, applicable = computed
-            margins = np.asarray(margins, dtype=np.float64)
-        valid = t >= self.settle_time
-        if applicable is not None:
-            valid &= applicable
-        mv = margins[valid]
-        if self.bound_scale != 1.0:
-            mv = 1.0 - (1.0 - mv) / self.bound_scale
-        if mv.size:
-            self._evaluated = True
-            finite = mv[~np.isnan(mv)]
-            if finite.size:
-                # Python min() ignores a NaN in the second slot, so the
-                # per-step worst is the min over non-NaN margins.
-                self._worst_overall = float(finite.min())
-            self._last_step_t = float(t[-1])
-            self._extract_episodes(t[valid], mv)
+            computed = self.margin_array(cols)
+        if computed is None:
+            computed = self.margins_of(trace)
+        self.advance(cols.get("t"), *computed)
         last_record = trace[n - 1] if self._needs_end_record() else None
         return self.finish(last_record)
 
-    def _extract_episodes(self, tv: np.ndarray, mv: np.ndarray) -> None:
-        """Debounce/episode extraction over an evaluated margin array.
+    def margins_of(
+        self, records: Iterable[TraceRecord]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`margin` over consecutive records, in order, as
+        ``(margins, applicable)`` arrays for :meth:`advance` (stateful
+        margins see every record exactly as :meth:`step` shows them)."""
+        margin = self.margin
+        values = [margin(record) for record in records]
+        applicable = np.array([m is not None for m in values], dtype=bool)
+        margins = np.array([0.0 if m is None else m for m in values],
+                           dtype=np.float64)
+        return margins, applicable
 
-        ``tv``/``mv`` hold only the applicable, post-settle samples.
-        Works on the run-length encoding of ``mv < 0``: a bad run of
-        length >= debounce_on opens an episode at its debounce_on-th
-        sample; a good run of length >= debounce_off while open closes it
-        at its debounce_off-th sample.  (NaN compares false, so NaN
-        margins land in good runs — same as per-step.)
+    def advance(self, t: np.ndarray, margins: np.ndarray,
+                applicable: np.ndarray | None) -> list[tuple[int, Violation]]:
+        """Run :meth:`step`'s debounce over a block of margins.
+
+        ``t``, ``margins`` and ``applicable`` (``None`` = everywhere)
+        cover consecutive records; the block resumes from, and leaves
+        behind, exactly the episode state that stepping those records
+        would (``_bad_streak``, ``_good_streak``, ``_episode_start``,
+        ``_episode_worst``, ``_pending_worst``, ``_worst_overall``,
+        ``_last_step_t``), so blocks and single steps interleave freely.
+
+        Works on the run-length encoding of ``margin < 0`` over the
+        applicable, post-settle samples: a bad run opens an episode at
+        the sample that completes ``debounce_on``, a good run closes an
+        open one at the sample that completes ``debounce_off``.  (NaN
+        compares false, so NaN margins land in good runs, as per step.)
+
+        Returns ``(row, violation)`` for each episode that closed, ``row``
+        being the record's index in the block.
         """
-        bad = mv < 0.0
-        if not bad.any():
-            return
-        flips = np.flatnonzero(bad[1:] != bad[:-1]) + 1
-        starts = np.concatenate(([0], flips))
-        ends = np.concatenate((flips, [bad.size]))
-        streak_start = -1
-        open_pos = -1
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            if bad[s]:
-                if open_pos < 0 and e - s >= self.debounce_on:
-                    streak_start = s
-                    open_pos = s + self.debounce_on - 1
-            elif open_pos >= 0 and e - s >= self.debounce_off:
-                close = s + self.debounce_off - 1
-                # Any good sample resets the pending (pre-open) worst, so
-                # step-closed episodes never carry one.
-                self._emit_episode(tv, mv, open_pos, float(tv[close]),
-                                   close + 1, 0.0)
-                open_pos = -1
-        if open_pos >= 0:
-            # Episode still open at end of trace: the pre-open streak
-            # depth survives into the episode only if no good sample was
-            # seen since the pre-open streak began.
-            if bool((~(mv[open_pos + 1:] < 0.0)).any()):
-                pending = 0.0
-            elif open_pos > streak_start:
-                pending = float(mv[streak_start:open_pos].min())
+        self._last_step_t = float(t[-1])
+        valid = ~(t < self.settle_time)
+        if applicable is not None:
+            valid &= applicable
+        rows = valid.nonzero()[0]
+        n = rows.size
+        if n == 0:
+            return []
+        mv = np.asarray(margins, dtype=np.float64)
+        if n < mv.size:
+            mv = mv[rows]
+        if self.bound_scale != 1.0:
+            mv = 1.0 - (1.0 - mv) / self.bound_scale
+        self._evaluated = True
+        # Python's min() skips a NaN in the second slot, so the per-step
+        # worst is the min over the non-NaN margins.
+        worst = float(np.fmin.reduce(mv))
+        if worst == worst:
+            self._worst_overall = min(self._worst_overall, worst)
+        if worst < 0.0:
+            bad = mv < 0.0
+            edges = (np.flatnonzero(bad[1:] != bad[:-1]) + 1).tolist()
+            is_bad = bool(bad[0])
+        else:  # no bad sample (NaN is never the worst)
+            edges, is_bad = [], False
+        closed = []
+        s = 0
+        for e in (*edges, n):  # runs alternate bad and good
+            if is_bad:
+                self._good_streak = 0
+                if self._episode_start is None:
+                    need = self.debounce_on - self._bad_streak
+                    if need <= e - s:
+                        o = s + need - 1
+                        if o > s:
+                            self._pending_worst = min(
+                                self._pending_worst, float(mv[s:o].min()))
+                        self._episode_start = float(t[rows[o]])
+                        self._episode_worst = float(mv[o:e].min())
+                    else:
+                        self._pending_worst = min(
+                            self._pending_worst, float(mv[s:e].min()))
+                else:
+                    self._episode_worst = min(
+                        self._episode_worst, float(mv[s:e].min()))
+                self._bad_streak += e - s
             else:
-                pending = 0.0
-            self._emit_episode(tv, mv, open_pos, self._last_step_t,
-                               mv.size, pending)
-
-    def _emit_episode(self, tv: np.ndarray, mv: np.ndarray, open_pos: int,
-                      t_end: float, stop: int, pending: float) -> None:
-        seg = mv[open_pos:stop]
-        episode_worst = float(seg[seg < 0.0].min())
-        self._closed_violations.append(Violation(
-            assertion_id=self.assertion_id,
-            name=self.name,
-            category=self.category,
-            t_start=float(tv[open_pos]),
-            t_end=t_end,
-            worst_margin=min(episode_worst, pending),
-            message=f"{self.name} violated "
-                    f"(worst margin {episode_worst:+.2f})",
-        ))
+                self._bad_streak = 0
+                self._pending_worst = 0.0
+                if self._episode_start is not None:
+                    need = self.debounce_off - self._good_streak
+                    if need <= e - s:
+                        row = int(rows[s + need - 1])
+                        closed.append(
+                            (row, self._close_episode(float(t[row]))))
+                self._good_streak += e - s
+            s, is_bad = e, not is_bad
+        return closed
 
     @property
     def violations(self) -> list[Violation]:
@@ -414,6 +534,11 @@ class BoundAssertion(TraceAssertion):
         values = np.asarray(cols.get(self.channel), dtype=np.float64)
         return 1.0 - np.abs(values) / self.bound, None
 
+    def margin_chunk(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        return self.margin_array(cols)  # stateless: every block is whole
+
 
 class WindowMeanBoundAssertion(TraceAssertion):
     """Mean of ``|channel|`` over a sliding time window stays below a bound.
@@ -424,6 +549,8 @@ class WindowMeanBoundAssertion(TraceAssertion):
     agree bit for bit (``np.cumsum`` reproduces a sequential running sum
     exactly).
     """
+
+    _buffer = WindowBuffer(np.float64, np.float64)  # (t, running sum)
 
     def __init__(
         self,
@@ -465,18 +592,20 @@ class WindowMeanBoundAssertion(TraceAssertion):
         mean = (self._cum - self._prev_cum) / len(buf)
         return 1.0 - mean / self.bound
 
-    def margin_array(
+    def margin_chunk(
         self, cols: TraceColumns
     ) -> tuple[np.ndarray, np.ndarray]:
         t = cols.get("t")
         values = np.abs(np.asarray(cols.get(self.channel), dtype=np.float64))
-        cum = np.cumsum(values)
-        lo = np.searchsorted(t, t - self.window, side="left")
-        count = np.arange(1, t.size + 1) - lo
-        prev = np.where(lo > 0, cum[lo - 1], 0.0)
-        margins = 1.0 - ((cum - prev) / count) / self.bound
-        applicable = (t - t[lo]) >= 0.5 * self.window
-        return margins, applicable
+        tail_t, tail_cum = type(self)._buffer.columns(self)
+        mean, lo, times, cums = window_means(
+            t, values, tail_t, tail_cum, self._cum, self._prev_cum,
+            self.window)
+        self._cum, self._prev_cum, cut = carry_sums(
+            cums, self._prev_cum, lo)
+        self._buffer = (times[cut:], cums[cut:])
+        return (1.0 - mean / self.bound,
+                ~(t - times[lo] < 0.5 * self.window))
 
 
 class FunctionAssertion(TraceAssertion):

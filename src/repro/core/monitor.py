@@ -1,11 +1,24 @@
 """Online assertion monitor.
 
-Feeds records to a set of assertions as they are produced and surfaces
-violations the moment their episodes close.  The offline checker's
-``engine="step"`` path wraps this same monitor; its default vectorized
-engine produces byte-identical reports and is differential-tested against
-the monitor (``tests/test_core_checker.py``,
-``tests/test_checker_equivalence.py``).
+Feeds trace data to a set of assertions as it is produced and surfaces
+violations the moment their episodes close.  Two entry points share one
+state:
+
+* :meth:`OnlineMonitor.feed_columns` checks a block of records (the
+  columns of a streamed chunk) at once: assertions with a resumable
+  vectorized margin (:meth:`~repro.core.dsl.TraceAssertion.margin_chunk`)
+  evaluate it as arrays over their carried state, the stateful rest step
+  their scalar margin over light :class:`~repro.trace.schema.TraceRow`
+  rows.  This is the production path: the ingest service feeds every
+  chunk through it, and the offline checker is the same code run over
+  the whole trace as one block.
+* :meth:`OnlineMonitor.feed` steps one record through every assertion.
+  It is the on-vehicle API (E7, ``examples/online_monitoring.py``) and
+  the oracle the block path is differential-tested against
+  (``tests/test_checker_equivalence.py``,
+  ``tests/test_monitor_chunks.py``).
+
+Both leave the assertions in the same state, so they interleave freely.
 """
 
 from __future__ import annotations
@@ -14,7 +27,7 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.dsl import TraceAssertion
 from repro.core.verdicts import CheckReport, Violation
-from repro.trace.schema import Trace, TraceRecord
+from repro.trace.schema import Trace, TraceColumns, TraceMeta, TraceRecord
 
 __all__ = ["OnlineMonitor", "build_report"]
 
@@ -23,6 +36,7 @@ def build_report(
     assertions: Sequence[TraceAssertion],
     trace: Trace | None = None,
     *,
+    meta: TraceMeta | None = None,
     first_record: TraceRecord | None = None,
     last_record: TraceRecord | None = None,
 ) -> CheckReport:
@@ -31,7 +45,8 @@ def build_report(
     Shared by the online monitor and the vectorized offline checker so
     both produce reports with identical structure: summaries in catalog
     order, violations sorted by ``(t_start, assertion_id)``, duration and
-    labels from the trace metadata when available.
+    labels from the trace (or ``meta``, when no trace is given) when
+    available.
     """
     all_violations: list[Violation] = []
     summaries = {}
@@ -40,8 +55,8 @@ def build_report(
         summaries[assertion.assertion_id] = summary
         all_violations.extend(assertion.violations)
     all_violations.sort(key=lambda v: (v.t_start, v.assertion_id))
-    meta = trace.meta if trace is not None else None
     if trace is not None:
+        meta = trace.meta
         duration = trace.duration
     elif last_record is not None and first_record is not None:
         # Span of the observed stream, matching Trace.duration (which
@@ -69,6 +84,8 @@ class OnlineMonitor:
             for violation in monitor.feed(record):
                 alert(violation)
         report = monitor.finish()
+
+    or, a block of records at a time, ``monitor.feed_columns(cols)``.
     """
 
     def __init__(self, assertions: Sequence[TraceAssertion]):
@@ -106,6 +123,34 @@ class OnlineMonitor:
                 violations.append(v)
         return violations
 
+    def feed_columns(self, cols: TraceColumns) -> list[Violation]:
+        """Process a block of records given as columns.
+
+        Returns exactly the violations, in the same order, that
+        :meth:`feed` would return over the block's records one by one,
+        and leaves the monitor in the same state.  No
+        :class:`~repro.trace.schema.TraceRecord` is built.
+        """
+        if self._finished:
+            raise RuntimeError("monitor already finished; create a new one")
+        if cols.n == 0:
+            return []
+        rows = cols.rows()
+        if self._first_record is None:
+            self._first_record = rows[0]
+        self._last_record = rows[-1]
+        t = cols.get("t")
+        closed: list[tuple[int, int, Violation]] = []
+        for index, assertion in enumerate(self.assertions):
+            computed = assertion.margin_chunk(cols)
+            if computed is None:  # stateful: the scalar margin, row by row
+                computed = assertion.margins_of(rows)
+            closed.extend((row_index, index, v) for row_index, v
+                          in assertion.advance(t, *computed))
+        # Per-record feed order: by record, then catalog order.
+        closed.sort(key=lambda c: (c[0], c[1]))
+        return [v for _, _, v in closed]
+
     def feed_all(self, records: Iterable[TraceRecord]) -> list[Violation]:
         """Feed many records; returns all episodes closed along the way."""
         out: list[Violation] = []
@@ -113,7 +158,8 @@ class OnlineMonitor:
             out.extend(self.feed(record))
         return out
 
-    def finish(self, trace: Trace | None = None) -> CheckReport:
+    def finish(self, trace: Trace | None = None, *,
+               meta: TraceMeta | None = None) -> CheckReport:
         """Close open episodes, run end-of-trace checks, build the report.
 
         An empty stream (no records fed, or an empty ``trace``) yields a
@@ -129,6 +175,8 @@ class OnlineMonitor:
             trace: optionally attach the trace's metadata to the report
                 (pass the trace the records came from).  Ignored on
                 repeat calls — the first report stands.
+            meta: the metadata alone, when there is no trace object (the
+                duration then spans the first and last record fed).
         """
         if self._finished:
             return self._report
@@ -136,7 +184,7 @@ class OnlineMonitor:
         for assertion in self.assertions:
             assertion.finish(self._last_record)
         self._report = build_report(
-            self.assertions, trace,
+            self.assertions, trace, meta=meta,
             first_record=self._first_record,
             last_record=self._last_record,
         )

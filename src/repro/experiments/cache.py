@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import repro
-from repro.config import default_cache_dir
+from repro.config import default_cache_dir, env_flag
 from repro.core.spec import catalog_fingerprint
 from repro.core.verdicts import CheckReport
 from repro.locking import FileLease
@@ -183,11 +183,14 @@ class RunCache:
     def from_env() -> "RunCache | None":
         """The process-wide cache, or ``None`` when disabled.
 
-        ``ADASSURE_CACHE=0`` (or ``off``/``false``) turns the disk layer
-        off entirely; ``ADASSURE_CACHE_DIR`` relocates it.
+        ``ADASSURE_CACHE=0`` (or ``off``/``false``/``no``) turns the disk
+        layer off entirely; ``ADASSURE_CACHE_DIR`` relocates it.
+
+        Raises:
+            ValueError: ``ADASSURE_CACHE`` is not a switch
+                (:func:`~repro.config.env_flag`).
         """
-        flag = os.environ.get("ADASSURE_CACHE", "1").strip().lower()
-        if flag in ("0", "off", "false", "no"):
+        if not env_flag("ADASSURE_CACHE", True):
             return None
         return RunCache()
 

@@ -321,7 +321,7 @@ class TraceIngestServer:
                            "on another connection", "fatal": True})
             return None
         # The manifest alone answers a finished session; only an
-        # unfinished one needs its records decoded.
+        # unfinished one needs its segments decoded.
         checkpoint = self.store.manifest(session_id)
         if checkpoint is not None and not checkpoint.finished:
             checkpoint = self.store.load(session_id)
@@ -351,7 +351,7 @@ class TraceIngestServer:
             return None
         session = SessionState(session_id, checkpoint.meta,
                                monitor=self.monitors.acquire())
-        session.replay(checkpoint.records, checkpoint.next_seq)
+        session.restore(checkpoint.blocks, checkpoint.next_seq)
         self.sessions[session_id] = session
         self.resumes += 1
         await self._send(writer, FrameType.RESUMED, {
@@ -413,7 +413,7 @@ class TraceIngestServer:
             await self._send(writer, FrameType.ERROR, {
                 "message": "FINISH before HELLO/RESUME", "fatal": True})
             raise ConnectionResetError("protocol misuse")
-        if not session.records:
+        if not session.n_records:
             await self._send(writer, FrameType.ERROR, {
                 "message": "FINISH on an empty session", "fatal": False})
             return session  # still live; keep it bound for suspend

@@ -3,16 +3,21 @@
 A session is one trace streamed by one client.  The server keeps, per
 session:
 
-* the **record log** — every record received so far, in order (the
-  trace the verdict describes, and what a resumed session replays into
-  a fresh monitor);
+* the **record log** — every chunk received so far, in order, as the
+  decoded column blocks (the trace the verdict describes, and what a
+  resumed session replays into a fresh monitor).  No
+  :class:`~repro.trace.schema.TraceRecord` is built while serving;
+  :attr:`SessionState.records` materialises them for tests and tools;
 * the **pending chunks** — the ``(seq, payload)`` pairs accepted since
   the last checkpoint, exactly as received: a checkpoint appends these
   to the store, so it costs O(chunk), never a re-encode of the log;
 * an **incremental monitor** — a pooled
-  :class:`~repro.core.monitor.OnlineMonitor` fed as chunks arrive, so
-  violation episodes are pushed to the client *live*, long before the
-  stream ends;
+  :class:`~repro.core.monitor.OnlineMonitor` that checks each chunk's
+  columns in one :meth:`~repro.core.monitor.OnlineMonitor.feed_columns`
+  call, so violation episodes are pushed to the client *live*, long
+  before the stream ends.  The per-record ``feed`` is not on this path:
+  it is the on-vehicle API and the oracle the chunk path is tested
+  against;
 * the **chunk cursor** (``next_seq``) — the exactly-once bookkeeping.
   Chunks carry consecutive sequence numbers; a duplicate (``seq <
   next_seq``, e.g. a client retrying after a lost ACK) is acknowledged
@@ -21,11 +26,11 @@ session:
   can never be fed to the monitor twice or skipped.
 
 The final verdict *is* the incremental monitor's report: at FINISH the
-server closes the session's monitor over the record log
-(:class:`~repro.service.shards.ShardPool`) and :func:`verdict_of` adds
-diagnosis, attack onset and detection latency.  The online monitor and
-the vectorized offline checker produce identical reports
-(``tests/test_checker_equivalence.py``), so the verdict is dict-equal to
+server closes the session's monitor (:class:`~repro.service.shards.ShardPool`)
+and :func:`verdict_of` adds diagnosis, attack onset and detection
+latency, without concatenating the log.  The chunk path and the offline
+checker run the same vectorized assertion code (the offline check is
+one block over the whole trace), so the verdict is dict-equal to
 :func:`score_trace_bytes` — the offline reference over the same records
 — without re-encoding the trace or checking it a second time.
 """
@@ -41,14 +46,20 @@ from repro.core.checker import check_trace
 from repro.core.diagnosis import diagnose
 from repro.core.monitor import OnlineMonitor
 from repro.core.verdicts import CheckReport, Violation
-from repro.trace.io import TraceIOError, trace_from_bytes, trace_to_npz_bytes
-from repro.trace.schema import Trace, TraceMeta, TraceRecord
+from repro.trace.io import (
+    TraceIOError,
+    columns_to_npz_bytes,
+    trace_from_bytes,
+    trace_to_npz_bytes,
+)
+from repro.trace.schema import Trace, TraceColumns, TraceMeta, TraceRecord
 
 __all__ = [
     "ChunkRejected",
     "MonitorPool",
     "SessionState",
     "chunk_to_bytes",
+    "decode_chunk",
     "records_from_chunk",
     "score_trace_bytes",
     "verdict_of",
@@ -66,45 +77,54 @@ def chunk_to_bytes(meta: TraceMeta, records: Sequence[TraceRecord]) -> bytes:
     :mod:`repro.trace.io`, version 2), so the server decodes it with the
     same magic-sniffing, version-checked reader the run cache uses — torn
     or corrupt chunks fail its checksum and schema checks instead of
-    smuggling garbage records into a monitor.
+    smuggling garbage records into a monitor.  The records are encoded as
+    given, steps unchecked: rejecting a bad chunk is the server's job.
     """
-    return trace_to_npz_bytes(Trace(meta, records))
+    return columns_to_npz_bytes(meta, TraceColumns.from_records(records))
+
+
+def decode_chunk(data: bytes) -> Trace:
+    """Decode one chunk payload into a columnar trace; builds no record.
+
+    Raises:
+        ChunkRejected: the payload does not decode (torn, corrupt, or
+            steps that do not strictly increase), or holds no records.
+    """
+    try:
+        chunk = trace_from_bytes(data)
+    except TraceIOError as exc:
+        raise ChunkRejected(f"undecodable chunk payload: {exc}") from exc
+    if not len(chunk):
+        raise ChunkRejected("chunk carries no records")
+    return chunk
 
 
 def records_from_chunk(data: bytes) -> tuple[TraceMeta, list[TraceRecord]]:
     """Decode one chunk payload back into its metadata and records.
 
     Raises:
-        TraceIOError: the payload does not decode.
-        ChunkRejected: its steps do not strictly increase (checked on the
-            decoded step column, before any record is materialised).
+        TraceIOError: the payload does not decode, or its steps do not
+            strictly increase.
     """
     trace = trace_from_bytes(data)
-    steps = trace.columns().get("step")
-    stalls = np.flatnonzero(steps[1:] <= steps[:-1])
-    if stalls.size:
-        i = stalls[0]
-        raise ChunkRejected(
-            f"chunk steps must strictly increase: step {steps[i + 1]} "
-            f"follows step {steps[i]}")
     return trace.meta, list(trace.records)
 
 
-def verdict_of(trace: Trace, report: CheckReport) -> dict:
-    """The verdict of ``trace`` checked as ``report``: the VERDICT
-    frame's JSON-ready header (report, top diagnosed cause, attack onset
-    and detection latency)."""
+def verdict_of(report: CheckReport, *, n_records: int,
+               attack_onset: float | None) -> dict:
+    """The VERDICT frame's JSON-ready header for a trace of
+    ``n_records`` records checked as ``report``: the report, top
+    diagnosed cause, attack onset and detection latency."""
     diagnosis = diagnose(report) if report.any_fired else None
-    onset = trace.attack_onset()
-    latency = (report.detection_latency(onset) if onset is not None
-               else None)
+    latency = (report.detection_latency(attack_onset)
+               if attack_onset is not None else None)
     return {
-        "n_records": len(trace),
+        "n_records": n_records,
         "report": report.to_dict(),
         "any_fired": report.any_fired,
         "top_cause": (diagnosis.top().cause if diagnosis is not None
                       and diagnosis.ranking else None),
-        "attack_onset": onset,
+        "attack_onset": attack_onset,
         "detection_latency": latency,
     }
 
@@ -117,7 +137,8 @@ def score_trace_bytes(data: bytes) -> dict:
     uses: the service's verdicts are held dict-equal to this.
     """
     trace = trace_from_bytes(data)
-    return verdict_of(trace, check_trace(trace))
+    return verdict_of(check_trace(trace), n_records=len(trace),
+                      attack_onset=trace.attack_onset())
 
 
 class MonitorPool:
@@ -157,7 +178,12 @@ class SessionState:
         self.session_id = session_id
         self.meta = meta
         self.monitor = monitor
-        self.records: list[TraceRecord] = []
+        self.blocks: list[Trace] = []
+        """The record log: each applied chunk, decoded (columnar)."""
+        self.n_records = 0
+        self.attack_onset: float | None = None
+        """Time of the log's first attack-labelled record, if any."""
+        self._last_step: int | None = None
         self.next_seq = 0
         self.finished = False
         self.verdict: dict | None = None
@@ -165,6 +191,12 @@ class SessionState:
         self.pending: list[tuple[int, bytes]] = []
         """Chunks accepted but not yet checkpointed, as ``(seq,
         payload)``; the server's checkpoint persists and clears them."""
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The record log as records, materialised on demand (the
+        server itself never reads them)."""
+        return [record for block in self.blocks for record in block.records]
 
     # -- ingest ---------------------------------------------------------
     def apply_chunk(self, seq: int, payload: bytes) -> list[Violation] | None:
@@ -186,43 +218,61 @@ class SessionState:
             raise ChunkRejected(
                 f"chunk seq {seq} arrived but {self.next_seq} is next; "
                 "resume to learn the server's cursor")
-        try:
-            _, records = records_from_chunk(payload)
-        except TraceIOError as exc:
-            raise ChunkRejected(f"undecodable chunk payload: {exc}") from exc
-        if not records:
-            raise ChunkRejected("chunk carries no records")
-        if self.records and records[0].step <= self.records[-1].step:
+        chunk = decode_chunk(payload)
+        first = int(chunk.columns().get("step")[0])
+        if self._last_step is not None and first <= self._last_step:
             raise ChunkRejected(
-                f"chunk step {records[0].step} does not extend the log "
-                f"(last step {self.records[-1].step})")
-        closed: list[Violation] = []
-        if self.monitor is not None:
-            for record in records:
-                closed.extend(self.monitor.feed(record))
-        self.records.extend(records)
+                f"chunk step {first} does not extend the log "
+                f"(last step {self._last_step})")
+        closed = ([] if self.monitor is None
+                  else self.monitor.feed_columns(chunk.columns()))
+        self._append(chunk)
         self.next_seq = seq + 1
         self.pending.append((seq, payload))
         self.live_violations.extend(closed)
         return closed
 
-    def replay(self, records: Sequence[TraceRecord], next_seq: int) -> None:
-        """Restore state from a checkpoint: refeed the monitor silently."""
-        self.records = list(records)
+    def _append(self, block: Trace) -> None:
+        cols = block.columns()
+        self.blocks.append(block)
+        self.n_records += cols.n
+        self._last_step = int(cols.get("step")[-1])
+        if self.attack_onset is None:
+            hits = np.flatnonzero(cols.get("attack_active"))
+            if hits.size:
+                self.attack_onset = float(cols.get("t")[hits[0]])
+
+    def restore(self, blocks: Sequence[Trace], next_seq: int) -> None:
+        """Restore state from a checkpoint's decoded segments: refeed
+        the monitor silently, one block per segment."""
+        self.blocks = []
+        self.n_records = 0
+        self.attack_onset = None
+        self._last_step = None
         self.next_seq = next_seq
         if self.monitor is not None:
             self.monitor.reset()
-            for record in self.records:
-                self.monitor.feed(record)
+        for block in blocks:
+            if len(block):
+                if self.monitor is not None:
+                    self.monitor.feed_columns(block.columns())
+                self._append(block)
+
+    def replay(self, records: Sequence[TraceRecord], next_seq: int) -> None:
+        """:meth:`restore` from the log's records."""
+        self.restore([Trace(self.meta, records)], next_seq)
 
     # -- completion ------------------------------------------------------
     def assemble_bytes(self) -> bytes:
-        """The full trace received so far, as a binary payload."""
-        return chunk_to_bytes(self.meta, self.records)
-
-    def assemble_trace(self) -> Trace:
-        return Trace(self.meta, self.records)
+        """The full trace received so far, as a binary payload (its
+        blocks' columns concatenated)."""
+        if not self.blocks:
+            return trace_to_npz_bytes(Trace(self.meta))
+        columns = [block.columns() for block in self.blocks]
+        return columns_to_npz_bytes(self.meta, TraceColumns({
+            name: np.concatenate([cols.get(name) for cols in columns])
+            for name in Trace.field_names}))
 
     def __repr__(self) -> str:
-        return (f"SessionState({self.session_id!r}, n={len(self.records)}, "
+        return (f"SessionState({self.session_id!r}, n={self.n_records}, "
                 f"next_seq={self.next_seq}, finished={self.finished})")

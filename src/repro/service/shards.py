@@ -1,8 +1,8 @@
 """The server's verdict step: close a session's live monitor at FINISH.
 
 Each session's pooled :class:`~repro.core.monitor.OnlineMonitor` has
-stepped the whole catalog over every record as its chunks arrived (or
-over the checkpointed log, when the session resumed).  The verdict only
+checked every chunk's columns as it arrived (or the checkpointed
+segments, when the session resumed).  The verdict only
 has to finish it: close open episodes, run the end-of-trace checks, and
 add diagnosis, onset and latency through
 :func:`~repro.service.session.verdict_of`.  That costs about a
@@ -27,6 +27,7 @@ class ShardPool:
     async def score(self, session: SessionState) -> dict:
         """The verdict of ``session``'s record log, dict-equal to
         :func:`~repro.service.session.score_trace_bytes` on the same
-        records."""
-        trace = session.assemble_trace()
-        return verdict_of(trace, session.monitor.finish(trace))
+        records.  Reads the session's running counts; never the log."""
+        return verdict_of(session.monitor.finish(meta=session.meta),
+                          n_records=session.n_records,
+                          attack_onset=session.attack_onset)

@@ -51,7 +51,7 @@ from pathlib import Path
 from repro.config import default_cache_dir
 from repro.locking import FileLease, LeaseConflict
 from repro.trace.io import TraceIOError, trace_from_bytes
-from repro.trace.schema import TraceMeta, TraceRecord
+from repro.trace.schema import Trace, TraceMeta, TraceRecord
 
 __all__ = ["LeaseConflict", "SessionCheckpoint", "SessionStore",
            "default_store_dir"]
@@ -71,22 +71,30 @@ def default_store_dir() -> Path:
 class SessionCheckpoint:
     """One session's persisted state, as loaded from disk.
 
-    ``records`` is ``None`` when only the manifest was read
+    ``blocks`` holds the decoded segments in order (columnar traces; no
+    record is built), or ``None`` when only the manifest was read
     (:meth:`SessionStore.manifest`).
     """
 
-    __slots__ = ("session_id", "meta", "records", "next_seq", "finished",
+    __slots__ = ("session_id", "meta", "blocks", "next_seq", "finished",
                  "verdict")
 
     def __init__(self, session_id: str, meta: TraceMeta,
-                 records: list[TraceRecord] | None, next_seq: int,
+                 blocks: list[Trace] | None, next_seq: int,
                  finished: bool, verdict: dict | None):
         self.session_id = session_id
         self.meta = meta
-        self.records = records
+        self.blocks = blocks
         self.next_seq = next_seq
         self.finished = finished
         self.verdict = verdict
+
+    @property
+    def records(self) -> list[TraceRecord] | None:
+        """The segments' records, materialised on demand."""
+        if self.blocks is None:
+            return None
+        return [record for block in self.blocks for record in block.records]
 
 
 class SessionStore:
@@ -178,7 +186,7 @@ class SessionStore:
         self.writes += 1
 
     def manifest(self, session_id: str) -> SessionCheckpoint | None:
-        """The session's manifest alone (``records`` is ``None``), or
+        """The session's manifest alone (``blocks`` is ``None``), or
         ``None`` if absent or unreadable.  Decodes no records: enough to
         tell whether a session has history and to replay its verdict."""
         try:
@@ -187,7 +195,7 @@ class SessionStore:
             return SessionCheckpoint(
                 session_id=manifest.get("session_id", session_id),
                 meta=TraceMeta.from_dict(manifest.get("meta", {})),
-                records=None,
+                blocks=None,
                 next_seq=int(manifest.get("next_seq", 0)),
                 finished=bool(manifest.get("finished", False)),
                 verdict=manifest.get("verdict"),
@@ -196,7 +204,7 @@ class SessionStore:
             return None
 
     def load(self, session_id: str) -> SessionCheckpoint | None:
-        """The session's checkpoint with its records, or ``None`` if the
+        """The session's checkpoint with its segments, or ``None`` if the
         manifest or any segment inside its cursor is absent or unreadable.
 
         An unreadable checkpoint (torn write survived by the machine
@@ -208,14 +216,13 @@ class SessionStore:
         checkpoint = self.manifest(session_id)
         if checkpoint is None:
             return None
-        records: list[TraceRecord] = []
         try:
-            for seq in range(checkpoint.next_seq):
-                records.extend(trace_from_bytes(
-                    self._segment_path(session_id, seq).read_bytes()).records)
+            blocks = [trace_from_bytes(
+                self._segment_path(session_id, seq).read_bytes())
+                for seq in range(checkpoint.next_seq)]
         except (OSError, ValueError, TraceIOError):
             return None
-        checkpoint.records = records
+        checkpoint.blocks = blocks
         self.loads += 1
         return checkpoint
 

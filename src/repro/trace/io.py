@@ -63,6 +63,7 @@ import functools
 import gzip
 import io
 import json
+import math
 import warnings
 import zipfile
 import zlib
@@ -70,7 +71,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.trace.schema import Trace, TraceMeta, TraceRecord
+from repro.trace.schema import Trace, TraceColumns, TraceMeta, TraceRecord
 
 __all__ = [
     "TraceIOError",
@@ -86,6 +87,7 @@ __all__ = [
     "trace_to_jsonl_bytes",
     "trace_from_jsonl_bytes",
     "trace_to_npz_bytes",
+    "columns_to_npz_bytes",
     "trace_from_npz_bytes",
     "trace_from_bytes",
 ]
@@ -313,13 +315,19 @@ def trace_to_npz_bytes(trace: Trace) -> bytes:
     ``columns`` block with every channel's bytes back to back, in
     :attr:`Trace.field_names` order.  Exact round-trip of every dtype.
     """
-    cols = trace.columns()
+    return columns_to_npz_bytes(trace.meta, trace.columns())
+
+
+def columns_to_npz_bytes(meta: TraceMeta, cols: TraceColumns) -> bytes:
+    """:func:`trace_to_npz_bytes` of the trace ``meta`` + ``cols``,
+    encoded as given: a wire encoder must be able to produce what a
+    faulty sender would (the reader rejects it)."""
     arrays = [cols.get(name) for name in Trace.field_names]
     header = {
         "format": _NPZ_FORMAT_NAME,
         "version": TRACE_NPZ_VERSION,
-        "n": len(trace),
-        "meta": trace.meta.to_dict(),
+        "n": cols.n,
+        "meta": meta.to_dict(),
         "columns": [[name, array.dtype.str]
                     for name, array in zip(Trace.field_names, arrays)],
     }
@@ -377,6 +385,38 @@ def _column_table(header: dict, label: str) -> tuple[int, list]:
     return n, columns
 
 
+_NPY_MAGIC = b"\x93NUMPY"
+
+
+@functools.lru_cache(maxsize=256)
+def _npy_layout(prefix: bytes) -> tuple[tuple[int, ...], np.dtype]:
+    """Shape and dtype of an ``.npy`` member from its header (the bytes
+    before the data).  Cached: members repeat a handful of headers, and
+    parsing one (an ``ast.literal_eval``) costs more than the read."""
+    fp = io.BytesIO(prefix)
+    major, _ = np.lib.format.read_magic(fp)
+    read_header = (np.lib.format.read_array_header_1_0 if major == 1
+                   else np.lib.format.read_array_header_2_0)
+    shape, fortran_order, dtype = read_header(fp)
+    if fortran_order or dtype.hasobject or fp.read():
+        raise ValueError("unsupported .npy member layout")
+    return shape, dtype
+
+
+def _read_npy(zf: zipfile.ZipFile, name: str) -> np.ndarray:
+    """Member ``name`` as a read-only array: ``np.lib.format.read_array``
+    with ``allow_pickle=False`` for the C-order members this module
+    writes, with the member's zip CRC always checked."""
+    raw = zf.read(name)
+    if raw[:6] != _NPY_MAGIC or len(raw) < 12 or raw[6] not in (1, 2):
+        raise ValueError(f"member {name!r} is not a version 1/2 .npy array")
+    size = 2 if raw[6] == 1 else 4
+    end = 8 + size + int.from_bytes(raw[8:8 + size], "little")
+    shape, dtype = _npy_layout(raw[:end])
+    return np.frombuffer(raw, dtype=dtype, count=math.prod(shape),
+                         offset=end).reshape(shape)
+
+
 def trace_from_npz_bytes(data: bytes) -> Trace:
     """Inverse of :func:`trace_to_npz_bytes`.
 
@@ -392,8 +432,7 @@ def trace_from_npz_bytes(data: bytes) -> Trace:
         with zipfile.ZipFile(io.BytesIO(data)) as zf:
             if _HEADER_MEMBER not in zf.namelist():
                 raise TraceIOError(f"{label}: not a trace npz (no header)")
-            raw = np.lib.format.read_array(zf.open(_HEADER_MEMBER),
-                                           allow_pickle=False)[()]
+            raw = _read_npy(zf, _HEADER_MEMBER)[()]
             try:
                 header = json.loads(raw)
             except json.JSONDecodeError as exc:
@@ -411,8 +450,7 @@ def trace_from_npz_bytes(data: bytes) -> Trace:
                 raise TraceIOError(
                     f"{label}: payload failed its checksum (corrupted)")
             n, columns = _column_table(header, label)
-            block = np.lib.format.read_array(zf.open(_BLOCK_MEMBER),
-                                             allow_pickle=False)
+            block = _read_npy(zf, _BLOCK_MEMBER)
     except TraceIOError:
         raise
     except _NPZ_READ_ERRORS as exc:

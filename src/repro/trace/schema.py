@@ -26,12 +26,13 @@ materializes the per-record view if someone actually iterates it.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-__all__ = ["TraceRecord", "TraceMeta", "Trace", "TraceColumns"]
+__all__ = ["TraceRecord", "TraceRow", "TraceMeta", "Trace", "TraceColumns"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,6 +129,18 @@ _INT_CHANNELS = frozenset(
     f.name for f in fields(TraceRecord) if f.type in ("int", int))
 
 
+TraceRow = namedtuple("TraceRow", _FIELD_NAMES)
+TraceRow.__doc__ = """A light, read-only record: a named tuple over the
+:class:`TraceRecord` fields, built from columns by :meth:`TraceColumns.rows`
+at a fraction of a dataclass's cost.  Reads like a record wherever only
+field access is needed (assertion margins)."""
+
+
+def _step_error(prev, cur) -> ValueError:
+    return ValueError(
+        f"steps must strictly increase (got step {cur} after step {prev})")
+
+
 def _channel_dtype(name: str):
     if name in _STRING_CHANNELS:
         return np.str_
@@ -136,6 +149,9 @@ def _channel_dtype(name: str):
     if name in _INT_CHANNELS:
         return np.int64
     return np.float64
+
+
+_CHANNEL_DTYPES = {name: _channel_dtype(name) for name in _FIELD_NAMES}
 
 
 class TraceColumns:
@@ -173,6 +189,27 @@ class TraceColumns:
 
     def __contains__(self, name: str) -> bool:
         return name in self._arrays
+
+    @classmethod
+    def from_records(cls, records: Sequence[TraceRecord]) -> "TraceColumns":
+        """The columns of ``records``, taken as given (no step check)."""
+        arrays = {}
+        for name in _FIELD_NAMES:
+            arr = np.array([getattr(r, name) for r in records],
+                           dtype=_CHANNEL_DTYPES[name])
+            arr.flags.writeable = False
+            arrays[name] = arr
+        return cls(arrays)
+
+    def rows(self) -> list[TraceRow]:
+        """Every record as a :class:`TraceRow`, in order.
+
+        ``.tolist()`` converts numpy scalars to exact Python
+        floats/bools/ints/strs, so a row's fields equal the matching
+        :class:`TraceRecord`'s field for field.
+        """
+        raw = [self._arrays[name].tolist() for name in _FIELD_NAMES]
+        return list(map(TraceRow._make, zip(*raw)))
 
     def __repr__(self) -> str:
         return f"TraceColumns(n={self.n}, channels={len(self._arrays)})"
@@ -233,6 +270,9 @@ class Trace:
         self._records: list[TraceRecord] | None = (
             list(records) if records else [])
         self._columns: TraceColumns | None = None
+        for prev, cur in zip(self._records, self._records[1:]):
+            if cur.step <= prev.step:
+                raise _step_error(prev.step, cur.step)
 
     @classmethod
     def from_columns(cls, meta: TraceMeta | None, arrays: dict) -> "Trace":
@@ -244,13 +284,17 @@ class Trace:
         built here — it materializes lazily on first record access, so a
         caller that only needs columnar analysis (the vectorized checker,
         the metrics layer) never pays for 40+ dataclass fields per step.
+
+        Raises:
+            ValueError: a channel is missing or not 1-D, or the steps do
+                not strictly increase (the rule :meth:`append` enforces).
         """
         missing = [n for n in _FIELD_NAMES if n not in arrays]
         if missing:
             raise ValueError(f"trace columns missing channels: {missing}")
         coerced = {}
         for name in _FIELD_NAMES:
-            arr = np.asarray(arrays[name], dtype=_channel_dtype(name))
+            arr = np.asarray(arrays[name], dtype=_CHANNEL_DTYPES[name])
             if arr.ndim != 1:
                 raise ValueError(
                     f"trace column {name!r} must be 1-D, got shape {arr.shape}")
@@ -258,6 +302,11 @@ class Trace:
                 arr = arr.copy() if arr is arrays[name] else arr
                 arr.flags.writeable = False
             coerced[name] = arr
+        steps = coerced["step"]
+        stalls = np.flatnonzero(steps[1:] <= steps[:-1])
+        if stalls.size:
+            i = stalls[0]
+            raise _step_error(steps[i].item(), steps[i + 1].item())
         trace = cls(meta)
         trace._records = None
         trace._columns = TraceColumns(coerced)
@@ -279,10 +328,7 @@ class Trace:
     def append(self, record: TraceRecord) -> None:
         records = self._materialized()
         if records and record.step <= records[-1].step:
-            raise ValueError(
-                f"records must have strictly increasing steps "
-                f"(got {record.step} after {records[-1].step})"
-            )
+            raise _step_error(records[-1].step, record.step)
         records.append(record)
         self._columns = None  # cached columnar view is now stale
 
@@ -325,14 +371,7 @@ class Trace:
         non-writeable and shared, so treat them as immutable.
         """
         if self._columns is None:
-            records = self._records
-            arrays = {}
-            for name in _FIELD_NAMES:
-                arr = np.array([getattr(r, name) for r in records],
-                               dtype=_channel_dtype(name))
-                arr.flags.writeable = False
-                arrays[name] = arr
-            self._columns = TraceColumns(arrays)
+            self._columns = TraceColumns.from_records(self._records)
         return self._columns
 
     def column(self, name: str) -> np.ndarray:

@@ -1,8 +1,19 @@
 """Tests for the adassure CLI."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.trace.io import columns_to_npz_bytes
+from repro.trace.schema import TraceColumns, TraceMeta
+
+from conftest import make_record
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 class TestParser:
@@ -70,6 +81,28 @@ class TestCommands:
         assert main(["check", str(trace_path)]) == 0
         out = capsys.readouterr().out
         assert "gps_bias" in out  # diagnosis names the injected cause
+
+    def test_check_refuses_a_file_whose_steps_go_back(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "bad.npz"
+        path.write_bytes(columns_to_npz_bytes(
+            TraceMeta(), TraceColumns.from_records(
+                [make_record(5), make_record(3), make_record(3)])))
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "got step 3 after step 5" in err[0]
+
+    def test_closed_pipe_fails_quietly(self):
+        env = dict(os.environ,
+                   PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "faults", "list"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # the reader leaves before the first write
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) != 0
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
     def test_experiment_unknown(self, capsys):
         assert main(["experiment", "e99"]) == 2

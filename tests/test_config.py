@@ -1,7 +1,8 @@
-"""Numeric ``ADASSURE_*`` knobs: one parser, loud on malformed values.
+"""``ADASSURE_*`` knobs: one parser each, loud on malformed values.
 
-Every knob resolves through :func:`repro.config.env_number`; a value that
-does not parse raises a ``ValueError`` naming the variable and the value
+Every numeric knob resolves through :func:`repro.config.env_number` and
+every switch through :func:`repro.config.env_flag`; a value that does
+not parse raises a ``ValueError`` naming the variable and the value
 instead of silently running with the default.
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import env_number
+from repro.config import env_flag, env_number
 
 
 def _memo_limit():
@@ -47,6 +48,11 @@ def _shard_points():
     return resolve_shard_points(100, 4)
 
 
+def _run_cache():
+    from repro.experiments.cache import RunCache
+    return RunCache.from_env()
+
+
 def _lease_ttl():
     from repro.locking import default_lease_ttl
     return default_lease_ttl()
@@ -61,6 +67,9 @@ KNOBS = [
     ("ADASSURE_DIST_TIMEOUT", "forever", _dist_timeout),
     ("ADASSURE_SHARD_POINTS", "1e3", _shard_points),
     ("ADASSURE_LEASE_TTL", "1min", _lease_ttl),
+    ("ADASSURE_CACHE", "disable", _run_cache),
+    ("ADASSURE_CACHE", "2", _run_cache),
+    ("ADASSURE_CACHE", "offf", _run_cache),
 ]
 
 
@@ -82,3 +91,26 @@ def test_unset_and_blank_mean_default(monkeypatch):
     assert env_number("ADASSURE_TEST_KNOB", 2.5, float) == 2.5
     monkeypatch.setenv("ADASSURE_TEST_KNOB", " 12 ")
     assert env_number("ADASSURE_TEST_KNOB", 7) == 12
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("1", True), ("on", True), ("TRUE", True), ("Yes", True),
+    ("0", False), ("OFF", False), ("false", False), (" no ", False),
+])
+def test_flag_spellings(monkeypatch, value, expected):
+    monkeypatch.setenv("ADASSURE_TEST_FLAG", value)
+    assert env_flag("ADASSURE_TEST_FLAG", not expected) is expected
+
+
+def test_flag_unset_and_blank_mean_default(monkeypatch):
+    monkeypatch.delenv("ADASSURE_TEST_FLAG", raising=False)
+    assert env_flag("ADASSURE_TEST_FLAG", True) is True
+    monkeypatch.setenv("ADASSURE_TEST_FLAG", "  ")
+    assert env_flag("ADASSURE_TEST_FLAG", False) is False
+
+
+def test_run_cache_switch(monkeypatch):
+    monkeypatch.setenv("ADASSURE_CACHE", "Off")
+    assert _run_cache() is None
+    monkeypatch.setenv("ADASSURE_CACHE", "yes")
+    assert _run_cache() is not None

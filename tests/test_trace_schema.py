@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.trace.schema import Trace, TraceMeta, TraceRecord
+from repro.trace.io import TraceIOError, columns_to_npz_bytes, trace_from_bytes
+from repro.trace.schema import Trace, TraceColumns, TraceMeta, TraceRecord
 
 from conftest import make_record, make_trace
 
@@ -33,6 +34,26 @@ class TestTraceContainer:
             trace.append(make_record(5))
         with pytest.raises(ValueError):
             trace.append(make_record(3))
+
+    def test_constructor_requires_increasing_steps(self):
+        records = [make_record(5), make_record(3), make_record(3)]
+        with pytest.raises(ValueError, match=r"got step 3 after step 5"):
+            Trace(TraceMeta(), records)
+        with pytest.raises(ValueError, match="strictly increase"):
+            Trace(TraceMeta(), [make_record(2), make_record(2)])
+
+    def test_from_columns_requires_increasing_steps(self):
+        cols = TraceColumns.from_records(
+            [make_record(0), make_record(1), make_record(1)])
+        arrays = {name: cols.get(name) for name in Trace.field_names}
+        with pytest.raises(ValueError, match=r"got step 1 after step 1"):
+            Trace.from_columns(TraceMeta(), arrays)
+
+    def test_bad_steps_do_not_decode(self):
+        payload = columns_to_npz_bytes(TraceMeta(), TraceColumns.from_records(
+            [make_record(5), make_record(3), make_record(3)]))
+        with pytest.raises(TraceIOError, match=r"got step 3 after step 5"):
+            trace_from_bytes(payload)
 
     def test_getitem_and_slice(self):
         trace = make_trace(10)
