@@ -1,6 +1,6 @@
 # Development entry points for the ADAssure reproduction.
 
-.PHONY: install test bench bench-compare bench-sim bench-distributed bench-probes experiments examples clean
+.PHONY: install test bench bench-compare bench-sim bench-probes experiments examples clean
 
 install:
 	pip install -e . || pip install -e . --no-build-isolation || python setup.py develop
@@ -21,11 +21,6 @@ bench-compare:
 # oracle (64 lanes, bit-identity verified) and write BENCH_sim.json.
 bench-sim:
 	python -m repro.sim.batch --lanes 64 --output BENCH_sim.json
-
-# Benchmark the distributed campaign backend (cold serial / worker fleet
-# / chaos pass with the fleet SIGKILLed mid-shard) → BENCH_distributed.json.
-bench-distributed:
-	python benchmarks/bench_distributed.py --output BENCH_distributed.json
 
 # Benchmark round-batched counterfactual probing and the E10-E13 planner
 # sweeps against their serial oracles (bit-identity verified) and write

@@ -23,11 +23,9 @@ from repro._lazy import lazy_exports
 # 1.2: columnar trace backend + vectorized assertion checking; the run
 # cache moves to the binary trace format (cache layout v2 — older
 # entries live under a separate root and are simply not found).
-# 1.4: scheduler/executor/result-store split + the distributed campaign
-# backend (grid specs embed this version; mixed-version fleets refuse
-# to share a campaign).
-# 1.7: binary trace format 2 (cache layout v3, protocol 2); a worker
-# still writing format 1 must not join a campaign of this build.
+# 1.4: scheduler/executor/result-store split (cache keys and checkpoint
+# manifests embed this version).
+# 1.7: binary trace format 2 (cache layout v3, protocol 2).
 __version__ = "1.7.0"
 
 __all__ = [

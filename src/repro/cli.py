@@ -8,8 +8,8 @@ Commands:
 * ``check`` — run the assertion catalog over a saved trace file.
 * ``experiment`` — regenerate one or all evaluation tables (e1..e14),
   choosing the simulation engine (``--sim-engine``; batch by default
-  whenever two or more runs are pending) or a distributed worker fleet
-  (``--executor distributed``), with campaign stats (``--stats``).
+  whenever two or more runs are pending), with campaign stats
+  (``--stats``).
 * ``explain`` — counterfactual root-cause isolation: re-simulate a
   violating run with the injection removed, delta-debug the injection
   window/channels/magnitude to the minimal violating intervention, and
@@ -17,12 +17,8 @@ Commands:
   saved trace, a 40-hex cache key, or explicit flags.
 * ``cache`` — inspect (``stats``) or wipe (``clear``) the persistent
   on-disk run cache that accelerates repeated campaigns; ``stats`` also
-  reports campaign lease/manifest health (active/stale leases, orphaned
-  shards, lease-conflict events) and the entries older cache layouts
-  left behind, which ``clear`` removes too.
-* ``worker`` — join a distributed campaign as one worker process: claim
-  lease-guarded grid shards from a serialized grid spec, execute them,
-  and commit results to the shared cache (see ``docs/distributed.md``).
+  counts checkpoint-manifest lease conflicts and the entries older cache
+  layouts left behind, which ``clear`` removes too.
 * ``diff`` — compare two saved traces and print the divergence timeline.
 * ``calibrate`` — fit assertion thresholds on nominal trace files and save
   a catalog spec.
@@ -160,14 +156,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     if args.sim_engine:
         # Every execute resolves the engine from this env var, so the
-        # choice reaches every experiment (and any worker it spawns).
+        # choice reaches every experiment.
         os.environ["ADASSURE_SIM"] = args.sim_engine
-    if args.executor:
-        # Same routing for the campaign executor (serial/distributed)
-        # and the distributed fleet size.
-        os.environ["ADASSURE_EXECUTOR"] = args.executor
-    if args.dist_workers is not None:
-        os.environ["ADASSURE_DIST_WORKERS"] = str(args.dist_workers)
 
     config = ExperimentConfig.quick() if args.quick else ExperimentConfig.full()
     if args.seeds is not None:
@@ -285,8 +275,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
     cache = RunCache()
     if args.action == "stats":
-        from repro.experiments.distributed import lease_health
-
         stats = cache.stats()
         print(f"cache root : {stats['root']}")
         print(f"entries    : {stats['entries']}")
@@ -294,39 +282,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"stale      : {stats['stale_entries']} entries "
               f"({stats['stale_bytes'] / 1e6:.2f} MB) in older layouts, "
               "never read; `cache clear` removes them")
-        health = lease_health(cache)
-        print(f"leases     : {health['active_leases']} active, "
-              f"{health['stale_leases']} stale")
-        print(f"shards     : {health['shard_boards']} board(s), "
-              f"{health['orphaned_shards']} orphaned")
-        print(f"conflicts  : {health['lease_conflicts']} lease event(s)")
+        print(f"conflicts  : {cache.lease_event_count()} lease event(s)")
     elif args.action == "clear":
         removed = cache.clear()
         print(f"removed {removed} cached run(s) from {cache.root}")
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.distributed import GridSpec, run_worker
-
-    try:
-        spec = GridSpec.load(args.grid_file)
-    except OSError as exc:
-        print(f"error: cannot read grid spec {args.grid_file!r}: {exc}",
-              file=sys.stderr)
-        return 2
-    report = run_worker(
-        spec,
-        worker_id=args.worker_id,
-        max_shards=args.max_shards,
-        retries=args.retries,
-        sim_engine=args.sim_engine,
-        ttl=args.lease_ttl,
-        max_wait_s=args.max_wait,
-    )
-    print(json.dumps(report.as_dict(), indent=2))
     return 0
 
 
@@ -528,16 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--seeds", metavar="S1,S2,...", default=None,
                        help="override the config's seed list "
                             "(comma-separated integers, non-empty)")
-    p_exp.add_argument("--executor", choices=("serial", "distributed"),
-                       default=None,
-                       help="campaign executor for uncached grid points "
-                            "(default: $ADASSURE_EXECUTOR or serial, this "
-                            "process; 'distributed' spawns a "
-                            "lease-claimed worker fleet sharing the disk "
-                            "cache)")
-    p_exp.add_argument("--dist-workers", type=int, default=None, metavar="N",
-                       help="worker processes for --executor distributed "
-                            "(default: $ADASSURE_DIST_WORKERS or >=2)")
     p_exp.add_argument("--stats", action="store_true",
                        help="print campaign stats (phase times, cache "
                             "hits, batch groups, retries/quarantine) "
@@ -589,33 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cache", help="inspect or clear the persistent run cache")
     p_cache.add_argument("action", choices=("stats", "clear"))
     p_cache.set_defaults(func=_cmd_cache)
-
-    p_worker = sub.add_parser(
-        "worker", help="join a distributed campaign as one worker process")
-    p_worker.add_argument("--grid-file", required=True, metavar="SPEC",
-                          help="serialized campaign grid spec "
-                               "(<cache>/campaigns/<grid id>.grid.json, "
-                               "written by the coordinator)")
-    p_worker.add_argument("--worker-id", default=None,
-                          help="identity used in lease ownership and done "
-                               "markers (default: worker-<pid>)")
-    p_worker.add_argument("--max-shards", type=int, default=None, metavar="N",
-                          help="stop after claiming N shards "
-                               "(default: run until the campaign converges)")
-    p_worker.add_argument("--retries", type=int, default=None, metavar="N",
-                          help="per-point retry budget (default: "
-                               "$ADASSURE_POINT_RETRIES or 2)")
-    p_worker.add_argument("--sim-engine", choices=("serial", "batch"),
-                          default=None,
-                          help="simulation engine for this worker's shards")
-    p_worker.add_argument("--lease-ttl", type=float, default=None, metavar="S",
-                          help="shard lease TTL in seconds (default: "
-                               "$ADASSURE_LEASE_TTL or 60); a worker dead "
-                               "this long forfeits its shard")
-    p_worker.add_argument("--max-wait", type=float, default=None, metavar="S",
-                          help="give up after this long without claimable "
-                               "work (default: $ADASSURE_DIST_TIMEOUT or 900)")
-    p_worker.set_defaults(func=_cmd_worker)
 
     p_diff = sub.add_parser("diff", help="diff two saved traces")
     p_diff.add_argument("reference", help="known-good trace (.jsonl)")

@@ -20,7 +20,6 @@ __all__ = [
     "RunCache",
     "cache_key",
     "clear_cache",
-    "resolve_executor",
     "set_memo_limit",
     "ResultStore",
     "CacheResultStore",
@@ -85,8 +84,7 @@ __getattr__ = lazy_exports(__name__, {
         "Subject", "counterfactual_tiebreak", "explain", "resolve_cache_key",
     ),
     ".runner": (
-        "GridRun", "clear_cache", "resolve_executor", "run_grid",
-        "set_memo_limit",
+        "GridRun", "clear_cache", "run_grid", "set_memo_limit",
     ),
     ".stats": ("STATS", "GridStats"),
     ".tables": ("Table",),

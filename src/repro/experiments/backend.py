@@ -22,9 +22,10 @@ them through the same five steps:
 
 The contract that makes this safe: **a run is only ever observable
 through the result store**, and a commit is atomic (the disk cache
-writes tmp+rename).  Runs may be duplicated or re-run — by a distributed
-worker, by a speculative lane — and the store absorbs it, because a run
-is a pure function of its key and re-commits are byte-identical.
+writes tmp+rename).  Runs may be duplicated or re-run — by a speculative
+lane, by a second campaign sharing the cache directory — and the store
+absorbs it, because a run is a pure function of its key and re-commits
+are byte-identical.
 
 Two stores share one contract: :class:`CacheResultStore` keys grid
 points by their grid tuple (and keeps the campaign's checkpoint
@@ -54,7 +55,6 @@ __all__ = [
     "build_grid",
     "choose_sim_engine",
     "execute",
-    "resolve_sim_engine",
     "retry_cap",
     "retry_delay",
 ]
@@ -67,8 +67,8 @@ DEFAULT_RETRY_CAP = 30.0
 (``ADASSURE_RETRY_CAP``)."""
 
 _RNG = random.Random()
-"""Process-local jitter source: seeded per process, so a fleet of workers
-that fails simultaneously does not retry in lockstep."""
+"""Process-local jitter source: seeded per process, so campaigns sharing a
+cache directory that fail together do not retry in lockstep."""
 
 
 def build_grid(
@@ -80,13 +80,10 @@ def build_grid(
     onset: float = 15.0,
     duration: float | None = None,
 ) -> list[tuple]:
-    """The canonical point list (scenario-major, seed-minor).
-
-    Shared by :func:`~repro.experiments.runner.run_grid` and the
-    distributed :class:`~repro.experiments.distributed.GridSpec`, so a
-    worker on another host enumerates byte-identical point tuples (and
-    therefore identical cache keys) from the serialized campaign spec.
-    """
+    """The canonical point list (scenario-major, seed-minor) of
+    :func:`~repro.experiments.runner.run_grid`: every campaign over the
+    same axes enumerates byte-identical point tuples, and therefore
+    identical cache keys and checkpoint-manifest ids."""
     return [
         (scenario, controller, attack, float(intensity), int(seed),
          float(onset), None if duration is None else float(duration))
@@ -95,25 +92,6 @@ def build_grid(
         for attack in attacks
         for seed in seeds
     ]
-
-
-def resolve_sim_engine(engine: str | None = None) -> str:
-    """Effective simulation engine: argument > ``ADASSURE_SIM`` > serial.
-
-    ``"serial"`` steps every grid point through its own
-    :class:`~repro.sim.engine.SimulationRunner`; ``"batch"`` groups
-    compatible points and steps them in lockstep through
-    :func:`repro.sim.batch.run_batch` (bit-identical results, one core).
-    """
-    if engine is None:
-        env = os.environ.get("ADASSURE_SIM", "").strip()
-        engine = env or "serial"
-    engine = engine.strip().lower()
-    if engine not in ("serial", "batch"):
-        raise ValueError(
-            f"unknown simulation engine {engine!r}; "
-            "expected 'serial' or 'batch'")
-    return engine
 
 
 def choose_sim_engine(engine: str | None = None,
@@ -125,15 +103,14 @@ def choose_sim_engine(engine: str | None = None,
     array-native); otherwise serial.  ``ADASSURE_SIM=serial`` is the
     opt-out.  Returns ``(engine, reason)`` — the reason lands in
     ``GridStats.sim_engine_reason`` so ``--stats`` shows how the engine
-    was picked.  :func:`resolve_sim_engine` keeps the historical
-    serial-unless-asked contract for callers that need it (the
-    distributed executor ships the engine name to its workers).
+    was picked.  An engine name other than ``"serial"`` or ``"batch"``,
+    as argument or in ``ADASSURE_SIM``, raises ``ValueError``.
     """
     if engine is not None:
-        return resolve_sim_engine(engine), "engine argument"
+        return _engine_name(engine), "engine argument"
     env = os.environ.get("ADASSURE_SIM", "").strip()
     if env:
-        return resolve_sim_engine(env), "ADASSURE_SIM"
+        return _engine_name(env), "ADASSURE_SIM"
     if pending < 2:
         return "serial", f"auto: {pending} pending run(s)"
     try:
@@ -141,6 +118,15 @@ def choose_sim_engine(engine: str | None = None,
     except ImportError:  # pragma: no cover - numpy ships with the repo
         return "serial", "auto: numpy unavailable"
     return "batch", f"auto: {pending} pending run(s)"
+
+
+def _engine_name(engine: str) -> str:
+    name = engine.strip().lower()
+    if name not in ("serial", "batch"):
+        raise ValueError(
+            f"unknown simulation engine {engine!r}; "
+            "expected 'serial' or 'batch'")
+    return name
 
 
 def batch_lanes() -> int:
@@ -160,12 +146,12 @@ def retry_delay(failures: int, slept: float, *, base: float | None = None,
     """Jittered, capped exponential backoff before retry ``failures``.
 
     ``base * 2**(failures-1)`` scaled by a uniform jitter in ``[0.5, 1.5)``
-    so N workers that hit the same transient fault (an NFS blip on the
-    shared cache, a briefly unreachable store) do not retry in lockstep
-    and re-create the stampede that failed them.  The *total* sleep a
-    single point may accumulate across its retries is capped
-    (``slept`` is the accumulated sleep so far): past the cap, retries
-    proceed immediately rather than stretching the campaign tail.
+    so processes that hit the same transient fault (an NFS blip on a
+    shared cache directory) do not retry in lockstep and re-create the
+    stampede that failed them.  The *total* sleep a single point may
+    accumulate across its retries is capped (``slept`` is the
+    accumulated sleep so far): past the cap, retries proceed immediately
+    rather than stretching the campaign tail.
     """
     if base is None:
         from repro.experiments import runner
@@ -221,11 +207,11 @@ class CacheResultStore(ResultStore):
     :class:`~repro.experiments.cache.CheckpointManifest` as one commit point.
 
     A point committed here is visible to the in-process memo, to every
-    other process sharing the cache directory (the distributed workers'
-    common store), and to the campaign's resume ledger — in that order,
-    so a crash between steps loses bookkeeping, never results.  Its
-    values are :class:`~repro.experiments.runner.GridRun` objects, so a
-    grid point is diagnosed before it is stored.
+    other process sharing the cache directory, and to the campaign's
+    resume ledger — in that order, so a crash between steps loses
+    bookkeeping, never results.  Its values are
+    :class:`~repro.experiments.runner.GridRun` objects, so a grid point
+    is diagnosed before it is stored.
     """
 
     def __init__(self, cache, catalog: str | None, manifest,
@@ -242,10 +228,6 @@ class CacheResultStore(ResultStore):
             return None
         from repro.experiments.cache import cache_key
         return cache_key(*point, catalog=self.catalog)
-
-    def contains(self, point: tuple) -> bool:
-        key = self.key(point)
-        return key is not None and self.cache.contains(key)
 
     # -- ResultStore ----------------------------------------------------
     def resolve(self, point: tuple):
@@ -413,9 +395,8 @@ class Run:
     build its description.
 
     :func:`execute` fills in the outcome: ``value`` and ``source``
-    (``"memo"``/``"disk"`` for a store hit, ``"fleet"`` for a result a
-    distributed worker committed, ``"sim"`` for a fresh simulation), or
-    ``error`` for a run that failed.
+    (``"memo"``/``"disk"`` for a store hit, ``"sim"`` for a fresh
+    simulation), or ``error`` for a run that failed.
     """
 
     key: object
@@ -453,8 +434,7 @@ def _simulate(run: Run):
 
 def execute(runs: list[Run], store: ResultStore, stats, *,
             engine: str | None = None, lanes: int | None = None,
-            commit: bool = True, retries: int = 0,
-            fleet: Callable | None = None) -> list[Run]:
+            commit: bool = True, retries: int = 0) -> list[Run]:
     """Resolve, simulate, check and commit ``runs``; returns the failed
     ones (each with its ``error``; later runs still execute).
 
@@ -474,9 +454,6 @@ def execute(runs: list[Run], store: ResultStore, stats, *,
             are returned unchecked and uncommitted in ``run.value``.
         retries: re-executions a failing serial run gets, with jittered
             backoff (:func:`retry_delay`), before it counts as failed.
-        fleet: called with the misses before anything is simulated here;
-            returns the runs still missing (the distributed coordinator,
-            which adopts what its workers committed).
 
     A plain :class:`ValueError` out of a simulation is a deterministic
     crash: it is committed as a stored failure (where the store keeps
@@ -504,8 +481,6 @@ def execute(runs: list[Run], store: ResultStore, stats, *,
             stats.memo_hits += 1
         else:
             stats.disk_hits += 1
-    if fleet is not None and misses:
-        misses = fleet(misses)
 
     batch = not commit
     if commit and any(run.group is not None for run in misses):

@@ -26,10 +26,10 @@ the vectorized checker consumes.  Each layout lives under its own
 an upgrade they are plain misses, not load failures.  ``cache stats``
 still counts them (``stale``) and ``cache clear`` removes them.
 
-Entries are written atomically (tmp file + rename) so concurrent workers
-and concurrent campaigns can share a cache directory.  Any unreadable or
-truncated entry is treated as a miss, deleted, and re-run — a corrupt
-cache can cost time, never correctness.
+Entries are written atomically (tmp file + rename) so concurrent
+campaigns can share a cache directory.  Any unreadable or truncated
+entry is treated as a miss, deleted, and re-run — a corrupt cache can
+cost time, never correctness.
 """
 
 from __future__ import annotations
@@ -136,10 +136,9 @@ def cache_key_params(params: dict, *, catalog: str | None = None) -> str:
 def grid_identity(grid: list[tuple]) -> str:
     """Stable campaign id: a hash of the full point list, version-salted.
 
-    Shared by the checkpoint manifest, the distributed shard board and
-    the serialized grid spec, so every process that enumerates the same
-    campaign — coordinator, resuming run, worker on another host —
-    agrees on one ledger/board identity.
+    Names the campaign's checkpoint manifest, so every process that
+    enumerates the same campaign — the first run, a resuming run, a
+    concurrent one sharing the cache — agrees on one ledger.
     """
     payload = {
         "format": CACHE_FORMAT_VERSION,
@@ -374,10 +373,10 @@ class RunCache:
         """Append one lease incident to the campaign directory's log.
 
         Conflicts are rare, operator-relevant events (a second campaign
-        fighting over a ledger, a shard lease stolen mid-run), so they
-        are persisted — ``adassure cache stats`` reports the cumulative
-        count.  One small JSON line per event; appends of a line this
-        size are atomic on POSIX, and the log is best-effort anyway.
+        fighting over a ledger), so they are persisted — ``adassure
+        cache stats`` reports the cumulative count.  One small JSON line
+        per event; appends of a line this size are atomic on POSIX, and
+        the log is best-effort anyway.
         """
         try:
             path = self._lease_events_path()

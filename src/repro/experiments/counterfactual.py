@@ -13,9 +13,8 @@ properties the rest of the repo already paid for make this practical:
   both the serial and the lockstep batch engine);
 * **the content-addressed run cache** — probes are params-keyed through
   :class:`~repro.experiments.backend.ScoredResultStore`, so a repeated
-  explanation re-simulates nothing, probes are shardable across any
-  fleet that shares the cache directory, and every probe commits
-  exactly once.
+  explanation re-simulates nothing, any process that shares the cache
+  directory reuses the probes, and every probe commits exactly once.
 
 The search cores (:func:`ddmin_interval`, :func:`ddmin_subset`,
 :func:`bisect_intensity`) are pure functions over a ``violates``

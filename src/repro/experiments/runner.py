@@ -18,17 +18,14 @@ Every experiment funnels through :func:`run_grid` (grid points) or
 3. uncached points are described once (:func:`grid_spec`), grouped and
    stepped in lockstep by the batch engine (``--sim-engine batch``, or
    auto whenever two or more points are pending); the rest run on the
-   serial oracle, which owns retries and quarantine.  With
-   ``executor="distributed"`` (``ADASSURE_EXECUTOR``) a lease-claimed
-   worker fleet (:mod:`repro.experiments.distributed`) executes the
-   misses first and this process adopts its commits.
+   serial oracle, which owns retries and quarantine.
 
 Because every run is fully seeded, every path produces bit-identical
 results; the engines only change wall-clock time.  Each call reports
 timings and hit counts into :data:`repro.experiments.stats.STATS`.
 
 The grid path is **crash-tolerant**: a campaign of thousands of points
-must survive one sick point or one dead host.  Concretely,
+must survive one sick point or one interrupted process.  Concretely,
 
 * failing points are retried with jittered exponential backoff
   (``ADASSURE_POINT_RETRIES``, default 2; total per-point backoff capped
@@ -38,16 +35,12 @@ must survive one sick point or one dead host.  Concretely,
 * completed points are checkpointed to the disk cache *as they finish*,
   with a campaign-level :class:`~repro.experiments.cache.CheckpointManifest`
   ledger, so an interrupted campaign resumes from where it died and
-  re-runs only the missing points;
-* distributed workers that die mid-shard lose their lease after the
-  heartbeat TTL and the shard is reclaimed — see
-  :mod:`repro.experiments.distributed` for the full failure semantics.
+  re-runs only the missing points.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import time
 import warnings
 from collections import OrderedDict
@@ -65,7 +58,6 @@ from repro.experiments.backend import (
     build_grid,
     choose_sim_engine,
     execute,
-    resolve_sim_engine,
 )
 from repro.experiments.cache import CheckpointManifest, RunCache
 from repro.experiments.stats import STATS, GridStats
@@ -80,9 +72,7 @@ __all__ = [
     "run_scored",
     "scored_store",
     "clear_cache",
-    "resolve_executor",
     "choose_sim_engine",
-    "resolve_sim_engine",
     "set_memo_limit",
 ]
 
@@ -176,41 +166,6 @@ def clear_cache(disk: bool = False) -> None:
             cache.clear()
 
 
-def resolve_executor(executor: str | None = None) -> str:
-    """Effective campaign executor: argument > ``ADASSURE_EXECUTOR`` >
-    serial.
-
-    * ``"serial"`` — this process executes the misses (compatible groups
-      through the lockstep batch engine, the rest on the serial oracle);
-    * ``"distributed"`` — spawn a lease-claimed worker fleet sharing the
-      disk cache (:mod:`repro.experiments.distributed`); other hosts can
-      join with ``adassure worker``.
-    """
-    if executor is None:
-        env = os.environ.get("ADASSURE_EXECUTOR", "").strip()
-        executor = env or "serial"
-    executor = executor.strip().lower()
-    if executor not in ("serial", "distributed"):
-        raise ValueError(
-            f"unknown executor {executor!r}; expected 'serial' or "
-            "'distributed'")
-    return executor
-
-
-def resolve_dist_workers(dist_workers: int | None = None) -> int:
-    """Distributed fleet size: argument > ``ADASSURE_DIST_WORKERS`` >
-    cores-1, at least 2.
-
-    The default is at least two workers — a one-worker "fleet" is legal
-    (still crash-tolerant via lease reclaim on restart) but defeats the
-    point of asking for the distributed executor.
-    """
-    if dist_workers is None:
-        dist_workers = env_number("ADASSURE_DIST_WORKERS",
-                                  max((os.cpu_count() or 2) - 1, 2))
-    return max(int(dist_workers), 1)
-
-
 # ---------------------------------------------------------------------------
 # Grid points as runs
 # ---------------------------------------------------------------------------
@@ -295,32 +250,20 @@ def run_grid(
     duration: float | None = None,
     retries: int | None = None,
     sim_engine: str | None = None,
-    executor: str | None = None,
-    dist_workers: int | None = None,
-    shard_points: int | None = None,
 ) -> list[GridRun]:
     """Run (and score) the full cartesian grid.
 
     Results come back in grid order (scenario-major, seed-minor) and are
-    identical whichever engine or executor ran them.  Hits are served
-    from the in-process memo first, then from the persistent disk cache;
-    freshly executed points are merged back into both layers *as they
-    complete* (the incremental checkpoint an interrupted campaign
-    resumes from).
+    identical whichever engine ran them.  Hits are served from the
+    in-process memo first, then from the persistent disk cache; freshly
+    executed points are merged back into both layers *as they complete*
+    (the incremental checkpoint an interrupted campaign resumes from).
 
     With the batch engine (``sim_engine="batch"``, ``ADASSURE_SIM=batch``
     or auto when two or more points are pending), compatible uncached
     points are stepped in lockstep as arrays (:mod:`repro.sim.batch`);
     results are bit-identical to the serial engine, and any group the
     batch engine rejects falls back whole to the serial oracle.
-
-    With ``executor="distributed"`` (or ``ADASSURE_EXECUTOR=distributed``),
-    the uncached points are instead striped into lease-claimable shards
-    and executed by ``dist_workers`` independent worker *processes*
-    sharing the disk cache as their common result store — additional
-    hosts can join the same campaign with ``adassure worker``.  Shard
-    size is ``shard_points`` (or ``ADASSURE_SHARD_POINTS``).  Whatever
-    the fleet leaves missing runs here.
 
     A point that still fails after ``retries`` re-executions is
     quarantined — dropped from the returned list and reported via
@@ -330,7 +273,6 @@ def run_grid(
     """
     wall_start = time.perf_counter()
     stats = GridStats()
-    mode = resolve_executor(executor)
 
     grid = build_grid(scenarios, controllers, attacks, seeds,
                       intensity=intensity, onset=onset, duration=duration)
@@ -354,25 +296,9 @@ def run_grid(
     # One run per unique point; `runs` pins this grid's results so LRU
     # eviction mid-call is safe.
     runs = [grid_run(point) for point in dict.fromkeys(grid)]
-    if mode == "distributed" and cache is None:
-        warnings.warn(
-            "the distributed executor needs the disk cache as its "
-            "shared result store (ADASSURE_CACHE=0 disables it); "
-            "falling back to this process",
-            RuntimeWarning, stacklevel=2)
-        mode = "serial"
     try:
-        fleet = None
-        if mode == "distributed":
-            # Workers resolve their engine from the shipped name (serial
-            # unless asked); auto-selection stays a local concern.
-            from repro.experiments.distributed import DistributedExecutor
-            fleet = DistributedExecutor(
-                grid, store, resolve_dist_workers(dist_workers), stats,
-                shard_points=shard_points,
-                sim_engine=resolve_sim_engine(sim_engine)).execute
         failed = execute(runs, store, stats, engine=sim_engine,
-                         retries=_point_retries(retries), fleet=fleet)
+                         retries=_point_retries(retries))
         for run in failed:
             error = f"{type(run.error).__name__}: {run.error}"
             stats.quarantined.append((run.key, error))

@@ -76,22 +76,6 @@ class GridStats:
     lane_steps_simulated: int = 0
     """Lane-steps it actually stepped: a shared pre-onset prefix is
     simulated once per prefix class, and a memoized one not at all."""
-    executor: str = "local"
-    """Executor chain that ran the misses: local or distributed."""
-    dist_workers: int = 0
-    """Worker processes spawned by the distributed executor."""
-    dist_points: int = 0
-    """Points executed by distributed workers and adopted from the
-    shared result store (not re-executed locally)."""
-    shards_total: int = 0
-    """Lease-claimable shards the grid was striped into."""
-    shards_claimed: int = 0
-    """Shard claims across the whole fleet (>= shards_total when shards
-    were reclaimed after a worker death)."""
-    shards_reclaimed: int = 0
-    """Shards re-claimed after their previous owner's lease went stale."""
-    heartbeats: int = 0
-    """Lease heartbeat renewals sent by distributed workers."""
     lease_conflicts: int = 0
     """Checkpoint manifests that went read-only because another live
     campaign holds the grid's lease (the work still ran; only the
@@ -148,14 +132,6 @@ class GridStats:
         self.dare_memo_solves += other.dare_memo_solves
         self.lane_steps_requested += other.lane_steps_requested
         self.lane_steps_simulated += other.lane_steps_simulated
-        if other.executor != "local":
-            self.executor = other.executor
-        self.dist_workers = max(self.dist_workers, other.dist_workers)
-        self.dist_points += other.dist_points
-        self.shards_total += other.shards_total
-        self.shards_claimed += other.shards_claimed
-        self.shards_reclaimed += other.shards_reclaimed
-        self.heartbeats += other.heartbeats
         self.lease_conflicts += other.lease_conflicts
         self.wall_time += other.wall_time
         for phase in PHASES:
@@ -189,13 +165,6 @@ class GridStats:
             "dare_memo_solves": self.dare_memo_solves,
             "lane_steps_requested": self.lane_steps_requested,
             "lane_steps_simulated": self.lane_steps_simulated,
-            "executor": self.executor,
-            "dist_workers": self.dist_workers,
-            "dist_points": self.dist_points,
-            "shards_total": self.shards_total,
-            "shards_claimed": self.shards_claimed,
-            "shards_reclaimed": self.shards_reclaimed,
-            "heartbeats": self.heartbeats,
             "lease_conflicts": self.lease_conflicts,
             "wall_time_s": round(self.wall_time, 4),
             "busy_time_s": round(self.busy_time, 4),
@@ -239,15 +208,6 @@ class GridStats:
             lines.append(
                 f"dare memo   : {self.dare_memo_hits} hit(s), "
                 f"{self.dare_memo_solves} solve(s)"
-            )
-        if self.executor == "distributed" or self.shards_total:
-            lines.append(
-                f"distributed : {self.dist_points} point(s) adopted from "
-                f"{self.dist_workers} worker(s); "
-                f"{self.shards_claimed} claim(s) over "
-                f"{self.shards_total} shard(s), "
-                f"{self.shards_reclaimed} reclaimed, "
-                f"{self.heartbeats} heartbeat(s)"
             )
         if self.retries:
             lines.append(f"recovered   : {self.retries} retrie(s)")

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from repro.config import env_number
 
-__all__ = ["FileLease", "LeaseConflict", "default_lease_ttl", "lease_state"]
+__all__ = ["FileLease", "LeaseConflict", "default_lease_ttl"]
 
 DEFAULT_LEASE_TTL = 60.0
 """Seconds without a heartbeat before a lease is considered abandoned."""
@@ -81,23 +81,6 @@ def _record_stale(record: dict | None, ttl: float) -> bool:
     return age > ttl or -age > ttl
 
 
-def lease_state(path: str | Path, ttl: float | None = None) -> str:
-    """Classify one lease file: ``"active"``, ``"stale"`` or ``"absent"``.
-
-    Read-only — for health reporting (``adassure cache stats``) and for
-    shard-board scans that must not disturb live claimants.
-    """
-    path = Path(path)
-    if not path.exists():
-        return "absent"
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        record = None
-    ttl = ttl if ttl is not None else default_lease_ttl()
-    return "stale" if _record_stale(record, ttl) else "active"
-
-
 class FileLease:
     """One advisory lease file guarding a shared resource.
 
@@ -120,8 +103,7 @@ class FileLease:
                         f"{uuid.uuid4().hex[:8]}"
         self._held = False
         self.stale_breaks = 0
-        """Abandoned leases this handle broke while acquiring — workers
-        surface it as a reclaim/health counter."""
+        """Abandoned leases this handle broke while acquiring."""
 
     # -- inspection -----------------------------------------------------
     @property

@@ -3,7 +3,7 @@
 Traces come from the real experiment pipeline (:func:`run_grid` over a
 small attack grid), not synthetic noise, so the server ingests the same
 violation-dense data the paper's experiments produce — and so the
-simulation provenance (``sim_engine``, ``executor``) lands in the
+simulation provenance (``sim_engine``) lands in the
 ``--stats`` output: a load number without the engine that produced its
 inputs is not reproducible.  The repo's benchmark (``perfbench``, the
 ``serve`` workload) streams :func:`generate_fleet_traces` at an
@@ -39,7 +39,7 @@ def generate_fleet_traces(n_traces: int, *, duration: float = 20.0,
     """``n_traces`` distinct traces off the experiment grid.
 
     Returns ``(traces, provenance)`` where provenance records the
-    engine/pool the grid actually used (satellite: the bench output must
+    engine the grid actually used (satellite: the bench output must
     say what produced its inputs).  Seeds vary fastest so any ``n`` gives
     a mix of clean and attacked runs.
     """
@@ -56,7 +56,6 @@ def generate_fleet_traces(n_traces: int, *, duration: float = 20.0,
     grid_stats = STATS.last
     provenance = {
         "sim_engine": grid_stats.sim_engine if grid_stats else "unknown",
-        "executor": grid_stats.executor if grid_stats else "unknown",
         "grid_points": len(runs),
         "cache_hit_rate": (round(grid_stats.cache_hit_rate, 4)
                            if grid_stats else None),
@@ -153,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--port", type=int, default=None)
     parser.add_argument("--stats", action="store_true",
                         help="print the full metrics JSON (includes "
-                             "sim_engine / executor provenance)")
+                             "sim_engine provenance)")
     args = parser.parse_args(argv)
 
     metrics = asyncio.run(run_load(

@@ -40,16 +40,17 @@ path; :func:`read_trace_auto` / :func:`trace_from_bytes` sniff the format
 (zip magic = binary, gzip magic = compressed JSONL, else plain JSONL).
 
 Error handling contract: structurally broken input (missing header,
-corrupt record in the middle of a file, wrong CSV columns, a binary
-payload that fails its checksum, disagrees with the schema or carries
-another format version) raises :class:`TraceIOError` — a
-:class:`ValueError` subclass carrying the file label.  A JSONL stream
-cut off mid-write (truncated gzip stream, incomplete final line — what a
-killed worker or full disk leaves behind) instead returns the parseable
-prefix and emits a :class:`TraceTruncationWarning`, because the prefix
-is still a valid trace and losing the tail is recoverable.  A truncated
-*binary* payload is always a hard :class:`TraceIOError`: its columns
-are laid out whole, so there is no meaningful prefix to salvage.
+corrupt record in the middle of a file, a complete record the schema
+rejects wherever it sits, wrong CSV columns, a binary payload that fails
+its checksum, disagrees with the schema or carries another format
+version) raises :class:`TraceIOError` — a :class:`ValueError` subclass
+carrying the file label.  A JSONL stream cut off mid-write (truncated
+gzip stream, a final line that is not complete JSON — what a killed
+writer or full disk leaves behind) instead returns the parseable prefix
+and emits a :class:`TraceTruncationWarning`, because the prefix is still
+a valid trace and losing the tail is recoverable.  A truncated *binary*
+payload is always a hard :class:`TraceIOError`: its columns are laid
+out whole, so there is no meaningful prefix to salvage.
 """
 
 from __future__ import annotations
@@ -171,11 +172,11 @@ def _read_jsonl_stream(f, label: str) -> Trace:
         if not line:
             continue
         try:
-            trace.append(_record_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            # A bad *final* line is what an interrupted write leaves
-            # behind — salvage the prefix.  A bad line with more data
-            # after it is corruption and must not be papered over.
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            # Unparseable JSON as the *final* line is what an interrupted
+            # write leaves behind — salvage the prefix.  With more data
+            # after it, it is corruption and must not be papered over.
             try:
                 more = next(lines)
             except (StopIteration, *_STREAM_TRUNCATION):
@@ -185,6 +186,13 @@ def _read_jsonl_stream(f, label: str) -> Trace:
                     f"{label}:{line_no}: bad trace record: {exc}") from exc
             truncated = f"incomplete final record ({exc})"
             break
+        try:
+            trace.append(_record_from_dict(data))
+        except (TypeError, ValueError) as exc:
+            # A complete record the schema rejects was written whole:
+            # it is bad data wherever it sits, never a torn tail.
+            raise TraceIOError(
+                f"{label}:{line_no}: bad trace record: {exc}") from exc
     if truncated is not None:
         warnings.warn(
             f"{label}: truncated trace, kept {len(trace)} record(s) "

@@ -149,3 +149,28 @@ class TestConcurrentWriters:
         result, report = scored_run
         cache.store(cache_key(*KEY_ARGS), result, report, None)
         assert not list(tmp_path.rglob("*.tmp.*"))
+
+
+class TestDoubleExecution:
+    def test_double_execution_commits_identical_bytes(self, cache):
+        # The same point executed twice (a re-run, a second campaign on
+        # the same cache): the content-addressed commit collapses both to
+        # one entry with identical payloads.
+        from repro.core.diagnosis import diagnose
+        from repro.experiments.runner import grid_spec
+
+        point = ("s_curve", "pure_pursuit", "gps_bias", 1.0, 1, 5.0, 6.0)
+        key = cache_key(*point)
+
+        def execute_point():
+            result = grid_spec(point).run()
+            report = check_trace(result.trace)
+            return result, report, diagnose(report)
+
+        cache.store(key, *execute_point())
+        first = (cache._trace_path(key).read_bytes(),
+                 cache._scored_path(key).read_bytes())
+        cache.store(key, *execute_point())
+        assert (cache._trace_path(key).read_bytes(),
+                cache._scored_path(key).read_bytes()) == first
+        assert cache.stats()["entries"] == 1

@@ -30,26 +30,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--attack", "nope"])
 
-    def test_experiment_executor_choices(self):
-        args = build_parser().parse_args(
-            ["experiment", "e1", "--executor", "distributed",
-             "--dist-workers", "3"])
-        assert args.executor == "distributed"
-        assert args.dist_workers == 3
+    @pytest.mark.parametrize("argv", [
+        ["worker", "--grid-file", "spec.json"],
+        ["experiment", "e1", "--executor", "serial"],
+        ["experiment", "e1", "--dist-workers", "2"],
+    ])
+    def test_removed_fleet_options_are_parse_errors(self, argv):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["experiment", "e1", "--executor", "teleport"])
-
-    def test_worker_requires_grid_file(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker"])
-        args = build_parser().parse_args(
-            ["worker", "--grid-file", "spec.json", "--worker-id", "w0",
-             "--max-shards", "2", "--lease-ttl", "5"])
-        assert args.grid_file == "spec.json"
-        assert args.worker_id == "w0"
-        assert args.max_shards == 2
-        assert args.lease_ttl == 5.0
+            build_parser().parse_args(argv)
 
 
 class TestCommands:
@@ -137,58 +125,21 @@ class TestCommands:
         assert "calibration over 1 nominal trace" in out
 
 
-class TestWorkerCommand:
-    @pytest.fixture()
-    def fresh_cache(self, tmp_path, monkeypatch):
-        from repro.experiments.runner import clear_cache
+class TestCacheStats:
+    def test_cache_stats_report_manifest_lease_conflicts(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.experiments.cache import CheckpointManifest, RunCache
 
         monkeypatch.setenv("ADASSURE_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("ADASSURE_CACHE", raising=False)
-        clear_cache()
-        yield tmp_path
-        clear_cache()
-
-    def test_worker_runs_campaign_and_reports_json(self, fresh_cache,
-                                                   capsys):
-        import json
-
-        from repro.experiments.cache import RunCache
-        from repro.experiments.distributed import GridSpec
-
-        spec = GridSpec.build(
-            scenarios=("s_curve",), controllers=("pure_pursuit",),
-            attacks=("gps_bias",), seeds=(1, 7), intensity=1.0,
-            onset=5.0, duration=6.0, shard_points=1)
-        path = spec.save(RunCache())
-        assert main(["worker", "--grid-file", str(path),
-                     "--worker-id", "cli-test"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["worker_id"] == "cli-test"
-        assert report["shards_claimed"] == 2
-        assert report["points_executed"] == 2
-        assert RunCache().stats()["entries"] == 2
-
-    def test_worker_missing_spec_is_actionable(self, fresh_cache, capsys):
-        assert main(["worker", "--grid-file", "/nope/missing.json"]) == 2
-        assert "cannot read grid spec" in capsys.readouterr().err
-
-    def test_cache_stats_report_lease_health(self, fresh_cache, capsys):
-        import json
-        import time
-
-        from repro.experiments.cache import RunCache
-        from repro.experiments.distributed import GridSpec, ShardBoard
-
-        spec = GridSpec.build(
-            scenarios=("s_curve",), controllers=("pure_pursuit",),
-            attacks=("gps_bias",), seeds=(1,), intensity=1.0,
-            onset=5.0, duration=6.0, shard_points=1)
-        board = ShardBoard(RunCache(), spec)
-        board.ensure()
-        board.lease_path(0).write_text(json.dumps(
-            {"owner": "corpse", "heartbeat": time.time() - 99999.0}))
+        cache = RunCache()
+        grid = [("s_curve", "pure_pursuit", "gps_bias", 1.0, 1, 5.0, 12.0)]
+        first = CheckpointManifest.for_grid(cache, grid)
+        second = CheckpointManifest.for_grid(cache, grid)
+        assert second.lease_conflict
+        first.release()
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        assert "leases     : 0 active, 1 stale" in out
-        assert "shards     : 1 board(s), 0 orphaned" in out
-        assert "conflicts  : 0 lease event(s)" in out
+        assert "conflicts  : 1 lease event(s)" in out
+        assert "leases     :" not in out
+        assert "shards     :" not in out

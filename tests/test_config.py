@@ -33,21 +33,6 @@ def _retry_cap():
     return retry_cap()
 
 
-def _dist_workers():
-    from repro.experiments.runner import resolve_dist_workers
-    return resolve_dist_workers()
-
-
-def _dist_timeout():
-    from repro.experiments.distributed import _dist_timeout
-    return _dist_timeout()
-
-
-def _shard_points():
-    from repro.experiments.distributed import resolve_shard_points
-    return resolve_shard_points(100, 4)
-
-
 def _run_cache():
     from repro.experiments.cache import RunCache
     return RunCache.from_env()
@@ -63,9 +48,6 @@ KNOBS = [
     ("ADASSURE_BATCH_LANES", "64x", _batch_lanes),
     ("ADASSURE_POINT_RETRIES", "two", _point_retries),
     ("ADASSURE_RETRY_CAP", "30s", _retry_cap),
-    ("ADASSURE_DIST_WORKERS", "2.5", _dist_workers),
-    ("ADASSURE_DIST_TIMEOUT", "forever", _dist_timeout),
-    ("ADASSURE_SHARD_POINTS", "1e3", _shard_points),
     ("ADASSURE_LEASE_TTL", "1min", _lease_ttl),
     ("ADASSURE_CACHE", "disable", _run_cache),
     ("ADASSURE_CACHE", "2", _run_cache),

@@ -63,6 +63,25 @@ class TestReadme:
         for path in (ROOT / "examples").glob("*.py"):
             assert path.name in readme, f"{path.name} missing from README"
 
+    def test_knob_table_matches_code(self, readme):
+        import re
+
+        knob = re.compile(r"ADASSURE_[A-Z][A-Z_]*")
+        read = set()
+        for path in (ROOT / "src").rglob("*.py"):
+            read |= set(knob.findall(path.read_text(encoding="utf-8")))
+        lines = readme.splitlines()
+        start = lines.index("| knob | effect |")
+        table = []
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            table.append(line)
+        documented = set(knob.findall("\n".join(table)))
+        assert documented == read, (
+            f"undocumented: {sorted(read - documented)}; "
+            f"not read by src/: {sorted(documented - read)}")
+
 
 class TestExperimentsDoc:
     def test_every_experiment_in_experiments_md(self):

@@ -71,6 +71,18 @@ class TestFileLease:
         assert lease.acquire()
         assert json.loads(path.read_text())["owner"] == lease.owner_id
 
+    def test_future_heartbeat_is_stale_and_broken(self, tmp_path):
+        # A writer whose clock runs a day fast: trusting its heartbeat
+        # would lock the resource until tomorrow.
+        path = tmp_path / "grid.lease"
+        path.write_text(json.dumps(
+            {"owner": "delorean", "heartbeat": time.time() + 86400.0}))
+        lease = FileLease(path, ttl=5.0)
+        assert lease.acquire()
+        assert lease.stale_breaks == 1
+        assert lease.holder()["owner"] == lease.owner_id
+        lease.release()
+
     def test_context_manager(self, tmp_path):
         path = tmp_path / "grid.lease"
         with FileLease(path) as lease:

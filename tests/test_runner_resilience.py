@@ -268,3 +268,41 @@ class TestManifestLease:
         assert ledger["completed"] == []
         holder.release()
         clear_cache()
+
+
+class TestRetryBackoff:
+    """``backend.retry_delay``/``retry_cap``: the jittered, capped backoff
+    between a failing serial run's retries."""
+
+    def test_jitter_stays_in_band(self):
+        from repro.experiments.backend import retry_delay
+
+        for failures in (1, 2, 3):
+            nominal = 0.25 * (2 ** (failures - 1))
+            for _ in range(50):
+                delay = retry_delay(failures, 0.0, base=0.25, cap=1e9)
+                assert 0.5 * nominal <= delay < 1.5 * nominal
+
+    def test_total_sleep_is_capped(self):
+        from repro.experiments.backend import retry_delay
+
+        assert retry_delay(1, slept=5.0, base=0.25, cap=5.0) == 0.0
+        # Near the cap, the delay is clipped to the remaining budget.
+        assert retry_delay(10, slept=4.9, base=0.25, cap=5.0) <= 0.1 + 1e-9
+
+    def test_cap_from_env(self, monkeypatch):
+        from repro.experiments.backend import retry_cap
+
+        monkeypatch.setenv("ADASSURE_RETRY_CAP", "7.5")
+        assert retry_cap() == 7.5
+        monkeypatch.setenv("ADASSURE_RETRY_CAP", "not-a-number")
+        with pytest.raises(ValueError, match="ADASSURE_RETRY_CAP"):
+            retry_cap()  # malformed fails loudly, never the default
+
+    def test_base_tracks_runner_backoff(self, monkeypatch):
+        from repro.experiments.backend import retry_delay
+
+        # Tests zero the module backoff to skip sleeps; retry_delay must
+        # honour that patch when no explicit base is given.
+        monkeypatch.setattr(runner, "_RETRY_BACKOFF", 0.0)
+        assert retry_delay(3, 0.0) == 0.0

@@ -98,7 +98,6 @@ def test_fleet_off_the_grid_gets_one_verdict_per_session(tmp_path):
     each dict-equal to the offline reference."""
     traces, provenance = generate_fleet_traces(4, duration=10.0)
     assert provenance["sim_engine"] in ("serial", "batch")
-    assert provenance["executor"]
 
     async def go():
         async with serving(tmp_path) as server:

@@ -369,13 +369,15 @@ class TestGridRunnerEquivalence:
         assert STATS.last.batch_fallbacks == 1
         assert STATS.last.batch_points == 0
 
-    def test_resolve_sim_engine(self, monkeypatch):
-        from repro.experiments.runner import resolve_sim_engine
+    def test_choose_sim_engine_validates_names(self, monkeypatch):
+        from repro.experiments.runner import choose_sim_engine
         monkeypatch.delenv("ADASSURE_SIM", raising=False)
-        assert resolve_sim_engine() == "serial"
-        assert resolve_sim_engine("batch") == "batch"
+        assert choose_sim_engine("batch")[0] == "batch"
         monkeypatch.setenv("ADASSURE_SIM", "batch")
-        assert resolve_sim_engine() == "batch"
-        assert resolve_sim_engine("serial") == "serial"
+        assert choose_sim_engine()[0] == "batch"
+        assert choose_sim_engine("serial")[0] == "serial"
         with pytest.raises(ValueError):
-            resolve_sim_engine("warp")
+            choose_sim_engine("warp")
+        monkeypatch.setenv("ADASSURE_SIM", "warp")
+        with pytest.raises(ValueError):
+            choose_sim_engine()

@@ -140,6 +140,42 @@ class TestTruncation:
         assert back.meta.scenario == trace.meta.scenario
 
 
+
+class TestCompleteFinalRecord:
+    """Only a final line that is not complete JSON is a torn tail; a
+    parsed record the schema rejects is bad data even at the end."""
+
+    def _write(self, tmp_path, lines):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_non_increasing_final_step_is_an_error(self, tmp_path):
+        import json
+
+        trace = make_trace(6)
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(trace, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[-1])  # step 5
+        record["step"] = 2
+        path = self._write(tmp_path, lines[:-1] + [json.dumps(record)])
+        with pytest.raises(TraceIOError, match=":7.*increase"):
+            read_trace_jsonl(path)
+
+    def test_final_record_missing_channel_is_an_error(self, tmp_path):
+        import json
+
+        trace = make_trace(6)
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(trace, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[-1])
+        del record["gps_x"]
+        path = self._write(tmp_path, lines[:-1] + [json.dumps(record)])
+        with pytest.raises(TraceIOError, match=":7.*missing channel"):
+            read_trace_jsonl(path)
+
 class TestCsv:
     def test_roundtrip_exact(self, tmp_path):
         trace = sample_trace()
