@@ -14,8 +14,9 @@ Layers:
 
 * :mod:`repro.service.protocol` — the versioned, CRC-guarded wire format;
 * :mod:`repro.service.session`  — one vehicle's incremental monitor state;
-* :mod:`repro.service.store`    — crash-safe session checkpoints (lease-
-  guarded, reusing the campaign manifest machinery);
+* :mod:`repro.service.store`    — crash-safe session checkpoints: one
+  append-only, CRC-sealed log per session (lease-guarded, reusing the
+  campaign manifest machinery);
 * :mod:`repro.service.shards`   — the verdict step: finish a session's
   monitor and diagnose;
 * :mod:`repro.service.aggregates` — fleet-level rates and percentiles;

@@ -29,6 +29,9 @@ fails                evicted anyway; RESUME continues from the last
                      checkpoint that landed (``checkpoint_errors``)
 malformed ``meta``   non-fatal ERROR, no session opened, counted in
                      ``protocol_errors``; the connection may HELLO again
+over-long session    non-fatal ERROR, no session opened, counted in
+id                   ``protocol_errors`` (never truncated into another
+                     session's log)
 malformed ``seq``    non-fatal ERROR with ``next_seq``, nothing applied,
                      counted in ``protocol_errors``
 non-increasing       non-fatal ERROR with ``next_seq`` (``ChunkRejected``);
@@ -60,7 +63,7 @@ from repro.service.protocol import (
 )
 from repro.service.session import ChunkRejected, MonitorPool, SessionState
 from repro.service.shards import ShardPool
-from repro.service.store import SessionStore
+from repro.service.store import SessionStore, log_name
 from repro.trace.schema import TraceMeta
 
 __all__ = ["ServerConfig", "TraceIngestServer"]
@@ -267,10 +270,8 @@ class TraceIngestServer:
     # -- frame handlers --------------------------------------------------
     async def _on_hello(self, writer: asyncio.StreamWriter,
                         header: dict) -> SessionState | None:
-        session_id = header.get("session_id")
-        if not session_id or not isinstance(session_id, str):
-            await self._send(writer, FrameType.ERROR, {
-                "message": "HELLO requires a session_id", "fatal": True})
+        session_id = await self._session_id(writer, header, "HELLO")
+        if session_id is None:
             return None
         if session_id in self.sessions:
             await self._send(writer, FrameType.ERROR, {
@@ -296,6 +297,25 @@ class TraceIngestServer:
                          {"session_id": session_id, "next_seq": 0})
         return session
 
+    async def _session_id(self, writer: asyncio.StreamWriter,
+                          header: dict, verb: str) -> str | None:
+        """The header's ``session_id``.  A missing one is a fatal ERROR;
+        one the store cannot name a log after (too long) is answered
+        with a non-fatal ERROR, counted, and opens no session."""
+        session_id = header.get("session_id")
+        if not session_id or not isinstance(session_id, str):
+            await self._send(writer, FrameType.ERROR, {
+                "message": f"{verb} requires a session_id", "fatal": True})
+            return None
+        try:
+            log_name(session_id)
+        except ValueError as exc:
+            self.protocol_errors += 1
+            await self._send(writer, FrameType.ERROR, {
+                "message": str(exc), "fatal": False})
+            return None
+        return session_id
+
     async def _meta(self, writer: asyncio.StreamWriter,
                     header: dict) -> TraceMeta | None:
         """The header's validated ``meta``; a malformed one is answered
@@ -310,18 +330,16 @@ class TraceIngestServer:
 
     async def _on_resume(self, writer: asyncio.StreamWriter,
                          header: dict) -> SessionState | None:
-        session_id = header.get("session_id")
-        if not session_id or not isinstance(session_id, str):
-            await self._send(writer, FrameType.ERROR, {
-                "message": "RESUME requires a session_id", "fatal": True})
+        session_id = await self._session_id(writer, header, "RESUME")
+        if session_id is None:
             return None
         if session_id in self.sessions:
             await self._send(writer, FrameType.ERROR, {
                 "message": f"session {session_id!r} is already streaming "
                            "on another connection", "fatal": True})
             return None
-        # The manifest alone answers a finished session; only an
-        # unfinished one needs its segments decoded.
+        # The log read without decoding answers a finished session;
+        # only an unfinished one needs its chunks decoded.
         checkpoint = self.store.manifest(session_id)
         if checkpoint is not None and not checkpoint.finished:
             checkpoint = self.store.load(session_id)
@@ -425,7 +443,7 @@ class TraceIngestServer:
         # disconnect, the resume re-delivers this stored verdict — the
         # client can never observe two different verdicts for one
         # session.  Every chunk was checkpointed before its ACK, so this
-        # rewrites the manifest alone.
+        # appends the verdict record alone.
         self._checkpoint(session)
         self.aggregates.record_session(
             verdict, verdict_latency_s=time.perf_counter() - t0)
@@ -441,7 +459,8 @@ class TraceIngestServer:
         session.monitor = None
 
     def _checkpoint(self, session: SessionState) -> None:
-        """Append the session's pending chunks and rewrite its manifest.
+        """Append the session's pending chunks (and, once finished, its
+        verdict) to its checkpoint log.
 
         On failure the pending chunks stay queued for the next attempt
         and the error is counted and re-raised.

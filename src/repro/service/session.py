@@ -243,8 +243,8 @@ class SessionState:
                 self.attack_onset = float(cols.get("t")[hits[0]])
 
     def restore(self, blocks: Sequence[Trace], next_seq: int) -> None:
-        """Restore state from a checkpoint's decoded segments: refeed
-        the monitor silently, one block per segment."""
+        """Restore state from a checkpoint's decoded chunk records:
+        refeed the monitor silently, one block per chunk."""
         self.blocks = []
         self.n_records = 0
         self.attack_onset = None

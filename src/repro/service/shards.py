@@ -2,7 +2,7 @@
 
 Each session's pooled :class:`~repro.core.monitor.OnlineMonitor` has
 checked every chunk's columns as it arrived (or the checkpointed
-segments, when the session resumed).  The verdict only
+chunk records, when the session resumed).  The verdict only
 has to finish it: close open episodes, run the end-of-trace checks, and
 add diagnosis, onset and latency through
 :func:`~repro.service.session.verdict_of`.  That costs about a

@@ -2,62 +2,92 @@
 
 Generalizes the campaign checkpoint machinery (PR 2's
 :class:`~repro.experiments.cache.CheckpointManifest`) to streaming
-sessions.  A session's checkpoint is append-only:
+sessions.  Each session's checkpoint is one append-only **log**,
+``<name>.session.log``: a sequence of records, each sealed as
+``[u32 length][u32 crc][kind][body]`` (little-endian; the length and
+the CRC-32 cover ``kind + body``):
 
-* one **segment** ``<id>.<seq:06d>.seg.npz`` per accepted chunk, holding
-  the chunk's payload exactly as it arrived (a version-stamped binary
-  trace the session already decoded and checked), and
-* a small JSON **manifest** ``<id>.session.json``: metadata, the cursor
-  ``next_seq``, the finished flag and the verdict once issued.
+* ``H`` — the **head**, first and once: UTF-8 JSON with the exact
+  ``session_id`` and the trace ``meta``;
+* ``C`` — one **chunk record** per accepted chunk: its ``seq`` (u32)
+  and the payload exactly as it arrived (a version-stamped binary trace
+  the session already decoded and checked);
+* ``V`` — the **verdict record**, UTF-8 JSON, written at FINISH.
 
-Every file is written atomically (tmp + rename), segments before the
-manifest that counts them, so a killed server leaves a manifest whose
-cursor undersells the segments on disk (the client resends a chunk that
-is deduplicated on seq), never one that oversells them.  The records are
-segments ``0..next_seq-1``; anything beyond the cursor is a leftover of
-an interrupted write or an earlier incarnation of the session id and is
-never read.  A checkpoint therefore costs O(chunk), not O(session).
+A checkpoint (:meth:`SessionStore.save`) is one append: one open and
+one write, no temp file, no rename, so it costs O(chunk), not
+O(session).  The first save of a log this process has not loaded
+creates (or truncates) the file and writes the head first.
+
+A reader takes the records up to the first one that is incomplete,
+fails its CRC, or is out of order; the cursor ``next_seq`` is the
+number of consecutive chunk records from seq 0.  A server killed
+mid-append therefore leaves a cursor that undersells what the client
+sent (it resends a chunk that was never ACKed), never one that
+oversells it.  :meth:`SessionStore.load` cuts the file back to its last
+whole record before returning, so later appends never land behind
+garbage, and a failed append is cut back at once; when even that fails
+the log takes no further append until a load has cut it.
 
 Exactly-once verdicts rest on this store: the verdict is persisted
 *before* it is sent, so a client that disconnects mid-VERDICT and
 resumes gets the **same** stored verdict — recomputation (which could
 drift if code changed between server runs) never happens for a finished
-session.  Reading it back needs only the manifest
-(:meth:`SessionStore.manifest`), so stores written before the segment
-layout still replay their finished verdicts.
+session.  Reading it back (:meth:`SessionStore.manifest`) decodes no
+payload.
 
-Segments hold binary trace format version 2.  A store written by an
-older build keeps its v1 segments: an unfinished session there fails to
-load and resumes fresh (:meth:`SessionStore.load`'s contract for any
-unreadable checkpoint), and a finished one replays its verdict from the
-manifest as before.
+File names escape every UTF-8 byte of the id outside ``[A-Za-z0-9_.-]``
+as ``%XX`` (``%`` included), so two ids never share a log; an id whose
+name would exceed :data:`MAX_NAME_BYTES` is refused, not truncated.  The
+head's id is checked on every read all the same.
+
+Older builds wrote a JSON manifest ``<name>.session.json`` (plus
+segment files) under a lossy name.  Such a manifest is only read, when
+no log exists, and only if its ``session_id`` is the one asked for: a
+finished session replays its stored verdict, an unfinished one resumes
+fresh.  Chunk payloads in binary trace format version 1 likewise fail
+to load and the session resumes fresh.
 
 The whole store directory is guarded by an advisory
 :class:`~repro.locking.FileLease` (same machinery as the campaign
 manifest): a second server instance pointed at a live store's directory
 is told so and must refuse to start, because two writers checkpointing
-the same sessions would corrupt each other's ledgers.  Saves re-stamp
-the lease at most every quarter TTL, not once per chunk.
+the same sessions would corrupt each other's logs.  Saves re-stamp the
+lease at most every quarter TTL, not once per chunk.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import struct
 import time
+import zlib
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
 from repro.config import default_cache_dir
 from repro.locking import FileLease, LeaseConflict
-from repro.trace.io import TraceIOError, trace_from_bytes
+from repro.trace.io import trace_from_bytes
 from repro.trace.schema import Trace, TraceMeta, TraceRecord
 
-__all__ = ["LeaseConflict", "SessionCheckpoint", "SessionStore",
-           "default_store_dir"]
+__all__ = ["MAX_NAME_BYTES", "LeaseConflict", "SessionCheckpoint",
+           "SessionStore", "default_store_dir", "log_name"]
 
+_LOG_SUFFIX = ".session.log"
 _MANIFEST_SUFFIX = ".session.json"
-_SEGMENT_SUFFIX = ".seg.npz"
+
+_RECORD = struct.Struct("<II")
+"""A record's seal: length and CRC-32 of ``kind + body``."""
+_SEQ = struct.Struct("<I")
+_HEAD, _CHUNK, _VERDICT = b"H", b"C", b"V"
+
+_PLAIN = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                   b"0123456789_.-")
+
+MAX_NAME_BYTES = 200
+"""Longest escaped session id the store accepts as a file name."""
 
 
 def default_store_dir() -> Path:
@@ -68,12 +98,45 @@ def default_store_dir() -> Path:
     return default_cache_dir() / "service-sessions"
 
 
+def _record(kind: bytes, body: bytes) -> bytes:
+    sealed = kind + body
+    return _RECORD.pack(len(sealed), zlib.crc32(sealed)) + sealed
+
+
+def _json_record(kind: bytes, value) -> bytes:
+    return _record(kind, json.dumps(value).encode("utf-8"))
+
+
+def log_name(session_id: str) -> str:
+    """The session's file stem: every UTF-8 byte outside
+    ``[A-Za-z0-9_.-]`` as ``%XX``, so distinct ids get distinct names.
+
+    Raises:
+        ValueError: the name would exceed :data:`MAX_NAME_BYTES`.
+    """
+    name = "".join(chr(b) if b in _PLAIN else f"%{b:02X}"
+                   for b in session_id.encode("utf-8", "surrogatepass"))
+    if len(name) > MAX_NAME_BYTES:
+        raise ValueError(
+            f"session id too long: {len(name)} bytes as a file name, "
+            f"at most {MAX_NAME_BYTES}")
+    return name
+
+
+def _unescape(name: str) -> str:
+    head, *rest = name.split("%")
+    raw = bytearray(head.encode("ascii"))
+    for part in rest:
+        raw += bytes.fromhex(part[:2]) + part[2:].encode("ascii")
+    return raw.decode("utf-8", "surrogatepass")
+
+
 class SessionCheckpoint:
     """One session's persisted state, as loaded from disk.
 
-    ``blocks`` holds the decoded segments in order (columnar traces; no
-    record is built), or ``None`` when only the manifest was read
-    (:meth:`SessionStore.manifest`).
+    ``blocks`` holds the decoded chunk records in order (columnar
+    traces; no record is built), or ``None`` when the payloads were not
+    decoded (:meth:`SessionStore.manifest`).
     """
 
     __slots__ = ("session_id", "meta", "blocks", "next_seq", "finished",
@@ -91,14 +154,67 @@ class SessionCheckpoint:
 
     @property
     def records(self) -> list[TraceRecord] | None:
-        """The segments' records, materialised on demand."""
+        """The chunks' records, materialised on demand."""
         if self.blocks is None:
             return None
         return [record for block in self.blocks for record in block.records]
 
 
+class _Log:
+    """A log's readable prefix: the head, the in-order chunk payloads,
+    the verdict if one landed, and the byte length of that prefix."""
+
+    __slots__ = ("meta", "payloads", "verdict", "finished", "end")
+
+    def __init__(self, meta: TraceMeta):
+        self.meta = meta
+        self.payloads: list[memoryview] = []
+        self.verdict: dict | None = None
+        self.finished = False
+        self.end = 0
+
+
+def _parse_log(data: bytes, session_id: str) -> _Log | None:
+    """The readable prefix of a log's bytes, or ``None`` without a
+    whole head record for ``session_id``."""
+    view = memoryview(data)
+    log: _Log | None = None
+    offset = 0
+    while offset + _RECORD.size <= len(data):
+        length, crc = _RECORD.unpack_from(data, offset)
+        start = offset + _RECORD.size
+        stop = start + length
+        if (not length or stop > len(data)
+                or zlib.crc32(view[start:stop]) != crc):
+            break
+        kind, body = data[start:start + 1], view[start + 1:stop]
+        try:
+            if log is None:
+                head = json.loads(bytes(body)) if kind == _HEAD else None
+                if (not isinstance(head, dict)
+                        or head.get("session_id") != session_id):
+                    return None
+                log = _Log(TraceMeta.from_dict(head.get("meta", {})))
+            elif kind == _CHUNK and len(body) >= _SEQ.size and \
+                    _SEQ.unpack_from(body)[0] == len(log.payloads):
+                log.payloads.append(body[_SEQ.size:])
+            elif kind == _VERDICT:
+                log.verdict = json.loads(bytes(body))
+                log.finished = True
+            else:
+                break
+        except (ValueError, TypeError, AttributeError):
+            break
+        offset = stop
+        if log.finished:
+            break
+    if log is not None:
+        log.end = offset
+    return log
+
+
 class SessionStore:
-    """Directory of per-session checkpoints, single-writer by lease."""
+    """Directory of per-session checkpoint logs, single-writer by lease."""
 
     HEARTBEAT_FRACTION = 0.25
     """Saves re-stamp the lease once this fraction of its TTL has passed
@@ -114,10 +230,16 @@ class SessionStore:
         self.loads = 0
         self._clock = clock
         self._stamped_at: float | None = None
+        self._ends: dict[str, int] = {}
+        """Byte length of each open log this process wrote or loaded:
+        where its next append goes.  A log not here is (re)created."""
+        self._stuck: set[str] = set()
+        """Logs whose failed append could not be cut back: no append
+        until :meth:`load` has cut them."""
 
     def acquire(self) -> None:
         """Claim the store; raises :class:`LeaseConflict` if another
-        live server owns it (two writers would corrupt the ledgers)."""
+        live server owns it (two writers would corrupt the logs)."""
         self.root.mkdir(parents=True, exist_ok=True)
         self.lease.acquire(raising=True)
 
@@ -125,26 +247,16 @@ class SessionStore:
         self.lease.release()
 
     # -- paths -----------------------------------------------------------
-    def _safe_id(self, session_id: str) -> str:
-        # Session ids come from clients: never let one escape the store
-        # directory or collide via path tricks.
-        return "".join(c if c.isalnum() or c in "-_." else "_"
-                       for c in session_id)[:128]
+    def _log_path(self, session_id: str) -> Path:
+        return self.root / (log_name(session_id) + _LOG_SUFFIX)
 
     def _manifest_path(self, session_id: str) -> Path:
-        return self.root / (self._safe_id(session_id) + _MANIFEST_SUFFIX)
-
-    def _segment_path(self, session_id: str, seq: int) -> Path:
-        return self.root / (
-            f"{self._safe_id(session_id)}.{seq:06d}{_SEGMENT_SUFFIX}")
-
-    def _segment_paths(self, session_id: str) -> list[Path]:
-        """Every segment file of the session on disk, cursor or not."""
-        prefix = self._safe_id(session_id) + "."
-        # The glob also matches ids that extend this one ("veh" vs
-        # "veh.1"); only an all-digit sequence field is ours.
-        return [p for p in self.root.glob(prefix + "*" + _SEGMENT_SUFFIX)
-                if p.name[len(prefix):-len(_SEGMENT_SUFFIX)].isdigit()]
+        """Where an older build kept the session's manifest.  Its name
+        mapping is lossy (``veh/1`` and ``veh_1`` share it), so a
+        reader checks the ``session_id`` inside."""
+        legacy = "".join(c if c.isalnum() or c in "-_." else "_"
+                         for c in session_id)[:128]
+        return self.root / (legacy + _MANIFEST_SUFFIX)
 
     # -- persistence -----------------------------------------------------
     def _heartbeat(self) -> None:
@@ -154,94 +266,153 @@ class SessionStore:
             self.lease.refresh()
             self._stamped_at = now
 
-    def _atomic_write(self, path: Path, data: bytes) -> None:
-        tmp = path.with_suffix(path.suffix + f".tmp.{os.getpid()}")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+    def _write(self, fd: int, data: bytes) -> None:
+        """Write all of ``data`` to ``fd``: every append's one write."""
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
 
     def save(self, session_id: str, *, meta: TraceMeta,
              segments: Iterable[tuple[int, bytes]], next_seq: int,
              finished: bool, verdict: dict | None) -> None:
-        """Append ``(seq, payload)`` segments, then rewrite the manifest.
+        """Append one chunk record per ``(seq, payload)`` of
+        ``segments``, then the verdict record if ``finished``.
 
-        Segments are written first: a crash before the manifest lands
-        leaves the old cursor, which undersells what is on disk (safe —
-        the client resends a chunk that is deduplicated on seq), never
-        one that counts a segment that was not written.
+        ``segments`` must continue the log at its cursor, which then
+        reads ``next_seq``.  The records go in one write; if it fails,
+        the log is cut back to its length before the append and the
+        error re-raised.  A finished log takes no further save.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
+        path = self._log_path(session_id)
+        if session_id in self._stuck:
+            raise OSError(errno.EIO, "a failed append could not be cut "
+                          "back; resume the session to cut it", str(path))
         self._heartbeat()
-        for seq, payload in segments:
-            self._atomic_write(self._segment_path(session_id, seq), payload)
-        manifest = {
-            "session_id": session_id,
-            "meta": meta.to_dict(),
-            "next_seq": next_seq,
-            "finished": finished,
-            "verdict": verdict,
-        }
-        self._atomic_write(
-            self._manifest_path(session_id),
-            (json.dumps(manifest) + "\n").encode("utf-8"))
+        end = self._ends.get(session_id)
+        records = [] if end is not None else [_json_record(
+            _HEAD, {"session_id": session_id, "meta": meta.to_dict()})]
+        records += [_record(_CHUNK, _SEQ.pack(seq) + payload)
+                    for seq, payload in segments]
+        if finished:
+            records.append(_json_record(_VERDICT, verdict))
+        data = b"".join(records)
+        if end is None:
+            self.root.mkdir(parents=True, exist_ok=True)
+            flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+        else:
+            # No O_CREAT: a log deleted under a live session fails the
+            # save instead of growing a headless file.
+            flags = os.O_WRONLY | os.O_APPEND
+        fd = os.open(path, flags, 0o644)
+        try:
+            self._write(fd, data)
+        except OSError:
+            try:
+                os.ftruncate(fd, end or 0)
+            except OSError:
+                if end is not None:
+                    self._stuck.add(session_id)
+            raise
+        finally:
+            os.close(fd)
+        if finished:
+            self._ends.pop(session_id, None)  # only live logs are tracked
+        else:
+            self._ends[session_id] = (end or 0) + len(data)
         self.writes += 1
 
-    def manifest(self, session_id: str) -> SessionCheckpoint | None:
-        """The session's manifest alone (``blocks`` is ``None``), or
-        ``None`` if absent or unreadable.  Decodes no records: enough to
-        tell whether a session has history and to replay its verdict."""
+    def _forget(self, session_id: str) -> None:
+        """The next save (re)creates the log."""
+        self._ends.pop(session_id, None)
+        self._stuck.discard(session_id)
+
+    def _legacy_manifest(self, session_id: str) -> SessionCheckpoint | None:
         try:
             manifest = json.loads(
                 self._manifest_path(session_id).read_text(encoding="utf-8"))
+            if manifest.get("session_id") != session_id:
+                return None
             return SessionCheckpoint(
-                session_id=manifest.get("session_id", session_id),
+                session_id=session_id,
                 meta=TraceMeta.from_dict(manifest.get("meta", {})),
                 blocks=None,
                 next_seq=int(manifest.get("next_seq", 0)),
                 finished=bool(manifest.get("finished", False)),
                 verdict=manifest.get("verdict"),
             )
-        except (OSError, ValueError):
+        except (OSError, ValueError, TypeError, AttributeError):
             return None
 
-    def load(self, session_id: str) -> SessionCheckpoint | None:
-        """The session's checkpoint with its segments, or ``None`` if the
-        manifest or any segment inside its cursor is absent or unreadable.
-
-        An unreadable checkpoint (torn write survived by the machine
-        dying mid-rename, bit rot, a store from before the segment
-        layout) is treated as absent: the client is told to restart the
-        stream, which costs a resend, not correctness — never a
-        shortened trace.
-        """
-        checkpoint = self.manifest(session_id)
-        if checkpoint is None:
-            return None
+    def manifest(self, session_id: str) -> SessionCheckpoint | None:
+        """The session's checkpoint without its payloads decoded
+        (``blocks`` is ``None``), or ``None`` if absent or unreadable:
+        enough to tell whether a session has history and to replay its
+        verdict."""
+        path = self._log_path(session_id)
         try:
-            blocks = [trace_from_bytes(
-                self._segment_path(session_id, seq).read_bytes())
-                for seq in range(checkpoint.next_seq)]
-        except (OSError, ValueError, TraceIOError):
-            return None
-        checkpoint.blocks = blocks
-        self.loads += 1
+            log = _parse_log(path.read_bytes(), session_id)
+        except FileNotFoundError:
+            checkpoint = self._legacy_manifest(session_id)
+        except OSError:
+            checkpoint = None
+        else:
+            checkpoint = None if log is None else SessionCheckpoint(
+                session_id, log.meta, None, len(log.payloads),
+                log.finished, log.verdict)
+        if checkpoint is None:
+            self._forget(session_id)
         return checkpoint
 
-    def drop(self, session_id: str) -> None:
-        """Delete one session's checkpoint files (post-verdict cleanup).
+    def load(self, session_id: str) -> SessionCheckpoint | None:
+        """The session's checkpoint with its chunks decoded, or ``None``
+        if there is no readable log or a chunk inside the cursor does
+        not decode.
 
-        The manifest goes first, so an interrupted drop leaves only
-        segments that no manifest counts.
+        Cuts the file back to the end of its last whole record first,
+        so the session's next append lands right behind it.  An
+        unreadable checkpoint (bit rot, a format-1 payload, a store
+        from before the log layout) is treated as absent: the client is
+        told to restart the stream, which costs a resend, not
+        correctness — never a shortened trace.
         """
-        for path in (self._manifest_path(session_id),
-                     *self._segment_paths(session_id)):
+        path = self._log_path(session_id)
+        self._forget(session_id)
+        try:
+            data = path.read_bytes()
+            log = _parse_log(data, session_id)
+            if log is None:
+                return None
+            blocks = [trace_from_bytes(bytes(payload))
+                      for payload in log.payloads]
+            if log.end < len(data):
+                os.truncate(path, log.end)
+        except (OSError, ValueError):
+            return None
+        self._ends[session_id] = log.end
+        self.loads += 1
+        return SessionCheckpoint(session_id, log.meta, blocks,
+                                 len(blocks), log.finished, log.verdict)
+
+    def drop(self, session_id: str) -> None:
+        """Delete one session's checkpoint (post-verdict cleanup)."""
+        self._forget(session_id)
+        for path in (self._log_path(session_id),
+                     self._manifest_path(session_id)):
             try:
                 path.unlink()
             except OSError:
                 pass
 
     def session_ids(self) -> list[str]:
-        """Every checkpointed session id currently on disk."""
+        """Every checkpointed session id currently on disk (an older
+        build's manifests by their file stem)."""
         if not self.root.exists():
             return []
-        return sorted(p.name[:-len(_MANIFEST_SUFFIX)]
-                      for p in self.root.glob("*" + _MANIFEST_SUFFIX))
+        ids = {p.name[:-len(_MANIFEST_SUFFIX)]
+               for p in self.root.glob("*" + _MANIFEST_SUFFIX)}
+        for path in self.root.glob("*" + _LOG_SUFFIX):
+            try:
+                ids.add(_unescape(path.name[:-len(_LOG_SUFFIX)]))
+            except ValueError:
+                pass  # not a name this store wrote
+        return sorted(ids)

@@ -395,7 +395,7 @@ class TestCheckpointFailure:
                     assert (await _send_chunk(reader, writer, seq,
                                               payloads[seq])).type \
                         is FrameType.ACK
-                monkeypatch.setattr(SessionStore, "_atomic_write",
+                monkeypatch.setattr(SessionStore, "_write",
                                     _disk_full)
                 hung_up = await _send_chunk(reader, writer, 2, payloads[2])
                 writer.close()
@@ -431,7 +431,7 @@ class TestCheckpointFailure:
                     assert (await _send_chunk(reader, writer, seq,
                                               payload)).type \
                         is FrameType.ACK
-                monkeypatch.setattr(SessionStore, "_atomic_write",
+                monkeypatch.setattr(SessionStore, "_write",
                                     _disk_full)
                 writer.write(encode_frame(FrameType.FINISH, {}))
                 await writer.drain()
@@ -463,7 +463,7 @@ class TestCheckpointFailure:
             assert (await _send_chunk(reader, writer, 0,
                                       _payloads(trace, 50)[0])).type \
                 is FrameType.ACK
-            monkeypatch.setattr(SessionStore, "_atomic_write", _disk_full)
+            monkeypatch.setattr(SessionStore, "_write", _disk_full)
             await server.stop()
             writer.close()
             return server
@@ -546,120 +546,6 @@ class TestManifestOnlyReads:
         assert done.resumed_finished and done.verdict == stored_verdict
         assert reopened.chunks_applied == 4  # fresh: every chunk resent
         assert reopened.verdict["report"] == offline_verdict(trace)
-
-
-class TestSegmentLayout:
-    def test_segment_written_manifest_not(self, tmp_path, monkeypatch):
-        """A crash between a chunk's segment and the manifest: the resume
-        continues from the older cursor and applies the resent chunk
-        once."""
-        trace = attacked_trace()
-        payloads = _payloads(trace, 50)
-        real_write = SessionStore._atomic_write
-
-        def manifest_fails(self, path, data):
-            if path.name.endswith(".session.json"):
-                raise OSError(errno.EIO, "Input/output error")
-            real_write(self, path, data)
-
-        async def go():
-            async with serving(tmp_path) as server:
-                reader, writer = await _open_session(
-                    server.port, "veh-window", trace.meta)
-                for seq in range(2):
-                    assert (await _send_chunk(reader, writer, seq,
-                                              payloads[seq])).type \
-                        is FrameType.ACK
-                monkeypatch.setattr(SessionStore, "_atomic_write",
-                                    manifest_fails)
-                assert await _send_chunk(reader, writer, 2,
-                                         payloads[2]) is None
-                writer.close()
-                monkeypatch.undo()
-                store = server.store
-                window = (store._segment_path("veh-window", 2).exists(),
-                          store.manifest("veh-window").next_seq)
-                outcome = await stream_trace(
-                    trace, "127.0.0.1", server.port, "veh-window",
-                    chunk_records=50)
-                return window, outcome
-
-        (segment_on_disk, cursor), outcome = asyncio.run(go())
-        assert segment_on_disk and cursor == 2
-        assert outcome.chunks_applied == 2
-        assert outcome.duplicate_acks == 0
-        assert outcome.verdict["n_records"] == len(trace)
-        assert outcome.verdict["report"] == offline_verdict(trace)
-
-    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
-    def test_bad_segment_inside_cursor_resumes_fresh(self, tmp_path,
-                                                     damage):
-        trace = attacked_trace()
-        payloads = _payloads(trace, 50)
-
-        async def go():
-            async with serving(tmp_path) as server:
-                await _stream_partial(server.port, "veh-bad", trace.meta,
-                                      payloads[:3])
-                segment = server.store._segment_path("veh-bad", 1)
-                if damage == "missing":
-                    segment.unlink()
-                else:
-                    segment.write_bytes(segment.read_bytes()[:100])
-                assert server.store.load("veh-bad") is None
-                return await stream_trace(
-                    trace, "127.0.0.1", server.port, "veh-bad",
-                    chunk_records=50)
-
-        outcome = asyncio.run(go())
-        assert outcome.chunks_applied == len(payloads)  # fresh restart
-        assert outcome.verdict["n_records"] == len(trace)
-        assert outcome.verdict["report"] == offline_verdict(trace)
-
-    def test_stale_segments_beyond_cursor_are_ignored(self, tmp_path):
-        """Segments of an earlier incarnation of the session id (here: a
-        drop interrupted after the manifest went) are never read."""
-        old, new = attacked_trace(), attacked_trace(window=(20, 60))
-
-        async def go():
-            async with serving(tmp_path) as server:
-                store = server.store
-                await _stream_partial(server.port, "veh-stale", old.meta,
-                                      _payloads(old, 50))
-                store._manifest_path("veh-stale").unlink()
-                payloads = _payloads(new, 100)
-                await _stream_partial(server.port, "veh-stale", new.meta,
-                                      payloads[:1])
-                stale = all(store._segment_path("veh-stale", seq).exists()
-                            for seq in range(1, 4))
-                loaded = store.load("veh-stale").records
-                outcome = await stream_trace(
-                    new, "127.0.0.1", server.port, "veh-stale",
-                    chunk_records=100)
-                return stale, loaded, outcome
-
-        stale, loaded, outcome = asyncio.run(go())
-        assert stale, "the earlier incarnation's segments are still there"
-        assert loaded == list(new.records)[:100]
-        assert outcome.chunks_applied == 1
-        assert outcome.verdict["report"] == offline_verdict(new)
-
-    def test_drop_removes_every_segment(self, tmp_path):
-        trace = attacked_trace()
-        payloads = _payloads(trace, 50)
-        store = SessionStore(tmp_path)
-        store.save("veh", meta=trace.meta,
-                   segments=list(enumerate(payloads[:2])), next_seq=2,
-                   finished=False, verdict=None)
-        store.save("veh", meta=trace.meta, segments=[(7, payloads[3])],
-                   next_seq=2, finished=False, verdict=None)  # stale
-        store.save("veh.1", meta=trace.meta, segments=[(0, payloads[0])],
-                   next_seq=1, finished=False, verdict=None)
-        store.drop("veh")
-        assert store.manifest("veh") is None
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "veh.1.000000.seg.npz", "veh.1.session.json"]
-        assert len(store.load("veh.1").records) == 50
 
 
 class TestCheckpointCost:
