@@ -28,6 +28,7 @@ attack/fault signatures it is designed to catch.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -51,6 +52,75 @@ __all__ = [
 ]
 
 _SETTLE = 8.0  # seconds of launch transient excluded from behaviour checks
+
+def _intervals(t: np.ndarray, last_t: float | None) -> np.ndarray:
+    """``t - previous t`` per record, the first against the carried
+    ``last_t`` (0.0 when there is none: the per-step code then skips that
+    record's increments, and the kernels restart there instead)."""
+    prev = np.empty_like(t)
+    prev[0] = t[0] if last_t is None else last_t
+    prev[1:] = t[:-1]
+    return t - prev
+
+
+def _restart_sums(steps: np.ndarray, restart: np.ndarray,
+                  values: np.ndarray | None, carry) -> np.ndarray:
+    """Running sums that restart: ``out[..., i]`` is ``values[..., i]``
+    where ``restart[i]``, else ``out[..., i - 1] + steps[..., i]``
+    (``carry`` before the first record).
+
+    ``steps`` and ``values`` are ``(n,)`` or ``(k, n)`` (k sums sharing
+    one restart pattern, ``carry`` then has k entries; ``values`` is only
+    read where ``restart`` is set).  Each run between restarts is one
+    seeded cumsum, which adds strictly left to right, so every element
+    equals the scalar ``acc += step`` / ``acc = value`` sequence bit for
+    bit.  A sum that restarts every few records costs less as
+    :func:`_stepped`.
+    """
+    n = restart.size
+    starts = restart.nonzero()[0].tolist()
+    out = np.empty_like(steps)
+    first = starts[0] if starts else n
+    if first:
+        head = np.empty(steps.shape[:-1] + (first + 1,))
+        head[..., 0] = carry
+        head[..., 1:] = steps[..., :first]
+        out[..., :first] = head.cumsum(axis=-1)[..., 1:]
+    for s, e in zip(starts, starts[1:] + [n]):
+        run = steps[..., s:e].copy()
+        run[..., 0] = values[..., s]
+        out[..., s:e] = run.cumsum(axis=-1)
+    return out
+
+
+def _stepped(steps: list, flags: list, values: list, acc) -> np.ndarray:
+    """One :func:`_restart_sums` sum over plain floats: the scalar loop
+    itself."""
+    out = []
+    for step, is_start, value in zip(steps, flags, values):
+        acc = value if is_start else acc + step
+        out.append(acc)
+    return np.array(out, dtype=np.float64)
+
+
+def _window_columns(window: list, width: int) -> tuple[np.ndarray, ...]:
+    """A per-step window, a list of ``width``-tuples of floats, as one
+    array per tuple position."""
+    flat = np.fromiter(itertools.chain.from_iterable(window), np.float64,
+                       width * len(window))
+    return tuple(flat.reshape(-1, width).T)
+
+
+def _window_rows(*columns: np.ndarray) -> list[tuple]:
+    """The list of tuples :meth:`margin` keeps, from a kernel's window
+    columns (the same Python floats)."""
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.hypot`` (``np.hypot`` differs in the last ulp)."""
+    return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())),
+                    dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +193,75 @@ class GpsDeadReckoningAssertion(TraceAssertion):
         bound = self.base_bound + self.per_meter * self._dist
         return 1.0 - error / bound
 
+    def margin_chunk(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        t = cols.get("t")
+        n = t.size
+        yaw_rate = cols.get("imu_yaw_rate")
+        gps_x, gps_y = cols.get("gps_x"), cols.get("gps_y")
+        gps_fresh = cols.get("gps_fresh")
+        first = self._last_t is None
+        dt = _intervals(t, self._last_t)
+        # Heading: restarts at each fresh compass sample (and at the very
+        # first record), gyro-propagated in between: a restart every few
+        # records, so the scalar loop.
+        restart = cols.get("compass_fresh").tolist()
+        if self._heading is None:
+            restart[0] = True
+        heading = _stepped((yaw_rate * dt).tolist(), restart,
+                           cols.get("compass_yaw").tolist(), self._heading)
+        # Anchors: the first fix at least anchor_window after the last
+        # (a chain over the fix times).
+        fixes = gps_fresh.nonzero()[0]
+        anchor_t = None if self._anchor is None else self._anchor[0]
+        picked = []
+        if fixes.size and (anchor_t is None or t[fixes[-1]] - anchor_t
+                           >= self.anchor_window):  # else none is due
+            for i, fix_t in enumerate(t[fixes].tolist()):
+                if anchor_t is None or fix_t - anchor_t >= self.anchor_window:
+                    picked.append(i)
+                    anchor_t = fix_t
+        anchors = fixes[picked]
+        # Dead reckoning (x, y) and distance: one increment row each,
+        # restarting at anchors (seconds apart, so seeded cumsums); the
+        # first record ever adds nothing.
+        step = cols.get("odom_speed") * dt
+        mid_heading = heading - 0.5 * yaw_rate * dt
+        increments = np.empty((3, n))
+        increments[0] = step * np.cos(mid_heading)
+        increments[1] = step * np.sin(mid_heading)
+        increments[2] = np.abs(step)
+        carry = (self._dr_x, self._dr_y, self._dist)
+        is_anchor = np.zeros(n, dtype=bool)
+        is_anchor[anchors] = True
+        restart = is_anchor
+        values = None  # read only where a sum restarts
+        if anchors.size or first:
+            values = np.empty((3, n))
+            values[0], values[1], values[2] = gps_x, gps_y, 0.0
+        if first:
+            restart = is_anchor.copy()
+            restart[0] = True
+            if not is_anchor[0]:
+                values[:, 0] = carry
+        dr_x, dr_y, dist = _restart_sums(increments, restart, values, carry)
+        if anchors.size:
+            a = anchors[-1]
+            self._anchor = (float(t[a]), float(gps_x[a]), float(gps_y[a]))
+        self._heading = float(heading[-1])
+        self._dr_x, self._dr_y = float(dr_x[-1]), float(dr_y[-1])
+        self._dist = float(dist[-1])
+        self._last_t = float(t[-1])
+        applicable = gps_fresh & ~is_anchor & ~(dist < self.min_travel)
+        margins = np.zeros(n)
+        rows = applicable.nonzero()[0]
+        if rows.size:
+            error = _hypot(gps_x[rows] - dr_x[rows], gps_y[rows] - dr_y[rows])
+            bound = self.base_bound + self.per_meter * dist[rows]
+            margins[rows] = 1.0 - error / bound
+        return margins, applicable
+
 
 class GpsJumpAssertion(TraceAssertion):
     """A5 — consecutive GPS fixes must be kinematically plausible.
@@ -158,6 +297,36 @@ class GpsJumpAssertion(TraceAssertion):
         dist = math.hypot(record.gps_x - prev[1], record.gps_y - prev[2])
         bound = (record.odom_speed + self.speed_margin) * dt_fix + self.base_allowance
         return 1.0 - dist / bound
+
+    def margin_chunk(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        margins = np.zeros(cols.n, dtype=np.float64)
+        applicable = np.zeros(cols.n, dtype=bool)
+        rows = cols.gps_fresh.nonzero()[0]
+        if not rows.size:
+            return margins, applicable
+        # Each fix pairs with the one before it, the first with the
+        # carried fix.
+        fix_t, fix_x, fix_y = cols.t[rows], cols.gps_x[rows], cols.gps_y[rows]
+        prev = self._prev_fix
+        self._prev_fix = (float(fix_t[-1]), float(fix_x[-1]),
+                          float(fix_y[-1]))
+        if prev is None:
+            prev_t, prev_x, prev_y = fix_t[:-1], fix_x[:-1], fix_y[:-1]
+            rows, fix_t, fix_x, fix_y = rows[1:], fix_t[1:], fix_x[1:], fix_y[1:]
+        else:
+            prev_t, prev_x, prev_y = (np.concatenate(([p], c[:-1])) for p, c
+                                      in zip(prev, (fix_t, fix_x, fix_y)))
+        dt_fix = fix_t - prev_t
+        ok = ~(dt_fix <= 0)
+        rows, dt_fix = rows[ok], dt_fix[ok]
+        dist = _hypot(fix_x[ok] - prev_x[ok], fix_y[ok] - prev_y[ok])
+        bound = ((cols.odom_speed[rows] + self.speed_margin) * dt_fix
+                 + self.base_allowance)
+        margins[rows] = 1.0 - dist / bound
+        applicable[rows] = True
+        return margins, applicable
 
 
 class GpsFreezeAssertion(TraceAssertion):
@@ -197,6 +366,41 @@ class GpsFreezeAssertion(TraceAssertion):
                 self._last_fix = fix
                 self._odom_since_move = 0.0
         return 1.0 - self._odom_since_move / self.allowed_distance
+
+    def margin_chunk(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, None]:
+        t = cols.get("t")
+        # Which fixes moved: each is compared with the last fix that did,
+        # a recurrence over the fresh fixes only.
+        last_fix = self._last_fix
+        moved = []
+        rows = cols.get("gps_fresh").nonzero()[0]
+        for row, x, y in zip(rows.tolist(), cols.get("gps_x")[rows].tolist(),
+                             cols.get("gps_y")[rows].tolist()):
+            if last_fix is None or (
+                math.hypot(x - last_fix[0], y - last_fix[1])
+                > self.move_threshold
+            ):
+                last_fix = (x, y)
+                moved.append(row)
+        self._last_fix = last_fix
+        # The distance since then restarts at 0.0 at each of them (at
+        # driving speed, every fix: the scalar loop); the first record
+        # ever adds nothing.
+        restart = [False] * t.size
+        for row in moved:
+            restart[row] = True
+        values = [0.0] * t.size
+        if self._last_t is None and not restart[0]:
+            restart[0] = True
+            values[0] = self._odom_since_move
+        since_move = _stepped(
+            (cols.get("odom_speed") * _intervals(t, self._last_t)).tolist(),
+            restart, values, self._odom_since_move)
+        self._odom_since_move = float(since_move[-1])
+        self._last_t = float(t[-1])
+        return 1.0 - since_move / self.allowed_distance, None
 
 
 class SpeedConsistencyAssertion(TraceAssertion):
@@ -244,6 +448,67 @@ class SpeedConsistencyAssertion(TraceAssertion):
             return None
         v_odom = sum(odom_in_span) / len(odom_in_span)
         return 1.0 - abs(v_gps - v_odom) / self.bound
+    def margin_chunk(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        t = cols.t
+        n = t.size
+        cutoff = t - 2.0 * self.baseline
+        tail_t, tail_v = _window_columns(self._odom, 2)
+        odom_t = np.concatenate((tail_t, t))
+        odom_v = np.concatenate((tail_v, cols.odom_speed))
+        cut = int(odom_t.searchsorted(cutoff[-1], side="left"))
+        self._odom = _window_rows(odom_t[cut:], odom_v[cut:])
+        margins = np.zeros(n, dtype=np.float64)
+        applicable = np.zeros(n, dtype=bool)
+        rows = cols.gps_fresh.nonzero()[0]
+        if not rows.size:
+            return margins, applicable
+        tail = _window_columns(self._fixes, 3)
+        fix_t, fix_x, fix_y = (
+            np.concatenate((c, new[rows])) for c, new
+            in zip(tail, (t, cols.gps_x, cols.gps_y)))
+        lo = fix_t.searchsorted(cutoff[rows], side="left")
+        cut = int(lo[-1])
+        self._fixes = _window_rows(fix_t[cut:], fix_x[cut:], fix_y[cut:])
+        # The old fix: the newest one at least a baseline back.  The
+        # per-step test is ``t - fix_t >= baseline``, monotone along the
+        # sorted fixes; searchsorted places the boundary and the loops
+        # settle it on that exact test.
+        now = t[rows]
+        here = np.arange(tail[0].size, fix_t.size)  # each record's own fix
+        count = np.minimum(
+            fix_t.searchsorted(now - self.baseline, side="right"),
+            here + 1)
+        while True:
+            up = (count <= here) & (
+                now - fix_t[np.minimum(count, here)] >= self.baseline)
+            if not up.any():
+                break
+            count += up
+        while True:
+            down = (count > 0) & ~(
+                now - fix_t[np.maximum(count - 1, 0)] >= self.baseline)
+            if not down.any():
+                break
+            count -= down
+        old = count - 1
+        ok = old >= lo
+        rows, now, old, here = rows[ok], now[ok], old[ok], here[ok]
+        if not rows.size:
+            return margins, applicable
+        span = now - fix_t[old]
+        v_gps = _hypot(fix_x[here] - fix_x[old], fix_y[here] - fix_y[old]) / span
+        # Wheel speeds since the old fix: builtin sum() of each slice,
+        # as per step (its float rounding differs between versions).
+        first = odom_t.searchsorted(fix_t[old], side="left").tolist()
+        ends = (rows + tail_t.size + 1).tolist()
+        speeds = odom_v.tolist()
+        v_odom = np.array([sum(speeds[a:b]) / (b - a)
+                           for a, b in zip(first, ends)])
+        margins[rows] = 1.0 - np.abs(v_gps - v_odom) / self.bound
+        applicable[rows] = True
+        return margins, applicable
 
 
 class ImuCompassConsistencyAssertion(TraceAssertion):
@@ -290,6 +555,39 @@ class ImuCompassConsistencyAssertion(TraceAssertion):
         gyro_delta = self._buffer[-1][1] - self._buffer[0][1]
         compass_delta = self._buffer[-1][2] - self._buffer[0][2]
         return 1.0 - abs(gyro_delta - compass_delta) / self.bound
+    def margin_chunk(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        t = cols.t
+        # The gyro integral is a running sum (the first record ever adds
+        # nothing); np.cumsum seeded with it continues it exactly.
+        increments = cols.imu_yaw_rate * _intervals(t, self._last_t)
+        if self._last_t is None:
+            increments = increments[1:]
+        gyro = np.concatenate(([self._gyro_integral], increments)).cumsum()
+        gyro = gyro[-t.size:]
+        # Unwrapping is a recurrence through angle_diff: a scalar loop.
+        unwrapped = self._compass_unwrapped
+        compass = []
+        for yaw in cols.compass_yaw.tolist():
+            unwrapped = (yaw if unwrapped is None
+                         else unwrapped + angle_diff(yaw, unwrapped))
+            compass.append(unwrapped)
+        compass = np.array(compass, dtype=np.float64)
+        tail_t, tail_gyro, tail_compass = _window_columns(self._buffer, 3)
+        times = np.concatenate((tail_t, t))
+        gyros = np.concatenate((tail_gyro, gyro))
+        compasses = np.concatenate((tail_compass, compass))
+        lo = times.searchsorted(t - self.window, side="left")
+        cut = int(lo[-1])
+        self._buffer = _window_rows(times[cut:], gyros[cut:], compasses[cut:])
+        self._gyro_integral = float(gyro[-1])
+        self._compass_unwrapped = unwrapped
+        self._last_t = float(t[-1])
+        gyro_delta = gyro - gyros[lo]
+        compass_delta = compass - compasses[lo]
+        return (1.0 - np.abs(gyro_delta - compass_delta) / self.bound,
+                ~(t - times[lo] < 0.75 * self.window))
 
 
 # ---------------------------------------------------------------------------
@@ -472,28 +770,27 @@ class SteeringOscillationAssertion(TraceAssertion):
 
         The count depends on the window *mean*, which moves every step
         (no shared prefix structure), so this builds one right-aligned 2D
-        view of the windows and counts alternations along the rows.
-        Out-of-window cells are forced to sign 0, which the skip-zeros
-        semantics ignores, exactly like the per-step deadband does; NaN
-        deviations compare False on both sides -> sign 0 there too.
+        view of the windows.  Out-of-window cells are forced to sign 0,
+        which the skip-zeros semantics ignores, exactly like the per-step
+        deadband does; NaN deviations compare False on both sides -> sign
+        0 there too.  The per-step count is then the number of adjacent
+        unequal pairs among each row's nonzero signs, counted on the
+        compressed nonzero cells alone.
         """
         width = int((ends - lo).max()) + 1
         padded = np.concatenate((np.zeros(width - 1), values))
         windows = np.lib.stride_tricks.sliding_window_view(
             padded, width)[ends]
         dev = windows - means[:, None]
-        cols_idx = np.arange(width)
-        in_window = cols_idx[None, :] >= (lo - ends + width - 1)[:, None]
+        in_window = (np.arange(width)[None, :]
+                     >= (lo - ends + width - 1)[:, None])
         signs = (((dev > self.deadband).astype(np.int8)
                   - (dev < -self.deadband).astype(np.int8)) * in_window)
-        # Forward-fill each row's last nonzero sign: it starts at 0 and
-        # moves at the first nonzero cell and at every change after.
-        nonzero = signs != 0
-        last = np.maximum.accumulate(
-            np.where(nonzero, cols_idx[None, :], 0), axis=1)
-        held = np.take_along_axis(signs, last, axis=1)
-        moves = np.count_nonzero(held[:, 1:] != held[:, :-1], axis=1)
-        return moves - (held[:, 0] == 0) * nonzero.any(axis=1)
+        cells = np.flatnonzero(signs)
+        row = cells // width
+        held = signs.ravel()[cells]
+        change = (held[1:] != held[:-1]) & (row[1:] == row[:-1])
+        return np.bincount(row[1:][change], minlength=means.size)
 
 
 class SteeringSaturationAssertion(TraceAssertion):
@@ -667,6 +964,21 @@ class GoalReachedAssertion(TraceAssertion):
             self._min_dist = min(self._min_dist, record.dist_to_goal)
         return None
 
+    def margin_chunk(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        dist = cols.dist_to_goal
+        dist = dist[dist >= 0.0]
+        if dist.size:
+            self._applicable = True
+            # Python's min keeps the earlier of equal values (-0.0 and
+            # 0.0 included): argmin's first occurrence, then a strict <.
+            low = dist[np.argmin(dist)]
+            if low < self._min_dist:
+                self._min_dist = float(low)
+        return (np.zeros(cols.n, dtype=np.float64),
+                np.zeros(cols.n, dtype=bool))
+
     def end_margin(self, last_record: TraceRecord | None) -> float | None:
         if not self._applicable:
             return None
@@ -752,6 +1064,35 @@ class RadarJumpAssertion(TraceAssertion):
                  + self.base_allowance)
         return 1.0 - delta / bound
 
+    def margin_chunk(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        margins = np.zeros(cols.n, dtype=np.float64)
+        applicable = np.zeros(cols.n, dtype=bool)
+        rows = (cols.lead_present & cols.radar_fresh).nonzero()[0]
+        if not rows.size:
+            return margins, applicable
+        # Each track sample pairs with the one before it, the first with
+        # the carried sample.
+        track_t, ranges = cols.t[rows], cols.radar_range[rows]
+        prev = self._prev
+        self._prev = (float(track_t[-1]), float(ranges[-1]))
+        if prev is None:
+            prev_t, prev_range = track_t[:-1], ranges[:-1]
+            rows, track_t, ranges = rows[1:], track_t[1:], ranges[1:]
+        else:
+            prev_t = np.concatenate(([prev[0]], track_t[:-1]))
+            prev_range = np.concatenate(([prev[1]], ranges[:-1]))
+        dt_track = track_t - prev_t
+        ok = ~((dt_track <= 0) | (dt_track > 1.0))
+        rows, dt_track = rows[ok], dt_track[ok]
+        delta = np.abs(ranges[ok] - prev_range[ok])
+        bound = ((cols.odom_speed[rows] + self.closing_margin) * dt_track
+                 + self.base_allowance)
+        margins[rows] = 1.0 - delta / bound
+        applicable[rows] = True
+        return margins, applicable
+
 
 class RadarRateConsistencyAssertion(TraceAssertion):
     """A19 — the radar's range derivative must match its range-rate.
@@ -790,6 +1131,44 @@ class RadarRateConsistencyAssertion(TraceAssertion):
         slope = (tracks[-1][1] - tracks[0][1]) / span
         mean_rate = sum(rate for _, _, rate in tracks) / len(tracks)
         return 1.0 - abs(slope - mean_rate) / self.bound
+
+    def margin_chunk(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        margins = np.zeros(cols.n, dtype=np.float64)
+        applicable = np.zeros(cols.n, dtype=bool)
+        rows = (cols.lead_present & cols.radar_fresh).nonzero()[0]
+        if not rows.size:
+            return margins, applicable
+        tail = _window_columns(self._tracks, 3)
+        times, ranges, rates = (
+            np.concatenate((c, new[rows])) for c, new
+            in zip(tail, (cols.t, cols.radar_range, cols.radar_range_rate)))
+        here = np.arange(tail[0].size, times.size)
+        # A dropout restarts the window at the sample after it.
+        index = np.arange(times.size)
+        dropout = np.zeros(times.size, dtype=bool)
+        dropout[1:] = times[1:] - times[:-1] > 1.0
+        restart = np.maximum.accumulate(np.where(dropout, index, 0))[here]
+        now = times[here]
+        lo = np.maximum(
+            times.searchsorted(now - self.window, side="left"), restart)
+        cut = int(lo[-1])
+        self._tracks = _window_rows(times[cut:], ranges[cut:], rates[cut:])
+        span = now - times[lo]
+        ok = ~(span < 0.75 * self.window)
+        rows, here, lo, span = rows[ok], here[ok], lo[ok], span[ok]
+        if not rows.size:
+            return margins, applicable
+        slope = (ranges[here] - ranges[lo]) / span
+        # builtin sum() of each window, as per step (its float rounding
+        # differs between versions).
+        rate_list = rates.tolist()
+        mean_rate = np.array([sum(rate_list[a:b]) / (b - a) for a, b
+                              in zip(lo.tolist(), (here + 1).tolist())])
+        margins[rows] = 1.0 - np.abs(slope - mean_rate) / self.bound
+        applicable[rows] = True
+        return margins, applicable
 
 
 class ControlResponsivenessAssertion(TraceAssertion):
@@ -918,6 +1297,55 @@ class ActuationConsistencyAssertion(TraceAssertion):
                                 self.steer_max)
         error = abs(record.steer_applied - self._model_steer)
         return 1.0 - error / self.tolerance
+
+    def margin_chunk(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        t = cols.t
+        n = t.size
+        applied = cols.steer_applied
+        applicable = np.ones(n, dtype=bool)
+        start = 0
+        if self._last_t is None:  # the first record seeds the model
+            self._model_steer = float(applied[0])
+            self._last_t = float(t[0])
+            applicable[0] = False
+            start = 1
+        dt = t[start:] - np.concatenate(([self._last_t], t[start:-1]))
+        # Everything but the model's own recurrence, as arrays; the
+        # clamps are Python's min/max (first argument kept on ties, NaN
+        # positional).
+        cmd = cols.steer_cmd[start:]
+        target = np.where(-self.steer_max > cmd, -self.steer_max, cmd)
+        target = np.where(self.steer_max < target, self.steer_max, target)
+        if self.steer_tau > 0:
+            # math.exp, not np.exp: they differ in the last ulp.
+            alphas = [1.0 - decay for decay
+                      in map(math.exp, (-dt / self.steer_tau).tolist())]
+        else:
+            alphas = [None] * dt.size
+        rate = self.rate_max * dt
+        model = self._model_steer
+        lo_steer, hi_steer = -self.steer_max, self.steer_max
+        models = []
+        for target_i, alpha, lo, hi in zip(
+                target.tolist(), alphas, (-self.rate_max * dt).tolist(),
+                rate.tolist()):
+            desired = (target_i if alpha is None
+                       else model + alpha * (target_i - model))
+            delta = desired - model
+            delta = lo if lo > delta else delta
+            delta = hi if hi < delta else delta
+            model = model + delta
+            model = lo_steer if lo_steer > model else model
+            model = hi_steer if hi_steer < model else model
+            models.append(model)
+        margins = np.zeros(n, dtype=np.float64)
+        if models:
+            self._model_steer = model
+            self._last_t = float(t[-1])
+            margins[start:] = 1.0 - np.abs(applied[start:] - models) / self.tolerance
+        return margins, applicable
 
 
 class DegradedTrackingAssertion(TraceAssertion):

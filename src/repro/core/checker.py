@@ -7,8 +7,8 @@ Two engines produce byte-identical reports:
   the same resumable column code (``margin_chunk`` and ``advance``)
   that :meth:`~repro.core.monitor.OnlineMonitor.feed_columns` runs on
   every chunk the ingest service receives, started from a reset state.
-  Stateful assertions step their scalar margin record by record inside
-  that pass.
+  Every catalog assertion, stateful ones included, runs its column
+  kernel; no trace record is built.
 * ``"step"`` — wraps the per-record
   :meth:`~repro.core.monitor.OnlineMonitor.feed`, the on-vehicle API.
   It is the differential-testing oracle, not a production path.

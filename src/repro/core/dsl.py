@@ -15,8 +15,10 @@ The same objects serve two engines:
   and the differential-testing oracle;
 * the **block** path — :meth:`TraceAssertion.margin_chunk` computes the
   margins of a block of records as arrays over the state the per-step
-  path carries (running sums, window tails, latches; stateful margins
-  are stepped record by record via :meth:`TraceAssertion.margins_of`),
+  path carries (running sums, window tails, fix pairs, latches; every
+  catalog assertion has one, and only an assertion without one, such
+  as a user :class:`FunctionAssertion`, is stepped record by record via
+  :meth:`TraceAssertion.margins_of`),
   and :meth:`TraceAssertion.advance` runs the debounce over the
   run-length encoding of the bad/good margin signs, resuming the
   per-step episode state.  The ingest service checks each streamed chunk
@@ -32,8 +34,10 @@ scalar ops bit for bit), and windowed means are defined as *prefix-sum
 differences* on both paths — ``np.cumsum`` seeded with the carried running
 sum reproduces a sequential running sum exactly, whereas pairwise
 summation (``np.add.reduceat``) would not.  Equivalence is enforced by
-``tests/test_checker_equivalence.py`` (whole traces) and
-``tests/test_monitor_chunks.py`` (every chunk split and interleaving).
+``tests/test_checker_equivalence.py`` (whole traces),
+``tests/test_monitor_chunks.py`` (every chunk split and interleaving) and
+``tests/test_catalog_kernels.py`` (each stateful kernel against its
+scalar margin on adversarial columns).
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from collections.abc import Callable, Iterable
 import numpy as np
 
 from repro.core.verdicts import AssertionSummary, Violation
-from repro.trace.schema import Trace, TraceColumns, TraceRecord
+from repro.trace.schema import Trace, TraceColumns, TraceRecord, TraceRow
 
 __all__ = [
     "TraceAssertion",
@@ -202,7 +206,8 @@ class TraceAssertion(abc.ABC):
         """Optional end-of-trace check (liveness assertions override).
 
         A negative return value opens (and closes) a final episode at the
-        last record's timestamp.
+        last record's timestamp.  The block path passes the last record as
+        a :class:`~repro.trace.schema.TraceRow`.
         """
         return None
 
@@ -240,22 +245,34 @@ class TraceAssertion(abc.ABC):
         records that follow everything this assertion has seen since
         its last :meth:`reset`, by :meth:`step` or by earlier blocks.  An
         implementation resumes from the state :meth:`margin` carries
-        (running sums, window tails, latches), returns the block's
-        ``(margins, applicable)`` bit-identical to calling :meth:`margin`
-        per record, and leaves that state exactly as those calls would.
-        The default returns ``None``, and the block's records are
-        stepped one by one through :meth:`margin` instead (state machines
-        stay exact without extra work).  A fresh assertion given the
+        (running sums, window tails, fix pairs, latches), returns the
+        block's ``(margins, applicable)`` bit-identical to calling
+        :meth:`margin` per record, and leaves that state exactly as those
+        calls would, as the same Python values.  To stay exact it uses
+        the scalar code's own operations: ``math.hypot`` and
+        ``math.exp`` (their numpy twins differ in the last ulp), Python's
+        ``min``/``max`` tie and NaN rules, the ``< cutoff`` trimming rule
+        (``searchsorted(..., side="left")``), seeded ``np.cumsum`` for
+        sequential sums, and builtin ``sum()`` where the scalar code sums
+        a window (its rounding differs between Python versions).  A
+        recurrence that does not vectorize (an unwrap, a rate-limited
+        lag) stays a scalar loop over plain floats, and so does a
+        running sum that restarts every few records, where per-run
+        array calls would cost more than the loop.
+
+        Every catalog assertion implements it.  The default returns
+        ``None``, and the block's records are stepped one by one through
+        :meth:`margin` instead (:meth:`margins_of`), which keeps a user
+        assertion exact without extra work.  A fresh assertion given the
         whole trace is :meth:`evaluate_offline`'s case.
         """
         return None
 
     def _needs_end_record(self) -> bool:
-        """Whether :meth:`finish` must see the materialized last record.
+        """Whether :meth:`finish` must see the last record.
 
-        True iff the subclass overrides :meth:`end_margin`; pure
-        column-vectorized assertions then skip record materialization
-        entirely on the offline path.
+        True iff the subclass overrides :meth:`end_margin`; the offline
+        path then builds that one row, and no row otherwise.
         """
         return type(self).end_margin is not TraceAssertion.end_margin
 
@@ -336,11 +353,15 @@ class TraceAssertion(abc.ABC):
         """Evaluate the whole trace in one shot (vectorized where possible).
 
         Equivalent to ``reset(); [step(r) for r in trace]; finish(last)``
-        but computes the margin stream as arrays via :meth:`margin_array`
-        when the subclass supports it, then extracts debounced episodes
-        with :meth:`advance`.  Verdicts (episodes, margins, severities)
-        are byte-identical to the per-step path.  Returns the violations
-        :meth:`finish` closed.
+        but computes the margin stream as arrays (:meth:`margin_chunk`
+        over the whole trace, else :meth:`margin_array`, else
+        :meth:`margins_of` over the trace's rows), then extracts debounced
+        episodes with :meth:`advance`.  No
+        :class:`~repro.trace.schema.TraceRecord` is built: an end-of-trace
+        check reads the last record as a
+        :class:`~repro.trace.schema.TraceRow`.  Verdicts (episodes,
+        margins, severities) are byte-identical to the per-step path.
+        Returns the violations :meth:`finish` closed.
         """
         self.reset()
         n = len(trace)
@@ -352,9 +373,9 @@ class TraceAssertion(abc.ABC):
         if computed is None:
             computed = self.margin_array(cols)
         if computed is None:
-            computed = self.margins_of(trace)
+            computed = self.margins_of(cols.rows())
         self.advance(cols.get("t"), *computed)
-        last_record = trace[n - 1] if self._needs_end_record() else None
+        last_record = cols.row(n - 1) if self._needs_end_record() else None
         return self.finish(last_record)
 
     def margins_of(
@@ -362,7 +383,11 @@ class TraceAssertion(abc.ABC):
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`margin` over consecutive records, in order, as
         ``(margins, applicable)`` arrays for :meth:`advance` (stateful
-        margins see every record exactly as :meth:`step` shows them)."""
+        margins see every record exactly as :meth:`step` shows them).
+
+        The row path: the block path's fallback for an assertion without
+        a :meth:`margin_chunk` (no catalog assertion takes it).  The
+        records may be light :class:`~repro.trace.schema.TraceRow` rows."""
         margin = self.margin
         values = [margin(record) for record in records]
         applicable = np.array([m is not None for m in values], dtype=bool)
@@ -612,7 +637,13 @@ class FunctionAssertion(TraceAssertion):
     """Wrap a plain function as an assertion — the DSL's escape hatch.
 
     The function receives the record and a mutable state dict (empty at
-    each reset) and returns a normalized margin or ``None``::
+    each reset) and returns a normalized margin or ``None``.  The record
+    is read-only and supports field access only: the per-step path
+    passes a :class:`~repro.trace.schema.TraceRecord`, the block path
+    (the offline checker's default engine, the monitor's column feed) a
+    :class:`~repro.trace.schema.TraceRow` named tuple, so ``fn`` must not
+    call ``record.replace`` or check its type.  ``end_fn`` receives the
+    last record the same way::
 
         def no_reverse(record, state):
             return record.est_v + 0.5  # violated if estimate goes backward
@@ -632,10 +663,11 @@ class FunctionAssertion(TraceAssertion):
         self,
         assertion_id: str,
         name: str,
-        fn: Callable[[TraceRecord, dict], float | None],
+        fn: Callable[[TraceRecord | TraceRow, dict], float | None],
         category: str = "custom",
         settle_time: float = 0.0,
-        end_fn: Callable[[TraceRecord, dict], float | None] | None = None,
+        end_fn: (Callable[[TraceRecord | TraceRow, dict], float | None]
+                 | None) = None,
         fn_array: Callable[
             [TraceColumns],
             "np.ndarray | tuple[np.ndarray, np.ndarray | None] | None",

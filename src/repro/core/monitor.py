@@ -5,11 +5,13 @@ violations the moment their episodes close.  Two entry points share one
 state:
 
 * :meth:`OnlineMonitor.feed_columns` checks a block of records (the
-  columns of a streamed chunk) at once: assertions with a resumable
-  vectorized margin (:meth:`~repro.core.dsl.TraceAssertion.margin_chunk`)
-  evaluate it as arrays over their carried state, the stateful rest step
-  their scalar margin over light :class:`~repro.trace.schema.TraceRow`
-  rows.  This is the production path: the ingest service feeds every
+  columns of a streamed chunk) at once: every catalog assertion
+  evaluates it with its resumable column kernel
+  (:meth:`~repro.core.dsl.TraceAssertion.margin_chunk`) over its carried
+  state; only an assertion without one (a user
+  :class:`~repro.core.dsl.FunctionAssertion`) steps its scalar margin over
+  light :class:`~repro.trace.schema.TraceRow` rows, built only then.
+  This is the production path: the ingest service feeds every
   chunk through it, and the offline checker is the same code run over
   the whole trace as one block.
 * :meth:`OnlineMonitor.feed` steps one record through every assertion.
@@ -129,21 +131,25 @@ class OnlineMonitor:
         Returns exactly the violations, in the same order, that
         :meth:`feed` would return over the block's records one by one,
         and leaves the monitor in the same state.  No
-        :class:`~repro.trace.schema.TraceRecord` is built.
+        :class:`~repro.trace.schema.TraceRecord` is built, and over the
+        default catalog only the block's first and last
+        :class:`~repro.trace.schema.TraceRow` (what :meth:`finish` reads).
         """
         if self._finished:
             raise RuntimeError("monitor already finished; create a new one")
         if cols.n == 0:
             return []
-        rows = cols.rows()
         if self._first_record is None:
-            self._first_record = rows[0]
-        self._last_record = rows[-1]
+            self._first_record = cols.row(0)
+        self._last_record = cols.row(cols.n - 1)
         t = cols.get("t")
+        rows = None
         closed: list[tuple[int, int, Violation]] = []
         for index, assertion in enumerate(self.assertions):
             computed = assertion.margin_chunk(cols)
-            if computed is None:  # stateful: the scalar margin, row by row
+            if computed is None:  # no column kernel: the scalar margin
+                if rows is None:
+                    rows = cols.rows()
                 computed = assertion.margins_of(rows)
             closed.extend((row_index, index, v) for row_index, v
                           in assertion.advance(t, *computed))

@@ -120,11 +120,7 @@ class TraceStreamClient:
             return outcome
         finally:
             if writer is not None:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except _DISCONNECTS:
-                    pass
+                await _close(writer)
 
     # -- connection / handshake -------------------------------------------
     async def _open(self, trace: Trace, session_id: str,
@@ -138,6 +134,7 @@ class TraceStreamClient:
         for attempt in range(self.max_reconnects + 1):
             if attempt > 0 or not hello_first:
                 outcome.reconnects += 1
+            writer = None
             try:
                 reader, writer = await asyncio.open_connection(
                     self.host, self.port)
@@ -169,8 +166,13 @@ class TraceStreamClient:
                     return reader, writer, int(reply.header["next_seq"])
                 return reader, writer, int(reply.header["next_seq"])
             except _DISCONNECTS as exc:
+                if writer is not None:
+                    await _close(writer)
                 last_exc = exc
                 await asyncio.sleep(self.reconnect_delay_s)
+            except StreamError:
+                await _close(writer)
+                raise
         raise StreamError(
             f"could not (re)establish session {session_id!r} after "
             f"{self.max_reconnects + 1} attempts") from last_exc
@@ -254,6 +256,15 @@ class TraceStreamClient:
             chunk_to_bytes(trace.meta, records[i:i + self.chunk_records])
             for i in range(0, len(records), self.chunk_records)
         ]
+
+
+async def _close(writer: asyncio.StreamWriter) -> None:
+    """Close a connection, ignoring a peer that is already gone."""
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except _DISCONNECTS:
+        pass
 
 
 async def stream_trace(trace: Trace, host: str, port: int,

@@ -211,6 +211,12 @@ class TraceColumns:
         raw = [self._arrays[name].tolist() for name in _FIELD_NAMES]
         return list(map(TraceRow._make, zip(*raw)))
 
+    def row(self, index: int) -> TraceRow:
+        """Record ``index`` alone as a :class:`TraceRow`, equal to
+        ``rows()[index]`` without building the others."""
+        return TraceRow._make(self._arrays[name].item(index)
+                              for name in _FIELD_NAMES)
+
     def __repr__(self) -> str:
         return f"TraceColumns(n={self.n}, channels={len(self._arrays)})"
 

@@ -8,7 +8,10 @@ from repro.core.dsl import (
     WindowMeanBoundAssertion,
 )
 
-from conftest import make_record
+from repro.core.checker import check_trace
+from repro.trace.schema import Trace
+
+from conftest import make_record, make_trace
 
 
 def feed(assertion, records):
@@ -167,6 +170,38 @@ class TestFunctionAssertion:
                                    [make_record(i) for i in range(10)])
         assert summary.fired  # only ~3.6 m travelled
         assert violations[-1].t_start == violations[-1].t_end
+
+    def test_both_engines_agree_on_a_field_access_function(self):
+        """``fn``/``end_fn`` get a TraceRecord per step and a TraceRow
+        from the block path; field access reads the same on both."""
+        seen = {"vector": set(), "step": set()}
+
+        def run(engine):
+            def fn(record, state):
+                seen[engine].add(type(record).__name__)
+                state["far"] = max(state.get("far", 0.0), record.true_x)
+                return 1.0 - record.est_v / 8.5 if record.gps_fresh else None
+
+            def end_fn(record, state):
+                seen[engine].add(type(record).__name__)
+                return state["far"] / record.true_x - 1.0
+
+            assertion = FunctionAssertion("U4", "custom", fn, end_fn=end_fn,
+                                          debounce_on=1, debounce_off=1)
+            return check_trace(trace, [assertion], engine=engine)
+
+        def mutate(step, record):
+            return record.replace(est_v=9.0 if 20 <= step < 30 else 8.0,
+                                  gps_fresh=step % 3 != 0)
+
+        source = make_trace(60, mutate=mutate)
+        cols = source.columns()
+        trace = Trace.from_columns(
+            source.meta, {n: cols.get(n) for n in Trace.field_names})
+        vector, step = run("vector"), run("step")
+        assert vector.violations and vector.violations == step.violations
+        assert vector.summaries == step.summaries
+        assert seen == {"vector": {"TraceRow"}, "step": {"TraceRecord"}}
 
     def test_none_margin_not_applicable(self):
         assertion = FunctionAssertion("U3", "never", lambda r, s: None)
