@@ -26,7 +26,10 @@ from repro._lazy import lazy_exports
 # 1.4: scheduler/executor/result-store split (cache keys and checkpoint
 # manifests embed this version).
 # 1.7: binary trace format 2 (cache layout v3, protocol 2).
-__version__ = "1.7.0"
+# 1.8: hinted route projection wraps its window across a closed route's
+# seam instead of scanning every segment (a simulation semantics change,
+# so cached 1.7 runs are misses).
+__version__ = "1.8.0"
 
 __all__ = [
     "run_scenario",

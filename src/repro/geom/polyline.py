@@ -5,6 +5,8 @@ cumulative arc length.  It supports the three queries a path tracker needs:
 
 * ``project(point)`` — nearest point on the path, with signed cross-track
   error (positive = point is left of the path) and the arc-length station.
+  Given a hint station, only the segments within :data:`HINT_WINDOW` of it
+  are searched; on a closed path that window wraps across the seam.
 * ``sample(s)`` — position/heading/curvature at arc-length station ``s``.
 * ``lookahead(s, distance)`` — the point ``distance`` meters further along.
 
@@ -24,7 +26,10 @@ import numpy as np
 from repro.geom.angles import angle_diff
 from repro.geom.vec import Vec2
 
-__all__ = ["Polyline", "Projection", "PathSample"]
+__all__ = ["HINT_WINDOW", "Polyline", "Projection", "PathSample", "SegmentArrays"]
+
+HINT_WINDOW = 30.0
+"""Meters either side of the hint station that a hinted projection searches."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,6 +65,25 @@ class PathSample:
     station: float
 
 
+@dataclass(frozen=True, slots=True)
+class SegmentArrays:
+    """The per-segment arrays a :class:`Polyline` derives at construction.
+
+    Segment ``i`` runs from vertex ``i`` to vertex ``i + 1``; ``cum`` (the
+    station of each vertex) and ``curvatures`` are per vertex, one longer.
+    The arrays are read-only and shared with the polyline.
+    """
+
+    start_x: np.ndarray
+    start_y: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    lengths: np.ndarray
+    cum: np.ndarray
+    headings: np.ndarray
+    curvatures: np.ndarray
+
+
 class Polyline:
     """An open or closed polyline with arc-length parametrization.
 
@@ -89,6 +113,38 @@ class Polyline:
         self._cum = np.concatenate(([0.0], np.cumsum(seg_lengths)))
         self._headings = np.arctan2(deltas[:, 1], deltas[:, 0])
         self._curvatures = self._vertex_curvatures()
+        self._index_segments()
+
+    def _index_segments(self) -> None:
+        """Derive :attr:`segments` and the nearest-segment scan's table."""
+        deltas = np.diff(self._xy, axis=0)
+        dx, dy = deltas[:, 0], deltas[:, 1]
+        # Rows ax, ay, dx, dy, |d|^2: what the nearest-segment scan reads
+        # per candidate, stacked so one gather fetches all five.
+        self._table = np.stack(
+            (self._xy[:-1, 0], self._xy[:-1, 1], dx, dy, dx * dx + dy * dy)
+        )
+        for array in (self._table, self._seg_lengths, self._cum,
+                      self._headings, self._curvatures):
+            array.setflags(write=False)
+        self._segments = SegmentArrays(
+            *self._table[:4],  # start_x, start_y, dx, dy: read-only rows
+            lengths=self._seg_lengths,
+            cum=self._cum,
+            headings=self._headings,
+            curvatures=self._curvatures,
+        )
+
+    def __getstate__(self) -> dict:
+        # The run cache pickles a route with every scored entry: store the
+        # base arrays only and derive the rest on load.
+        state = self.__dict__.copy()
+        del state["_segments"], state["_table"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._index_segments()
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -110,6 +166,11 @@ class Polyline:
     @property
     def num_segments(self) -> int:
         return len(self._seg_lengths)
+
+    @property
+    def segments(self) -> SegmentArrays:
+        """The per-segment arrays (read-only, shared, not copied)."""
+        return self._segments
 
     def start_pose(self) -> tuple[Vec2, float]:
         """Initial point and tangent heading (useful to spawn a vehicle)."""
@@ -149,38 +210,25 @@ class Polyline:
         return self.sample(station + distance)
 
     def project(self, point: Vec2, hint_station: float | None = None) -> Projection:
-        """Project a point onto the path (global nearest-point search).
+        """Project a point onto the path: the nearest point among the candidates.
 
         Args:
             point: query point.
-            hint_station: if given, the search is restricted to a window of
-                segments around this station, which keeps tracking O(1) per
-                step and avoids snapping to the far side of closed circuits.
+            hint_station: if given, only segments within :data:`HINT_WINDOW`
+                meters of this station are candidates (the window wraps
+                across the seam of a closed path).  That keeps tracking
+                cheap per step and avoids snapping to the far side of
+                closed circuits.  Without a hint every segment is a
+                candidate.
         """
-        if hint_station is None:
-            candidates = range(self.num_segments)
-        else:
-            candidates = self._window_segments(hint_station, window=30.0)
-        best: tuple[float, int, float] | None = None  # (dist_sq, idx, t)
-        px, py = point.x, point.y
-        for idx in candidates:
-            ax, ay = self._xy[idx]
-            bx, by = self._xy[idx + 1]
-            dx, dy = bx - ax, by - ay
-            seg_len_sq = dx * dx + dy * dy
-            t = ((px - ax) * dx + (py - ay) * dy) / seg_len_sq
-            t = min(max(t, 0.0), 1.0)
-            cx, cy = ax + t * dx, ay + t * dy
-            # Products, not ``** 2``: CPython's float.__pow__ and numpy's
-            # square differ in the last ulp for some inputs, and the batch
-            # engine (repro.sim.batch) must reproduce this distance
-            # bit-for-bit to pick the same segment.
-            ex, ey = px - cx, py - cy
-            dist_sq = ex * ex + ey * ey
-            if best is None or dist_sq < best[0]:
-                best = (dist_sq, idx, t)
-        assert best is not None
-        _, idx, t = best
+        has_hint = hint_station is not None
+        idx, t = self.nearest_segments(
+            np.array([point.x]), np.array([point.y]),
+            np.array([hint_station if has_hint else 0.0]),
+            np.array([has_hint]),
+        )
+        idx = int(idx[0])
+        t = float(t[0])
         a = self._points[idx]
         b = self._points[idx + 1]
         closest = a.lerp(b, t)
@@ -196,6 +244,65 @@ class Polyline:
             segment_index=idx,
             distance=point.distance_to(closest),
         )
+
+    def nearest_segments(
+        self,
+        px: np.ndarray,
+        py: np.ndarray,
+        hint: np.ndarray,
+        has_hint: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest segment and clamped segment parameter per query point.
+
+        The kernel behind :meth:`project` and the batch engine's
+        ``BatchRoute.project``.  Query ``i`` scans the candidates of
+        :meth:`_hint_windows` in ascending segment order and keeps the
+        first minimum of the squared distance, so of two segments at
+        exactly the same distance the lower index wins.
+
+        Returns:
+            ``(idx, t)``: per query, the segment index and the parameter
+            ``t`` in ``[0, 1]`` of the closest point on it.
+        """
+        wrap, start, last = self._hint_windows(hint, has_hint)
+        k = np.arange(int((wrap + (last - start)).max()) + 1)
+        # Candidate k of query i is k itself while k < wrap[i], then
+        # start[i] + (k - wrap[i]).  Slots past the query's own count
+        # repeat its last candidate, which a first-minimum scan never
+        # picks over the original.
+        if wrap.any():
+            idx = np.where(k < wrap[:, None], k, k + (start - wrap)[:, None])
+        else:
+            idx = k + start[:, None]
+        np.minimum(idx, last[:, None], out=idx)
+        ax, ay, dx, dy, len_sq = self._table.take(idx, axis=1)
+        qx = px[:, None]
+        qy = py[:, None]
+        # The scalar scan's expressions, evaluated in place:
+        # t = ((qx - ax) * dx + (qy - ay) * dy) / len_sq, then Python's
+        # min(max(t, 0.0), 1.0), which keeps NaN (np.clip need not).
+        t = qx - ax
+        t *= dx
+        e = qy - ay
+        e *= dy
+        t += e
+        t /= len_sq
+        np.copyto(t, 0.0, where=t < 0.0)
+        np.copyto(t, 1.0, where=t > 1.0)
+        # dist_sq = ex * ex + ey * ey with ex = qx - (ax + t * dx), ...
+        ex = t * dx
+        ex += ax
+        np.subtract(qx, ex, out=ex)
+        ey = t * dy
+        ey += ay
+        np.subtract(qy, ey, out=ey)
+        ex *= ex
+        ey *= ey
+        ex += ey
+        # argmin takes the first minimum: a strict-< best-so-far scan.
+        off = np.argmin(ex, axis=1)
+        rows = np.arange(len(off))
+        return idx[rows, off], t[rows, off]
 
     def remaining(self, station: float) -> float:
         """Arc length from ``station`` to the end (length for closed paths)."""
@@ -217,19 +324,60 @@ class Polyline:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _window_segments(self, station: float, window: float) -> range:
-        s = self._wrap_station(station)
-        lo = s - window
-        hi = s + window
-        if self._closed and (lo < 0 or hi > self.length):
-            # The window wraps around the seam; fall back to a full search,
-            # which is still cheap for the route sizes used here.
-            return range(self.num_segments)
-        lo_idx = int(np.searchsorted(self._cum, max(lo, 0.0), side="right") - 1)
-        hi_idx = int(np.searchsorted(self._cum, min(hi, self.length), side="left"))
-        lo_idx = min(max(lo_idx, 0), self.num_segments - 1)
-        hi_idx = min(max(hi_idx, lo_idx + 1), self.num_segments)
-        return range(lo_idx, hi_idx)
+    def _hint_windows(
+        self, hint: np.ndarray, has_hint: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Candidate segments per query: ``[0, wrap)`` then ``[start, last]``.
+
+        A hinted query's window holds the segments within
+        :data:`HINT_WINDOW` meters of its (wrapped) hint station.  On a
+        closed path a window that crosses the seam wraps around it:
+        ``[0, wrap)`` is the piece past station 0 and ``[start, nseg)``
+        the piece before it.  Queries without a hint, and every query on
+        a closed path shorter than two windows (whose window would
+        overlap itself), get all segments.
+        """
+        n = len(hint)
+        nseg = self.num_segments
+        length = self.length
+        if not has_hint.any() or (self._closed and length < 2 * HINT_WINDOW):
+            return (np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp),
+                    np.full(n, nseg - 1, dtype=np.intp))
+        if self._closed:
+            s = np.mod(hint, length)
+            lo = s - HINT_WINDOW
+            hi = s + HINT_WINDOW
+            lo_seam = lo < 0.0
+            hi_seam = hi > length
+            seam = lo_seam | hi_seam
+            lo += length * lo_seam
+            hi -= length * hi_seam
+        else:
+            # min(max(hint, 0.0), length), then max(lo, 0.0) and
+            # min(hi, length), each keeping NaN like Python's min/max.
+            s = np.where(0.0 > hint, 0.0, hint)
+            s = np.where(length < s, length, s)
+            lo = s - HINT_WINDOW
+            hi = s + HINT_WINDOW
+            lo = np.where(0.0 > lo, 0.0, lo)
+            hi = np.where(length < hi, length, hi)
+            seam = np.zeros(n, dtype=bool)
+        # lo >= 0, so only a NaN or an end station needs the clamp.
+        lo_idx = np.searchsorted(self._cum, lo, side="right") - 1
+        np.minimum(lo_idx, nseg - 1, out=lo_idx)
+        hi_idx = np.searchsorted(self._cum, hi, side="left")
+        wrap = hi_idx * seam
+        # A seam window's second piece starts no lower than its first
+        # ends, so the two stay disjoint.
+        start = np.maximum(lo_idx, wrap)
+        last = np.where(
+            seam, nseg - 1, np.minimum(np.maximum(hi_idx - 1, lo_idx), nseg - 1)
+        )
+        if not has_hint.all():
+            wrap *= has_hint
+            start *= has_hint
+            last = np.where(has_hint, last, nseg - 1)
+        return wrap, start, last
 
     def _vertex_curvatures(self) -> np.ndarray:
         """Discrete curvature at each vertex from the turning angle."""

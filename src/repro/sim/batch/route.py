@@ -2,11 +2,15 @@
 
 :class:`BatchRoute` wraps one shared :class:`~repro.geom.polyline.Polyline`
 (every lane in a batch drives the same route geometry) and answers the
-three tracker queries for ``n`` query points per call.  Each operation
-mirrors the serial method expression-for-expression — same associativity,
-same ``min``/``max`` semantics, same first-minimum tie-breaking — so the
-segment choice and every derived float is bit-identical to what the serial
-``Polyline`` returns per lane (the batch engine's differential contract).
+three tracker queries for ``n`` query points per call.  It reads the
+polyline's own segment arrays, and :meth:`BatchRoute.project` picks each
+lane's segment with the same nearest-segment kernel that
+``Polyline.project`` runs on one point
+(:meth:`~repro.geom.polyline.Polyline.nearest_segments`, hint windows
+wrapping across a closed route's seam included).  The derived floats
+mirror the serial expressions — same associativity, same ``min``/``max``
+semantics — so every lane is bit-identical to what the serial
+``Polyline`` returns (the batch engine's differential contract).
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from repro.geom.polyline import Polyline
 from repro.sim.batch import ops
 
 __all__ = ["BatchProjection", "BatchSample", "BatchRoute"]
-
-_WINDOW = 30.0  # meters; matches Polyline.project's hint window
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,29 +53,24 @@ class BatchRoute:
         self.route = route
         self.closed = route.closed
         self.length = route.length
-        xy = np.array([[p.x, p.y] for p in route.points], dtype=float)
-        deltas = np.diff(xy, axis=0)
-        self._ax = xy[:-1, 0].copy()
-        self._ay = xy[:-1, 1].copy()
-        self._dx = deltas[:, 0].copy()
-        self._dy = deltas[:, 1].copy()
-        # Same elementwise expression the serial scan evaluates per segment.
-        self._seg_len_sq = self._dx * self._dx + self._dy * self._dy
-        self._seg_lengths = np.hypot(deltas[:, 0], deltas[:, 1])
-        self._cum = np.concatenate(([0.0], np.cumsum(self._seg_lengths)))
-        self._headings = np.arctan2(deltas[:, 1], deltas[:, 0])
-        # np.cos/np.sin match math.cos/math.sin bitwise on this platform,
-        # so precomputing the tangents is safe.
-        self._cos_h = np.cos(self._headings)
-        self._sin_h = np.sin(self._headings)
-        self._curvatures = self._vertex_curvatures(route)
-        self.num_segments = len(self._seg_lengths)
-
-    @staticmethod
-    def _vertex_curvatures(route: Polyline) -> np.ndarray:
-        # The polyline computed these once at construction; reuse the exact
-        # values rather than re-deriving them.
-        return np.asarray(route._curvatures, dtype=float)  # noqa: SLF001
+        seg = route.segments
+        self._ax = seg.start_x
+        self._ay = seg.start_y
+        self._dx = seg.dx
+        self._dy = seg.dy
+        self._seg_lengths = seg.lengths
+        self._cum = seg.cum
+        self._headings = seg.headings
+        self._curvatures = seg.curvatures
+        self.num_segments = route.num_segments
+        # What project reads at each lane's segment, stacked so one gather
+        # fetches it all.  np.cos/np.sin match math.cos/math.sin bitwise
+        # on this platform, so precomputing the tangents is safe.
+        self._at_segment = np.stack((
+            seg.start_x, seg.start_y, seg.dx, seg.dy, seg.cum[:-1],
+            seg.lengths, seg.headings, np.cos(seg.headings),
+            np.sin(seg.headings),
+        ))
 
     # ------------------------------------------------------------------
     def wrap_station(self, s: np.ndarray) -> np.ndarray:
@@ -93,7 +90,7 @@ class BatchRoute:
         """Vectorized ``Polyline.sample`` over per-lane stations."""
         s = self.wrap_station(stations)
         idx = np.searchsorted(self._cum, s, side="right") - 1
-        idx = np.clip(idx, 0, self.num_segments - 1)
+        idx = np.minimum(np.maximum(idx, 0), self.num_segments - 1)
         ds = s - self._cum[idx]
         frac = ds / self._seg_lengths[idx]
         px = self._ax[idx] + self._dx[idx] * frac
@@ -117,63 +114,16 @@ class BatchRoute:
         Lanes with ``has_hint`` False (first step) search every segment,
         exactly like a serial ``hint_station=None`` call.
         """
-        n = len(px)
-        nseg = self.num_segments
-        lo_idx = np.zeros(n, dtype=np.int64)
-        hi_idx = np.full(n, nseg, dtype=np.int64)
-        if has_hint.any():
-            s = self.wrap_station(hint)
-            lo = s - _WINDOW
-            hi = s + _WINDOW
-            windowed = has_hint.copy()
-            if self.closed:
-                # Seam-wrapping windows fall back to a full search.
-                windowed &= ~((lo < 0) | (hi > self.length))
-            if windowed.any():
-                lo_w = np.searchsorted(
-                    self._cum, ops.pymax(lo, 0.0), side="right"
-                ) - 1
-                hi_w = np.searchsorted(
-                    self._cum, ops.pymin(hi, self.length), side="left"
-                )
-                lo_w = np.clip(lo_w, 0, nseg - 1)
-                hi_w = np.clip(hi_w, lo_w + 1, nseg)
-                lo_idx = np.where(windowed, lo_w, lo_idx)
-                hi_idx = np.where(windowed, hi_w, hi_idx)
-
-        width = int((hi_idx - lo_idx).max())
-        idx = lo_idx[:, None] + np.arange(width)
-        valid = idx < hi_idx[:, None]
-        idx_c = np.where(valid, idx, 0)
-
-        ax = self._ax[idx_c]
-        ay = self._ay[idx_c]
-        dx = self._dx[idx_c]
-        dy = self._dy[idx_c]
-        pxc = px[:, None]
-        pyc = py[:, None]
-        t = ((pxc - ax) * dx + (pyc - ay) * dy) / self._seg_len_sq[idx_c]
-        t = ops.pymin(ops.pymax(t, 0.0), 1.0)
-        cx = ax + t * dx
-        cy = ay + t * dy
-        ex = pxc - cx
-        ey = pyc - cy
-        dist_sq = ex * ex + ey * ey
-        dist_sq = np.where(valid, dist_sq, np.inf)
-        # argmin takes the first minimum, matching the serial strict-<
-        # best-so-far scan over ascending segment indices.
-        off = np.argmin(dist_sq, axis=1)
-        rows = np.arange(n)
-        best = lo_idx + off
-        t_best = t[rows, off]
-
-        closest_x = self._ax[best] + self._dx[best] * t_best
-        closest_y = self._ay[best] + self._dy[best] * t_best
-        heading = self._headings[best]
+        best, t = self.route.nearest_segments(px, py, hint, has_hint)
+        ax, ay, dx, dy, cum, seg_len, heading, cos_h, sin_h = (
+            self._at_segment.take(best, axis=1)
+        )
+        closest_x = ax + dx * t
+        closest_y = ay + dy * t
         rx = px - closest_x
         ry = py - closest_y
-        cross = self._cos_h[best] * ry - self._sin_h[best] * rx
-        station = self._cum[best] + t_best * self._seg_lengths[best]
+        cross = cos_h * ry - sin_h * rx
+        station = cum + t * seg_len
         return BatchProjection(
             station=station, cross_track=cross, heading=heading
         )

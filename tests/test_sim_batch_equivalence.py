@@ -98,8 +98,10 @@ def assert_injectors_fired(spec: LaneSpec, trace: Trace) -> None:
             f"fault {spec.faults.label!r} never active")
 
 
-def run_both(spec_factories) -> None:
-    """Simulate the lanes batched and serially; assert bit-identity."""
+def run_both(spec_factories) -> list:
+    """Simulate the lanes batched and serially; assert bit-identity.
+
+    Returns the batched results."""
     batch_results = run_batch([factory() for factory in spec_factories])
     for factory, batch_result in zip(spec_factories, batch_results):
         spec = factory()
@@ -109,6 +111,7 @@ def run_both(spec_factories) -> None:
         ).run()
         assert_injectors_fired(spec, serial_result.trace)
         assert_results_identical(serial_result, batch_result)
+    return batch_results
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +299,20 @@ class TestClosedLoopEquivalence:
             lambda: make_spec(short("urban_loop", duration=12.0),
                               attack="imu_gyro_bias"),
         ])
+
+    def test_full_lap_crosses_the_seam(self):
+        # urban_loop is 369 m; 56 s at up to 8 m/s laps it, so both engines
+        # project across station 0 mid-run with hinted, wrapped windows.
+        specs = [
+            lambda: make_spec(short("urban_loop", duration=56.0)),
+            lambda: make_spec(short("urban_loop", duration=56.0),
+                              controller="stanley"),
+            lambda: make_spec(short("urban_loop", duration=56.0),
+                              attack="gps_drift"),
+        ]
+        for result in run_both(specs):
+            station = result.trace.columns().station_true
+            assert (np.diff(station) < -300.0).any(), "no lane lapped"
 
     def test_acc_with_lead_and_radar(self):
         scenarios = [acc_scenario(seed=s, duration=15.0) for s in (3, 3, 9)]
