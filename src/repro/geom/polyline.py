@@ -31,6 +31,14 @@ __all__ = ["HINT_WINDOW", "Polyline", "Projection", "PathSample", "SegmentArrays
 HINT_WINDOW = 30.0
 """Meters either side of the hint station that a hinted projection searches."""
 
+_WINDOW_OFFSETS = np.array([[-HINT_WINDOW], [HINT_WINDOW]])
+"""Added to a row of stations, the window's ``lo`` and ``hi`` rows in one
+call (``s + -W`` is ``s - W`` exactly)."""
+
+_PICKLED = ("_closed", "_xy", "_seg_lengths", "_cum", "_headings",
+            "_curvatures")
+"""The attributes a pickled polyline keeps; the rest is derived on load."""
+
 
 @dataclass(frozen=True, slots=True)
 class Projection:
@@ -124,8 +132,15 @@ class Polyline:
         self._table = np.stack(
             (self._xy[:-1, 0], self._xy[:-1, 1], dx, dy, dx * dx + dy * dy)
         )
-        for array in (self._table, self._seg_lengths, self._cum,
-                      self._headings, self._curvatures):
+        nseg = len(self._seg_lengths)
+        self._length = float(self._cum[-1])
+        # A closed path shorter than two windows would overlap itself.
+        self._full_scan = self._closed and self._length < 2 * HINT_WINDOW
+        # min(j - 1, nseg - 1) for every searchsorted result j in
+        # [0, nseg + 1]: the window arithmetic as one lookup.
+        self._below = np.minimum(np.arange(-1, nseg + 1), nseg - 1)
+        for array in (self._xy, self._table, self._seg_lengths, self._cum,
+                      self._headings, self._curvatures, self._below):
             array.setflags(write=False)
         self._segments = SegmentArrays(
             *self._table[:4],  # start_x, start_y, dx, dy: read-only rows
@@ -137,13 +152,16 @@ class Polyline:
 
     def __getstate__(self) -> dict:
         # The run cache pickles a route with every scored entry: store the
-        # base arrays only and derive the rest on load.
-        state = self.__dict__.copy()
-        del state["_segments"], state["_table"]
-        return state
+        # base arrays only and derive the rest on load.  The waypoints are
+        # ``_xy`` again (unpickling a Vec2 per vertex costs far more).
+        return {name: self.__dict__[name] for name in _PICKLED}
 
     def __setstate__(self, state: dict) -> None:
+        # A state pickled before the waypoints were dropped still carries
+        # ``_points``; it loads as it was.
         self.__dict__.update(state)
+        if "_points" not in state:
+            self._points = [Vec2(x, y) for x, y in self._xy.tolist()]
         self._index_segments()
 
     # ------------------------------------------------------------------
@@ -161,7 +179,7 @@ class Polyline:
     @property
     def length(self) -> float:
         """Total arc length, meters."""
-        return float(self._cum[-1])
+        return self._length
 
     @property
     def num_segments(self) -> int:
@@ -270,37 +288,39 @@ class Polyline:
         # start[i] + (k - wrap[i]).  Slots past the query's own count
         # repeat its last candidate, which a first-minimum scan never
         # picks over the original.
-        if wrap.any():
+        if np.count_nonzero(wrap):
             idx = np.where(k < wrap[:, None], k, k + (start - wrap)[:, None])
         else:
             idx = k + start[:, None]
         np.minimum(idx, last[:, None], out=idx)
-        ax, ay, dx, dy, len_sq = self._table.take(idx, axis=1)
-        qx = px[:, None]
-        qy = py[:, None]
-        # The scalar scan's expressions, evaluated in place:
+        # One workspace per call for every per-candidate float: the
+        # gathered rows ax, ay, dx, dy, |d|^2, then (x, y) pairs and t.
+        # A single block keeps malloc from trimming and regrowing its
+        # heap (page faults on every call) when a stacked call is wide.
+        work = np.empty((8,) + idx.shape)
+        cand = self._table.take(idx, axis=1, out=work[:5], mode="clip")
+        start_xy, d_xy, len_sq = cand[:2], cand[2:4], cand[4]
+        e, t = work[5:7], work[7]
+        q = np.array((px, py))[:, :, None]
+        # The scalar scan's expressions, evaluated in place, the x and y
+        # halves together on stacked rows:
         # t = ((qx - ax) * dx + (qy - ay) * dy) / len_sq, then Python's
-        # min(max(t, 0.0), 1.0), which keeps NaN (np.clip need not).
-        t = qx - ax
-        t *= dx
-        e = qy - ay
-        e *= dy
-        t += e
+        # min(max(t, 0.0), 1.0), which keeps NaN (np.clip need not; the
+        # upper clamp is np.minimum, which returns a NaN operand).
+        np.subtract(q, start_xy, out=e)
+        e *= d_xy
+        np.add(e[0], e[1], out=t)
         t /= len_sq
         np.copyto(t, 0.0, where=t < 0.0)
-        np.copyto(t, 1.0, where=t > 1.0)
+        np.minimum(t, 1.0, out=t)
         # dist_sq = ex * ex + ey * ey with ex = qx - (ax + t * dx), ...
-        ex = t * dx
-        ex += ax
-        np.subtract(qx, ex, out=ex)
-        ey = t * dy
-        ey += ay
-        np.subtract(qy, ey, out=ey)
-        ex *= ex
-        ey *= ey
-        ex += ey
+        np.multiply(t, d_xy, out=e)
+        e += start_xy
+        np.subtract(q, e, out=e)
+        e *= e
+        dist_sq = np.add(e[0], e[1], out=e[0])
         # argmin takes the first minimum: a strict-< best-so-far scan.
-        off = np.argmin(ex, axis=1)
+        off = dist_sq.argmin(axis=1)
         rows = np.arange(len(off))
         return idx[rows, off], t[rows, off]
 
@@ -337,43 +357,47 @@ class Polyline:
         a closed path shorter than two windows (whose window would
         overlap itself), get all segments.
         """
-        n = len(hint)
-        nseg = self.num_segments
-        length = self.length
-        if not has_hint.any() or (self._closed and length < 2 * HINT_WINDOW):
+        nseg = len(self._seg_lengths)
+        # np.count_nonzero: far cheaper than ndarray.all/any on a few rows.
+        n_hinted = np.count_nonzero(has_hint)
+        if not n_hinted or self._full_scan:
+            n = len(hint)
             return (np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp),
                     np.full(n, nseg - 1, dtype=np.intp))
+        length = self._length
         if self._closed:
-            s = np.mod(hint, length)
-            lo = s - HINT_WINDOW
-            hi = s + HINT_WINDOW
+            bounds = np.mod(hint, length) + _WINDOW_OFFSETS
+            lo, hi = bounds
             lo_seam = lo < 0.0
             hi_seam = hi > length
             seam = lo_seam | hi_seam
-            lo += length * lo_seam
-            hi -= length * hi_seam
+            np.add(lo, length, out=lo, where=lo_seam)
+            np.subtract(hi, length, out=hi, where=hi_seam)
         else:
             # min(max(hint, 0.0), length), then max(lo, 0.0) and
             # min(hi, length), each keeping NaN like Python's min/max.
             s = np.where(0.0 > hint, 0.0, hint)
-            s = np.where(length < s, length, s)
-            lo = s - HINT_WINDOW
-            hi = s + HINT_WINDOW
-            lo = np.where(0.0 > lo, 0.0, lo)
-            hi = np.where(length < hi, length, hi)
-            seam = np.zeros(n, dtype=bool)
-        # lo >= 0, so only a NaN or an end station needs the clamp.
-        lo_idx = np.searchsorted(self._cum, lo, side="right") - 1
-        np.minimum(lo_idx, nseg - 1, out=lo_idx)
-        hi_idx = np.searchsorted(self._cum, hi, side="left")
-        wrap = hi_idx * seam
-        # A seam window's second piece starts no lower than its first
-        # ends, so the two stay disjoint.
-        start = np.maximum(lo_idx, wrap)
-        last = np.where(
-            seam, nseg - 1, np.minimum(np.maximum(hi_idx - 1, lo_idx), nseg - 1)
-        )
-        if not has_hint.all():
+            np.copyto(s, length, where=s > length)
+            bounds = s + _WINDOW_OFFSETS
+            lo, hi = bounds
+            np.copyto(lo, 0.0, where=lo < 0.0)
+            np.copyto(hi, length, where=hi > length)
+        # lo >= 0, so only a NaN or an end station needs the clamp:
+        # lo_idx = min(searchsorted(lo, "right") - 1, nseg - 1).
+        lo_idx = self._below.take(self._cum.searchsorted(lo, side="right"))
+        hi_idx = self._cum.searchsorted(hi, side="left")
+        # min(max(hi_idx - 1, lo_idx), nseg - 1), as lo_idx <= nseg - 1.
+        last = np.maximum(self._below.take(hi_idx), lo_idx)
+        if self._closed:
+            wrap = hi_idx * seam
+            # A seam window's second piece starts no lower than its first
+            # ends, so the two stay disjoint.
+            start = np.maximum(lo_idx, wrap)
+            np.copyto(last, nseg - 1, where=seam)
+        else:
+            wrap = np.zeros(len(hint), dtype=np.intp)
+            start = lo_idx
+        if n_hinted != len(has_hint):
             wrap *= has_hint
             start *= has_hint
             last = np.where(has_hint, last, nseg - 1)

@@ -4,10 +4,17 @@ Each constructor returns a densely sampled :class:`~repro.geom.polyline.Polyline
 that plays the role of the CARLA waypoint route the paper's vehicle follows.
 All routes start at the origin heading along +x unless noted, so scenarios
 can spawn the vehicle from ``route.start_pose()``.
+
+Every constructor is memoized: equal arguments return the same polyline.
+Sharing is safe because a polyline is read-only (no method mutates it and
+its arrays refuse writes).  Scenario sets built more than once then share
+their routes, and the batch engine's compatibility check sees the same
+object instead of comparing geometry.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from repro.geom.polyline import Polyline
@@ -24,7 +31,10 @@ __all__ = [
 
 _DEFAULT_SPACING = 1.0  # meters between generated waypoints
 
+_memoized = functools.lru_cache(maxsize=32)
 
+
+@_memoized
 def straight_route(length: float = 200.0, spacing: float = _DEFAULT_SPACING) -> Polyline:
     """A straight segment along +x of the given length."""
     if length <= 0:
@@ -34,6 +44,7 @@ def straight_route(length: float = 200.0, spacing: float = _DEFAULT_SPACING) -> 
     return Polyline(pts)
 
 
+@_memoized
 def arc_route(
     radius: float = 40.0,
     sweep: float = math.pi,
@@ -63,6 +74,7 @@ def arc_route(
     return Polyline(pts)
 
 
+@_memoized
 def s_curve_route(
     length: float = 240.0,
     amplitude: float = 12.0,
@@ -83,6 +95,7 @@ def s_curve_route(
     return Polyline(pts)
 
 
+@_memoized
 def slalom_route(
     gate_spacing: float = 30.0,
     num_gates: int = 6,
@@ -107,6 +120,7 @@ def slalom_route(
     return Polyline(pts)
 
 
+@_memoized
 def lane_change_route(
     approach: float = 60.0,
     maneuver: float = 40.0,
@@ -134,6 +148,7 @@ def lane_change_route(
     return Polyline(pts)
 
 
+@_memoized
 def urban_loop_route(
     straight: float = 120.0,
     corner_radius: float = 18.0,

@@ -11,6 +11,11 @@ gains are the very same objects the serial controller would use.
 goal latch, curvature-limited speed profile, PID with conditional
 integration, and ACC min-arbitration, all masked so that latched lanes
 freeze their longitudinal state exactly like the serial early return.
+
+A lateral implementation answers in two halves: ``query`` names its first
+route projection and ``compute`` takes the result.  That lets
+:meth:`BatchFollower.decide` make every group's first projection, and the
+engine's ground-truth one, in one nearest-segment kernel call.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from repro.control.pure_pursuit import PurePursuitController
 from repro.control.stanley import StanleyController
 from repro.sim.batch import ops
 from repro.sim.batch.lanes import LaneState
-from repro.sim.batch.route import BatchRoute
+from repro.sim.batch.route import BatchProjection, BatchRoute
 
 __all__ = ["BatchFollower", "follower_key", "is_vectorizable"]
 
@@ -72,8 +77,10 @@ class _BatchPurePursuit(LaneState):
         self.has_hint = np.zeros(n, dtype=bool)
         self._all = np.ones(n, dtype=bool)
 
-    def compute(self, x, y, yaw, v, dt):
-        proj = self.route.project(x, y, self.hint, self.has_hint)
+    def query(self, x, y, yaw):
+        return x, y, self.hint, self.has_hint
+
+    def compute(self, x, y, yaw, v, dt, proj):
         self.hint = proj.station
         self.has_hint = self._all
 
@@ -98,7 +105,8 @@ class _BatchPurePursuit(LaneState):
 
 class _BatchStanley(LaneState):
     PARAMS = ("wheelbase", "k_cte", "v_soft", "k_damp", "max_steer")
-    _LANE_FIELDS = PARAMS + ("hint", "has_hint", "_all", "prev_steer")
+    _LANE_FIELDS = PARAMS + ("hint", "has_hint", "_all", "prev_steer",
+                             "_neg_k_cte", "_keep", "_damped")
 
     def __init__(self, controllers: list[StanleyController], route: BatchRoute):
         self.route = route
@@ -112,21 +120,28 @@ class _BatchStanley(LaneState):
         self.has_hint = np.zeros(n, dtype=bool)
         self._all = np.ones(n, dtype=bool)
         self.prev_steer = np.zeros(n)
+        # Per-lane constants of compute's expressions.
+        self._neg_k_cte = -self.k_cte
+        self._keep = 1.0 - self.k_damp
+        self._damped = self.k_damp > 0.0
 
-    def compute(self, x, y, yaw, v, dt):
+    def query(self, x, y, yaw):
         front_x = x + np.cos(yaw) * self.wheelbase
         front_y = y + np.sin(yaw) * self.wheelbase
-        proj_front = self.route.project(front_x, front_y, self.hint, self.has_hint)
+        return front_x, front_y, self.hint, self.has_hint
+
+    def compute(self, x, y, yaw, v, dt, proj_front):
         self.hint = proj_front.station
         self.has_hint = self._all
 
         heading_err = ops.angle_diff(proj_front.heading, yaw)
         cross_term = ops.map2(
-            math.atan2, -self.k_cte * proj_front.cross_track, v + self.v_soft
+            math.atan2, self._neg_k_cte * proj_front.cross_track,
+            v + self.v_soft
         )
         steer = heading_err + cross_term
-        damped = (1.0 - self.k_damp) * steer + self.k_damp * self.prev_steer
-        steer = np.where(self.k_damp > 0.0, damped, steer)
+        damped = self._keep * steer + self.k_damp * self.prev_steer
+        steer = np.where(self._damped, damped, steer)
         steer = ops.clamp(steer, -self.max_steer, self.max_steer)
         self.prev_steer = steer
 
@@ -191,8 +206,10 @@ class _BatchLqr(LaneState):
             _DARE_MEMO["hits"] += 1
         return gain
 
-    def compute(self, x, y, yaw, v, dt):
-        proj = self.route.project(x, y, self.hint, self.has_hint)
+    def query(self, x, y, yaw):
+        return x, y, self.hint, self.has_hint
+
+    def compute(self, x, y, yaw, v, dt, proj):
         self.hint = proj.station
         self.has_hint = self._all
 
@@ -205,7 +222,7 @@ class _BatchLqr(LaneState):
         e = np.stack([cte, heading_err], axis=1)
         feedback = -(np.matmul(kmat, e[:, :, None])[:, 0, 0])
 
-        kappa = self.route.sample(proj.station + self.preview).curvature
+        kappa = self.route.curvature(proj.station + self.preview)
         feedforward = ops.map1(math.atan, self.wheelbase * kappa)
         steer = ops.clamp(feedback + feedforward, -self.max_steer, self.max_steer)
         return steer, cte, heading_err, proj.station
@@ -218,6 +235,9 @@ _LATERAL_IMPLS = {
 }
 
 _PID_PARAMS = ("kp", "ki", "kd", "accel_max", "brake_max", "integral_limit")
+
+_PROFILE_SAMPLES = 4
+"""``SpeedProfile.target_speed``'s preview samples past the station."""
 
 
 def follower_key(follower: WaypointFollower) -> tuple:
@@ -253,7 +273,7 @@ class BatchFollower(LaneState):
         "integral", "prev_error", "has_prev", "has_acc", "acc_time_gap",
         "acc_d0", "acc_k_gap", "acc_k_rate", "acc_accel_max",
         "acc_brake_max", "last_radar_range", "last_radar_rate",
-        "has_last_radar", "goal_latched",
+        "has_last_radar", "goal_latched", "preview_offsets",
     )
 
     def __init__(self, followers: list[WaypointFollower], route: BatchRoute):
@@ -277,6 +297,12 @@ class BatchFollower(LaneState):
         self.preview = np.array([p.preview for p in profiles])
         self.brake_decel = np.array([p.brake_decel for p in profiles])
         self.stop_at_goal = np.array([p.stop_at_goal for p in profiles])
+        # The speed profile's preview stations past the lane's station,
+        # preview * i / samples as the serial loop computes them.
+        self.preview_offsets = (
+            self.preview[:, None] * np.arange(_PROFILE_SAMPLES + 1)
+            / _PROFILE_SAMPLES
+        )
 
         pids = [f.speed_controller for f in followers]
         (self.kp, self.ki, self.kd, self.pid_accel_max, self.pid_brake_max,
@@ -338,22 +364,23 @@ class BatchFollower(LaneState):
         return new
 
     # ------------------------------------------------------------------
-    def _target_speed(self, station: np.ndarray) -> np.ndarray:
+    def _target_speed(self, station: np.ndarray,
+                      remaining: np.ndarray | None) -> np.ndarray:
         """Vectorized ``SpeedProfile.target_speed``."""
-        target = self.cruise.copy()
-        samples = 4
-        # One route query over the stacked preview stations, then the
-        # serial min-fold in station order.
-        offsets = self.preview * np.arange(samples + 1)[:, None] / samples
-        kappa = np.abs(self.route.sample(station + offsets).curvature)
-        with np.errstate(divide="ignore"):
-            cand = np.sqrt(self.budget / kappa)
-        for i in range(samples + 1):
-            target = np.where(
-                kappa[i] > 1e-6, ops.pymin(target, cand[i]), target
-            )
-        if not self.route.closed:
-            remaining = self.route.remaining(station)
+        # One route query over the stacked preview stations.  The serial
+        # fold takes min(target, candidate) where kappa > 1e-6; Python's
+        # min never takes a NaN candidate (NaN < target is False), and
+        # neither does np.fmin, so the fold is one fmin reduction over the
+        # kept candidates (NaN elsewhere), then Python's min against the
+        # cruise speed, which keeps a NaN cruise speed and wins ties.
+        kappa = np.abs(
+            self.route.curvature(station + self.preview_offsets.T))
+        cand = np.empty(kappa.shape)
+        cand.fill(np.nan)
+        np.divide(self.budget, kappa, out=cand, where=kappa > 1e-6)
+        np.sqrt(cand, out=cand)
+        target = ops.pymin(self.cruise, np.fmin.reduce(cand, axis=0))
+        if remaining is not None:
             v_stop = np.sqrt(ops.pymax(2.0 * self.brake_decel * remaining, 0.0))
             target = np.where(
                 self.stop_at_goal, ops.pymin(target, v_stop), target
@@ -371,27 +398,38 @@ class BatchFollower(LaneState):
         radar_range: np.ndarray,
         radar_rate: np.ndarray,
         radar_fresh: np.ndarray,
-    ) -> tuple[np.ndarray, ...]:
+        truth: tuple,
+    ) -> tuple[tuple[np.ndarray, ...], BatchProjection]:
         """One control step for every lane of the subset.
 
-        Returns ``(steer_cmd, accel_cmd, cte, heading_err, station,
-        target_speed)`` arrays.
-        """
-        n = self.n
-        steer = np.empty(n)
-        cte = np.empty(n)
-        heading_err = np.empty(n)
-        station = np.empty(n)
-        for lane_ids, impl in self._groups:
-            g_steer, g_cte, g_he, g_station = impl.compute(
-                est_x[lane_ids], est_y[lane_ids], est_yaw[lane_ids],
-                est_v[lane_ids], dt,
-            )
-            steer[lane_ids] = g_steer
-            cte[lane_ids] = g_cte
-            heading_err[lane_ids] = g_he
-            station[lane_ids] = g_station
+        ``truth`` is one more ``(px, py, hint, has_hint)`` projection
+        query, the engine's ground truth: it shares the kernel call of
+        the lateral controllers' first projections.
 
+        Returns ``(steer_cmd, accel_cmd, cte, heading_err, station,
+        target_speed)`` arrays and the projection of ``truth``.
+        """
+        groups = self._groups
+        if len(groups) == 1:  # its lanes are 0..n-1, in order
+            lanes = [(est_x, est_y, est_yaw, est_v)]
+        else:
+            lanes = [(est_x[ids], est_y[ids], est_yaw[ids], est_v[ids])
+                     for ids, _ in groups]
+        *projections, truth_proj = self.route.project_many(
+            [impl.query(x, y, yaw)
+             for (x, y, yaw, _), (_, impl) in zip(lanes, groups)]
+            + [truth])
+        outs = [impl.compute(*lane, dt, proj)
+                for lane, (_, impl), proj in zip(lanes, groups, projections)]
+        if len(outs) == 1:
+            steer, cte, heading_err, station = outs[0]
+        else:
+            steer, cte, heading_err, station = (np.empty(self.n)
+                                                 for _ in range(4))
+            for (ids, _), out in zip(groups, outs):
+                steer[ids], cte[ids], heading_err[ids], station[ids] = out
+
+        remaining = None
         if not self.route.closed:
             remaining = self.route.remaining(station)
             hit_goal = (remaining < 3.0) | ((remaining < 8.0) & (est_v < 2.0))
@@ -399,7 +437,7 @@ class BatchFollower(LaneState):
         latched = self.goal_latched
         active = ~latched
 
-        target_speed = self._target_speed(station)
+        target_speed = self._target_speed(station, remaining)
 
         # --- PID with conditional integration (state frozen on latch) --
         error = target_speed - est_v
@@ -420,7 +458,7 @@ class BatchFollower(LaneState):
         accel_cmd = ops.clamp(output, -self.pid_brake_max, self.pid_accel_max)
 
         # --- ACC min-arbitration ---------------------------------------
-        if self.has_acc.any():
+        if np.count_nonzero(self.has_acc):
             take = active & self.has_acc & radar_fresh
             self.last_radar_range = np.where(
                 take, radar_range, self.last_radar_range
@@ -435,10 +473,13 @@ class BatchFollower(LaneState):
                 -self.acc_brake_max,
                 self.acc_accel_max,
             )
-            use = self.has_acc & self.has_last_radar
-            accel_cmd = np.where(use, ops.pymin(accel_cmd, acc_accel), accel_cmd)
+            # min(accel_cmd, acc_accel) where the lane has an ACC track.
+            use = self.has_acc & self.has_last_radar & (acc_accel < accel_cmd)
+            accel_cmd = np.where(use, acc_accel, accel_cmd)
 
-        steer_cmd = np.where(latched, 0.0, steer)
-        accel_cmd = np.where(latched, -self.brake_decel, accel_cmd)
-        target_speed = np.where(latched, 0.0, target_speed)
-        return steer_cmd, accel_cmd, cte, heading_err, station, target_speed
+        if np.count_nonzero(latched):
+            steer = np.where(latched, 0.0, steer)
+            accel_cmd = np.where(latched, -self.brake_decel, accel_cmd)
+            target_speed = np.where(latched, 0.0, target_speed)
+        return ((steer, accel_cmd, cte, heading_err, station, target_speed),
+                truth_proj)

@@ -6,6 +6,11 @@ serial association order.  ``math.tan`` goes through a scalar loop —
 its numpy ufunc differs in the last ulp — while ``sin``/``cos``/``exp``
 (of the lane-constant lag factor) match bitwise and stay vectorized.
 
+The serial model clamps the applied steer and accel to its limits once
+more; the actuators have just clamped them to the same limits (they are
+derived from the same parameters), so that clamp returns them unchanged
+and is left out here.
+
 The dynamic model computes both the linear-tire branch and the kinematic
 low-speed branch for every lane and selects per lane afterwards; the
 discarded branch may contain inf/NaN from the ``1/v`` terms, which is why
@@ -119,12 +124,9 @@ class BatchVehicle(LaneState):
 
     # ------------------------------------------------------------------
     def _step_kinematic(
-        self, steer_in: np.ndarray, accel_in: np.ndarray, dt: float
+        self, steer: np.ndarray, accel: np.ndarray, dt: float
     ) -> tuple[np.ndarray, ...]:
         p = self.params
-        steer = ops.clamp(steer_in, -p.max_steer, p.max_steer)
-        accel = ops.clamp(accel_in, -p.max_brake, p.max_accel)
-
         v0 = self.v
         a_net = accel - p.drag_coeff * v0
         v1 = ops.clamp(v0 + a_net * dt, 0.0, p.max_speed)
@@ -138,13 +140,11 @@ class BatchVehicle(LaneState):
         return x1, y1, raw_yaw, v1, np.zeros(self.n), yaw_rate, accel, steer
 
     def _step_dynamic(
-        self, steer_in: np.ndarray, accel_in: np.ndarray, dt: float
+        self, steer: np.ndarray, accel: np.ndarray, dt: float
     ) -> tuple[np.ndarray, ...]:
         p = self.params
-        kin = self._step_kinematic(steer_in, accel_in, dt)
+        kin = self._step_kinematic(steer, accel, dt)
 
-        steer = ops.clamp(steer_in, -p.max_steer, p.max_steer)
-        accel = ops.clamp(accel_in, -p.max_brake, p.max_accel)
         v = self.v
         vy = self.vy
         r = self.yaw_rate

@@ -117,6 +117,8 @@ _TAPE_STEP_FIELDS = (
     "odom_noise", "compass_fresh", "compass_noise",
 )
 _TAPE_LANE_FIELDS = ("imu_gyro_bias", "imu_accel_bias", "odom_scale")
+_READING_CHANNELS = frozenset(("gps", "imu", "odometry", "compass"))
+"""The tape-played channels the shim may rewrite (radar is polled)."""
 
 
 def _check_compat(lanes: "list[LaneSpec]") -> None:
@@ -230,6 +232,18 @@ class _Lane:
     faults: FaultCampaign
     injectors: list = field(default_factory=list)
     supervisor: SupervisedController | None = None
+    channels: dict = field(default_factory=dict)
+    """The lane's injectors by channel, each list in injection order."""
+    shimmed: frozenset = frozenset()
+    """The reading channels the shim materializes: those with an
+    injector, GPS if an attack watches fixes, all with a supervisor."""
+    gps_watchers: list = field(default_factory=list)
+    """The attacks that override ``observe_gps``."""
+    attack_first: np.ndarray | None = None
+    """Per step, the index of the first attack whose window is open (-1:
+    none); ``None`` if an attack has its own ``active``."""
+    fault_first: np.ndarray | None = None
+    """:attr:`attack_first` for the lane's faults."""
     onset: int | None = None
     """First step any injector is active (class members only)."""
     cls: int | None = None
@@ -366,24 +380,12 @@ def _history(epochs: list, track: int, lo: int, hi: int) -> dict:
 def _forkable(lane: _Lane) -> bool:
     """Whether the lane may share a prefix: a vector lane, no supervisor,
     and injectors whose activity is their window alone."""
-    from repro.attacks.base import Attack
-
     return (
         lane.supervisor is None
         and is_vectorizable(lane.spec.follower)
-        and all(type(inj).active is Attack.active for inj in lane.injectors)
+        and lane.attack_first is not None
+        and lane.fault_first is not None
     )
-
-
-def _onset_step(injectors: list, t_col: np.ndarray) -> int | None:
-    """First step at which any injector's window is open."""
-    onset = None
-    for injector in injectors:
-        window = injector.window
-        live = np.flatnonzero((t_col >= window.start) & (t_col < window.end))
-        if live.size and (onset is None or live[0] < onset):
-            onset = int(live[0])
-    return onset
 
 
 def _replay_observations(lane: _Lane, history: dict, stop: int, dt: float,
@@ -506,19 +508,67 @@ def _fork_events(step: int, state: "_State | None", lanes: list,
     return state.take(index, rows), next_track
 
 
-def _apply_channel(injectors: list, channel: str, t: float, value, hook):
-    """Replica of ``SimulationRunner._apply_channel`` for one lane."""
+def _window_firsts(items: list, t_col: np.ndarray) -> np.ndarray | None:
+    """Per step, the index of the first item whose window is open (-1:
+    none), or ``None`` if an item's activity is not its window alone."""
+    from repro.attacks.base import Attack
+
+    if any(type(item).active is not Attack.active for item in items):
+        return None
+    first = np.full(len(t_col), -1)
+    for j in reversed(range(len(items))):
+        window = items[j].window
+        first[(t_col >= window.start) & (t_col < window.end)] = j
+    return first
+
+
+def _window_labels(strings: dict, items: list, first: np.ndarray,
+                   kind: str) -> None:
+    """Write the ``{kind}_name``/``{kind}_channel`` labels of every step
+    at which an item is active (the shim's per-step ``active`` scan)."""
+    names, channels = strings[f"{kind}_name"], strings[f"{kind}_channel"]
+    for step in np.flatnonzero(first >= 0).tolist():
+        item = items[first[step]]
+        names[step] = item.name
+        channels[step] = item.channel
+
+
+def _apply_channel(injectors: list, t: float, value, hook):
+    """Replica of ``SimulationRunner._apply_channel`` for one lane's
+    injectors of one channel."""
     if value is None:
         return None
     for injector in injectors:
-        if injector.channel != channel:
-            continue
         injector.observe(t, value)
         if injector.active(t):
-            value = hook(injector, value)
+            value = hook(injector, t, value)
             if value is None:
                 return None
     return value
+
+
+def _on_gps(injector, t, value):
+    return injector.on_gps(t, value)
+
+
+def _on_imu(injector, t, value):
+    return injector.on_imu(t, value)
+
+
+def _on_odometry(injector, t, value):
+    return injector.on_odometry(t, value)
+
+
+def _on_compass(injector, t, value):
+    return injector.on_compass(t, value)
+
+
+def _on_radar(injector, t, value):
+    return injector.on_radar(t, value)
+
+
+def _on_command(injector, t, value):
+    return injector.on_command(t, value[0], value[1])
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +577,7 @@ def _apply_channel(injectors: list, channel: str, t: float, value, hook):
 
 def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
     """Run every lane to completion in lockstep; serial-bit-exact results."""
+    from repro.attacks.base import Attack
     from repro.attacks.campaign import AttackCampaign
     from repro.faults.campaign import FaultCampaign
 
@@ -556,14 +607,30 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
             attack.bind_rng(rngs.stream(f"attack.{index}.{attack.name}"))
         for index, fault in enumerate(faults.faults):
             fault.bind_rng(rngs.stream(f"fault.{index}.{fault.name}"))
+        injectors = list(faults.faults) + list(campaign.attacks)
+        channels: dict[str, list] = {}
+        for injector in injectors:
+            channels.setdefault(injector.channel, []).append(injector)
+        supervisor = (spec.follower
+                      if isinstance(spec.follower, SupervisedController)
+                      else None)
+        gps_watchers = [a for a in campaign.attacks
+                        if type(a).observe_gps is not Attack.observe_gps]
+        shimmed = _READING_CHANNELS
+        if supervisor is None:
+            shimmed = shimmed.intersection(
+                [*channels, *(["gps"] if gps_watchers else [])])
         lanes.append(_Lane(
             spec=spec,
             campaign=campaign,
             faults=faults,
-            injectors=list(faults.faults) + list(campaign.attacks),
-            supervisor=(spec.follower
-                        if isinstance(spec.follower, SupervisedController)
-                        else None),
+            injectors=injectors,
+            supervisor=supervisor,
+            channels=channels,
+            shimmed=shimmed,
+            gps_watchers=gps_watchers,
+            attack_first=_window_firsts(campaign.attacks, t_col),
+            fault_first=_window_firsts(faults.faults, t_col),
         ))
 
     # --- sensor tapes: one per (sensors, seed) -------------------------
@@ -594,7 +661,9 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
                                   tape=tape_of(lane.spec.scenario)))
         lane.cls = class_of[key]
         classes[lane.cls].members.append(i)
-        lane.onset = _onset_step(lane.injectors, t_col)
+        live = np.flatnonzero((lane.attack_first >= 0)
+                              | (lane.fault_first >= 0))
+        lane.onset = int(live[0]) if live.size else None
     forks: dict[int, list[int]] = {}
     for c, cls in enumerate(classes):
         onsets = [lanes[i].onset for i in cls.members
@@ -694,6 +763,16 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
         for i, lane in enumerate(lanes)
         if lane.injectors or lane.supervisor is not None
     }
+    # Labels that follow from the windows are written up front: a lane
+    # steps its own row from its onset on, and no window is open before.
+    for i, strings in col_s.items():
+        lane = lanes[i]
+        if lane.attack_first is not None:
+            _window_labels(strings, lane.campaign.attacks, lane.attack_first,
+                           "attack")
+        if lane.fault_first is not None:
+            _window_labels(strings, lane.faults.faults, lane.fault_first,
+                           "fault")
     end_point = None if route.closed else route.end_point()
     simulated = 0
     ep = None
@@ -719,43 +798,62 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
                            dtype=np.int64)
             object_rows = [(p, lanes[row.lane]) for p, row in enumerate(rows)
                            if not row.vector]
+            # Every row a vector row: the follower takes the arrays whole.
+            all_vector = bfollower is not None and len(vec) == n_rows
             shim_rows = [(p, row.lane, lanes[row.lane])
                          for p, row in enumerate(rows) if row.shim]
+            command_rows = [(p, lane) for p, _, lane in shim_rows
+                            if "command" in lane.channels]
+            # Rows whose record labels need a per-step call: an injector
+            # with its own ``active``, or a supervisor.
+            label_rows = [(p, lane_id, lane) for p, lane_id, lane in shim_rows
+                          if lane.attack_first is None
+                          or lane.fault_first is None
+                          or lane.supervisor is not None]
             radars = [row.radar for row in rows]
             window = slice(ep.start, ep.stop)
+            for p, _, lane in shim_rows:
+                if lane.attack_first is not None:
+                    ep.cols["attack_active"][:, p] = (
+                        lane.attack_first[window] >= 0)
+                if lane.fault_first is not None:
+                    ep.cols["fault_active"][:, p] = (
+                        lane.fault_first[window] >= 0)
+            # Per-epoch copies: the shim may rewrite a step's fresh flags.
             tp = {name: arr[window][:, ls.tape]
                   for name, arr in tape_steps.items()}
             tp.update((name, arr[ls.tape]) for name, arr in tape_lanes.items())
             col_f = col_b = ep.cols
             col_lost = ep.cols["supervisor_lost"]
             all_true = np.ones(n_rows, dtype=bool)
-            no_radar = np.zeros(n_rows)
+            zeros = np.zeros(n_rows)
+            zeros.setflags(write=False)
             no_radar_fresh = np.zeros(n_rows, dtype=bool)
+            no_radar_fresh.setflags(write=False)
         k = step - ep.start
 
         sx, sy, syaw, sv = vehicle.x, vehicle.y, vehicle.yaw, vehicle.v
         syaw_rate, saccel = vehicle.yaw_rate, vehicle.accel
 
-        # --- ground truth at time t -----------------------------------
-        proj = broute.project(sx, sy, ls.eng_hint, ls.eng_has_hint)
-        ls.eng_hint = proj.station
-        ls.eng_has_hint = all_true
+        # The ground truth at time t is projected with the follower's
+        # first projection (control, below): its inputs hold until physics.
+        truth = (sx, sy, ls.eng_hint, ls.eng_has_hint)
 
         # --- sensing (tape playback; serial association order) --------
-        gps_f = tp["gps_fresh"][k].copy()
+        gps_f = tp["gps_fresh"][k]
         gps_x = sx + tp["gps_walk_x"][k] + tp["gps_noise_x"][k]
         gps_y = sy + tp["gps_walk_y"][k] + tp["gps_noise_y"][k]
-        imu_f = tp["imu_fresh"][k].copy()
+        imu_f = tp["imu_fresh"][k]
         imu_yaw_rate = syaw_rate + tp["imu_gyro_bias"] + tp["imu_gyro_noise"][k]
         imu_accel = saccel + tp["imu_accel_bias"] + tp["imu_accel_noise"][k]
-        odom_f = tp["odom_fresh"][k].copy()
+        odom_f = tp["odom_fresh"][k]
         odom_speed = ops.pymax(sv * tp["odom_scale"] + tp["odom_noise"][k], 0.0)
-        cmp_f = tp["compass_fresh"][k].copy()
+        cmp_f = tp["compass_fresh"][k]
         compass_yaw = ops.normalize_angle(syaw + tp["compass_noise"][k])
 
         # --- radar / lead ---------------------------------------------
         radar_objs: list = [None] * n_rows
-        gap_true = np.zeros(n_rows)
+        gap_true = zeros
         if has_lead:
             lead_pos = lead.position_on(route)
             lead_vel = lead.velocity_on(route)
@@ -786,33 +884,33 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
             od_l = odom_speed.tolist()
             cy_l = compass_yaw.tolist()
         for i, _, lane in shim_rows:
-            inj = lane.injectors
-            gfix = GpsFix(t, gx_l[i], gy_l[i]) if gps_f[i] else None
-            if gfix is not None:
-                for attack in lane.campaign.attacks:
+            # Only shimmed channels become reading objects; the others
+            # keep their tape values untouched.
+            channels, shimmed = lane.channels, lane.shimmed
+            gfix = imu_r = odo_r = cmp_r = None
+            if gps_f[i] and "gps" in shimmed:
+                gfix = GpsFix(t, gx_l[i], gy_l[i])
+                for attack in lane.gps_watchers:
                     attack.observe_gps(t, gfix)
-                gfix = _apply_channel(
-                    inj, "gps", t, gfix, lambda a, v: a.on_gps(t, v)
-                )
-            imu_r = (ImuReading(t=t, yaw_rate=iyr_l[i], accel=iac_l[i])
-                     if imu_f[i] else None)
-            imu_r = _apply_channel(
-                inj, "imu", t, imu_r, lambda a, v: a.on_imu(t, v)
-            )
-            odo_r = (OdometryReading(t=t, speed=od_l[i])
-                     if odom_f[i] else None)
-            odo_r = _apply_channel(
-                inj, "odometry", t, odo_r, lambda a, v: a.on_odometry(t, v)
-            )
-            cmp_r = (CompassReading(t=t, yaw=cy_l[i]) if cmp_f[i] else None)
-            cmp_r = _apply_channel(
-                inj, "compass", t, cmp_r, lambda a, v: a.on_compass(t, v)
-            )
+                gfix = _apply_channel(channels.get("gps", ()), t, gfix,
+                                      _on_gps)
+            if imu_f[i] and "imu" in shimmed:
+                imu_r = _apply_channel(
+                    channels.get("imu", ()), t,
+                    ImuReading(t=t, yaw_rate=iyr_l[i], accel=iac_l[i]),
+                    _on_imu)
+            if odom_f[i] and "odometry" in shimmed:
+                odo_r = _apply_channel(
+                    channels.get("odometry", ()), t,
+                    OdometryReading(t=t, speed=od_l[i]), _on_odometry)
+            if cmp_f[i] and "compass" in shimmed:
+                cmp_r = _apply_channel(
+                    channels.get("compass", ()), t,
+                    CompassReading(t=t, yaw=cy_l[i]), _on_compass)
             radar_r = radar_objs[i]
-            if has_lead:
-                radar_r = _apply_channel(
-                    inj, "radar", t, radar_r, lambda a, v: a.on_radar(t, v)
-                )
+            if radar_r is not None and "radar" in channels:
+                radar_r = _apply_channel(channels["radar"], t, radar_r,
+                                         _on_radar)
             if lane.supervisor is not None:
                 gfix, imu_r, odo_r, cmp_r, radar_r = (
                     lane.supervisor.filter_readings(
@@ -820,34 +918,39 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
                         compass=cmp_r, radar=radar_r,
                     )
                 )
-            gps_f[i] = gfix is not None
-            if gfix is not None:
-                gps_x[i] = gfix.x
-                gps_y[i] = gfix.y
-            imu_f[i] = imu_r is not None
-            if imu_r is not None:
-                imu_yaw_rate[i] = imu_r.yaw_rate
-                imu_accel[i] = imu_r.accel
-            odom_f[i] = odo_r is not None
-            if odo_r is not None:
-                odom_speed[i] = odo_r.speed
-            cmp_f[i] = cmp_r is not None
-            if cmp_r is not None:
-                compass_yaw[i] = cmp_r.yaw
+            if "gps" in shimmed:
+                gps_f[i] = gfix is not None
+                if gfix is not None:
+                    gps_x[i] = gfix.x
+                    gps_y[i] = gfix.y
+            if "imu" in shimmed:
+                imu_f[i] = imu_r is not None
+                if imu_r is not None:
+                    imu_yaw_rate[i] = imu_r.yaw_rate
+                    imu_accel[i] = imu_r.accel
+            if "odometry" in shimmed:
+                odom_f[i] = odo_r is not None
+                if odo_r is not None:
+                    odom_speed[i] = odo_r.speed
+            if "compass" in shimmed:
+                cmp_f[i] = cmp_r is not None
+                if cmp_r is not None:
+                    compass_yaw[i] = cmp_r.yaw
             radar_objs[i] = radar_r
 
-        radar_f = np.array([r is not None for r in radar_objs]) \
-            if has_lead else no_radar_fresh.copy()
-        radar_range = no_radar.copy()
-        radar_rate = no_radar.copy()
+        radar_f = no_radar_fresh
+        radar_range = radar_rate = zeros
         if has_lead:
+            radar_f = np.array([r is not None for r in radar_objs])
+            radar_range = np.zeros(n_rows)
+            radar_rate = np.zeros(n_rows)
             for i, r in enumerate(radar_objs):
                 if r is not None:
                     radar_range[i] = r.range_m
                     radar_rate[i] = r.range_rate
 
         # --- state estimation -----------------------------------------
-        if imu_f.any():
+        if np.count_nonzero(imu_f):
             predict_dt = np.where(
                 ls.has_predict, ops.pymax(t - ls.last_predict_t, 1e-6), dt
             )
@@ -867,19 +970,26 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
         )
 
         # --- control ---------------------------------------------------
-        dec_steer = np.zeros(n_rows)
-        dec_accel = np.zeros(n_rows)
-        dec_cte = np.zeros(n_rows)
-        dec_he = np.zeros(n_rows)
-        dec_station = np.zeros(n_rows)
-        dec_target = np.zeros(n_rows)
-        if bfollower is not None:
-            out = bfollower.decide(
-                est_x[vec], est_y[vec], est_yaw[vec], est_v[vec], dt,
-                radar_range[vec], radar_rate[vec], radar_f[vec],
+        if all_vector:
+            (dec_steer, dec_accel, dec_cte, dec_he, dec_station,
+             dec_target), proj = bfollower.decide(
+                est_x, est_y, est_yaw, est_v, dt, radar_range, radar_rate,
+                radar_f, truth,
             )
-            dec_steer[vec], dec_accel[vec], dec_cte[vec] = out[0], out[1], out[2]
-            dec_he[vec], dec_station[vec], dec_target[vec] = out[3], out[4], out[5]
+        else:
+            dec_steer, dec_accel, dec_cte, dec_he, dec_station, dec_target = (
+                np.zeros(n_rows) for _ in range(6))
+            if bfollower is None:
+                proj = broute.project(*truth)
+            else:
+                out, proj = bfollower.decide(
+                    est_x[vec], est_y[vec], est_yaw[vec], est_v[vec], dt,
+                    radar_range[vec], radar_rate[vec], radar_f[vec], truth,
+                )
+                (dec_steer[vec], dec_accel[vec], dec_cte[vec], dec_he[vec],
+                 dec_station[vec], dec_target[vec]) = out
+        ls.eng_hint = proj.station
+        ls.eng_has_hint = all_true
         for i, lane in object_rows:
             estimate = Estimate(
                 x=float(est_x[i]), y=float(est_y[i]), yaw=float(est_yaw[i]),
@@ -898,14 +1008,14 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
             dec_target[i] = decision.target_speed
 
         # --- command channel attacks ----------------------------------
-        new_cmd_steer = dec_steer.copy()
-        new_cmd_accel = dec_accel.copy()
-        for i, _, lane in shim_rows:
+        new_cmd_steer, new_cmd_accel = dec_steer, dec_accel
+        if command_rows:
+            new_cmd_steer = dec_steer.copy()
+            new_cmd_accel = dec_accel.copy()
+        for i, lane in command_rows:
             command = (float(dec_steer[i]), float(dec_accel[i]))
-            command = _apply_channel(
-                lane.injectors, "command", t, command,
-                lambda a, v: a.on_command(t, v[0], v[1]),
-            )
+            command = _apply_channel(lane.channels["command"], t, command,
+                                     _on_command)
             if command is None:
                 # A dropped command leaves the previous setpoint latched.
                 new_cmd_steer[i] = vehicle.cmd_steer[i]
@@ -982,22 +1092,24 @@ def run_batch(lane_specs: "list[LaneSpec]") -> "list[RunResult]":
         col_f["steer_applied"][k] = vehicle.act_steer
         col_f["accel_applied"][k] = vehicle.act_accel
 
-        for i, lane_id, lane in shim_rows:
-            active_attack = next(
-                (a for a in lane.campaign.attacks if a.active(t)), None
-            )
-            active_fault = next(
-                (f for f in lane.faults.faults if f.active(t)), None
-            )
+        for i, lane_id, lane in label_rows:
             strings = col_s[lane_id]
-            if active_attack is not None:
-                col_b["attack_active"][k, i] = True
-                strings["attack_name"][step] = active_attack.name
-                strings["attack_channel"][step] = active_attack.channel
-            if active_fault is not None:
-                col_b["fault_active"][k, i] = True
-                strings["fault_name"][step] = active_fault.name
-                strings["fault_channel"][step] = active_fault.channel
+            if lane.attack_first is None:
+                active_attack = next(
+                    (a for a in lane.campaign.attacks if a.active(t)), None
+                )
+                if active_attack is not None:
+                    col_b["attack_active"][k, i] = True
+                    strings["attack_name"][step] = active_attack.name
+                    strings["attack_channel"][step] = active_attack.channel
+            if lane.fault_first is None:
+                active_fault = next(
+                    (f for f in lane.faults.faults if f.active(t)), None
+                )
+                if active_fault is not None:
+                    col_b["fault_active"][k, i] = True
+                    strings["fault_name"][step] = active_fault.name
+                    strings["fault_channel"][step] = active_fault.channel
             if lane.supervisor is not None:
                 strings["supervisor_mode"][step] = lane.supervisor.mode
                 col_lost[k, i] = len(lane.supervisor.lost_channels)

@@ -55,7 +55,8 @@ def pymin(a: np.ndarray, b) -> np.ndarray:
 
 
 def normalize_angle(angle: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`repro.geom.angles.normalize_angle` (bit-exact).
+    """Vectorized :func:`repro.geom.angles.normalize_angle` (bit-exact)
+    over a per-lane array.
 
     Raises:
         ValueError: if any element is non-finite — the same failure the
@@ -64,14 +65,14 @@ def normalize_angle(angle: np.ndarray) -> np.ndarray:
             would crash on" and fall back to serial execution.
     """
     angle = np.asarray(angle)
-    if not np.isfinite(angle).all():
+    if np.count_nonzero(np.isfinite(angle)) != angle.size:
         raise ValueError("cannot normalize non-finite angle in batch")
     wrapped = np.fmod(angle, _TWO_PI)
-    return np.where(
-        wrapped > math.pi,
-        wrapped - _TWO_PI,
-        np.where(wrapped <= -math.pi, wrapped + _TWO_PI, wrapped),
-    )
+    # A lane wrapped down lands in (-pi, 0), so the second test, like the
+    # serial elif, never moves it again.
+    np.copyto(wrapped, wrapped - _TWO_PI, where=wrapped > math.pi)
+    np.copyto(wrapped, wrapped + _TWO_PI, where=wrapped <= -math.pi)
+    return wrapped
 
 
 def angle_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -81,16 +82,11 @@ def angle_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def map1(fn, a: np.ndarray) -> np.ndarray:
     """Apply a scalar ``math.*`` function per element (libm fidelity)."""
-    out = np.empty(len(a))
-    for i, v in enumerate(a.tolist()):
-        out[i] = fn(v)
-    return out
+    return np.array(list(map(fn, a.tolist())), dtype=float)
 
 
 def map2(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Two-argument :func:`map1` (``atan2``, ``hypot``)."""
-    out = np.empty(len(a))
-    bs = np.broadcast_to(b, np.shape(a)).tolist()
-    for i, v in enumerate(a.tolist()):
-        out[i] = fn(v, bs[i])
-    return out
+    if np.shape(b) != np.shape(a):
+        b = np.broadcast_to(b, np.shape(a))
+    return np.array(list(map(fn, a.tolist(), b.tolist())), dtype=float)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geom.polyline import Polyline
-from repro.sim.batch import ops
 
 __all__ = ["BatchProjection", "BatchSample", "BatchRoute"]
 
@@ -54,16 +53,12 @@ class BatchRoute:
         self.closed = route.closed
         self.length = route.length
         seg = route.segments
-        self._ax = seg.start_x
-        self._ay = seg.start_y
-        self._dx = seg.dx
-        self._dy = seg.dy
-        self._seg_lengths = seg.lengths
         self._cum = seg.cum
-        self._headings = seg.headings
-        self._curvatures = seg.curvatures
-        self.num_segments = route.num_segments
-        # What project reads at each lane's segment, stacked so one gather
+        self.num_segments = nseg = route.num_segments
+        # min(max(j - 1, 0), nseg - 1) for every searchsorted result j in
+        # [0, nseg + 1]: the segment a station falls on, as one lookup.
+        self._segment_of = np.clip(np.arange(-1, nseg + 1), 0, nseg - 1)
+        # What each query reads at its segment, stacked so one gather
         # fetches it all.  np.cos/np.sin match math.cos/math.sin bitwise
         # on this platform, so precomputing the tangents is safe.
         self._at_segment = np.stack((
@@ -71,13 +66,20 @@ class BatchRoute:
             seg.lengths, seg.headings, np.cos(seg.headings),
             np.sin(seg.headings),
         ))
+        self._at_station = np.stack((
+            seg.cum[:-1], seg.lengths, seg.curvatures[:-1],
+            seg.curvatures[1:], seg.start_x, seg.start_y, seg.dx, seg.dy,
+            seg.headings,
+        ))
 
     # ------------------------------------------------------------------
     def wrap_station(self, s: np.ndarray) -> np.ndarray:
         """Vectorized ``Polyline._wrap_station``."""
         if self.closed:
             return np.mod(s, self.length)
-        return ops.pymin(ops.pymax(s, 0.0), self.length)
+        s = np.where(0.0 > s, 0.0, s)
+        np.copyto(s, self.length, where=s > self.length)
+        return s
 
     def remaining(self, s: np.ndarray) -> np.ndarray:
         """Vectorized ``Polyline.remaining``."""
@@ -86,20 +88,32 @@ class BatchRoute:
         return self.length - self.wrap_station(s)
 
     # ------------------------------------------------------------------
+    def _locate(self, stations: np.ndarray, rows: int):
+        """The wrapped stations, the first ``rows`` rows of
+        ``_at_station`` at their segments, and the fraction along each."""
+        s = self.wrap_station(stations)
+        idx = self._segment_of.take(
+            self._cum.searchsorted(s, side="right"))
+        at = self._at_station[:rows].take(idx, axis=1)
+        frac = (s - at[0]) / at[1]
+        return s, at, frac
+
     def sample(self, stations: np.ndarray) -> BatchSample:
         """Vectorized ``Polyline.sample`` over per-lane stations."""
-        s = self.wrap_station(stations)
-        idx = np.searchsorted(self._cum, s, side="right") - 1
-        idx = np.minimum(np.maximum(idx, 0), self.num_segments - 1)
-        ds = s - self._cum[idx]
-        frac = ds / self._seg_lengths[idx]
-        px = self._ax[idx] + self._dx[idx] * frac
-        py = self._ay[idx] + self._dy[idx] * frac
-        heading = self._headings[idx]
-        curvature = (1.0 - frac) * self._curvatures[idx] + frac * self._curvatures[idx + 1]
+        s, at, frac = self._locate(stations, 9)
+        _, _, curv_a, curv_b, ax, ay, dx, dy, heading = at
         return BatchSample(
-            point_x=px, point_y=py, heading=heading, curvature=curvature, station=s
+            point_x=ax + dx * frac,
+            point_y=ay + dy * frac,
+            heading=heading,
+            curvature=(1.0 - frac) * curv_a + frac * curv_b,
+            station=s,
         )
+
+    def curvature(self, stations: np.ndarray) -> np.ndarray:
+        """``sample(stations).curvature`` without the rest of the sample."""
+        _, at, frac = self._locate(stations, 4)
+        return (1.0 - frac) * at[2] + frac * at[3]
 
     # ------------------------------------------------------------------
     def project(
@@ -127,3 +141,24 @@ class BatchRoute:
         return BatchProjection(
             station=station, cross_track=cross, heading=heading
         )
+
+    def project_many(self, queries: list) -> list[BatchProjection]:
+        """:meth:`project` of several ``(px, py, hint, has_hint)`` query
+        sets with one kernel call, one projection per set.
+
+        Every row of the kernel is independent of the others (its own
+        window, padding that repeats its own last candidate, a
+        first-minimum ``argmin``), so each set gets exactly what a call
+        of its own returns.
+        """
+        proj = self.project(*(np.concatenate(column)
+                              for column in zip(*queries)))
+        out = []
+        lo = 0
+        for query in queries:
+            hi = lo + len(query[0])
+            out.append(BatchProjection(station=proj.station[lo:hi],
+                                       cross_track=proj.cross_track[lo:hi],
+                                       heading=proj.heading[lo:hi]))
+            lo = hi
+        return out
