@@ -28,7 +28,6 @@ attack/fault signatures it is designed to catch.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -41,7 +40,7 @@ from repro.core.dsl import (
     carry_sums,
     window_means,
 )
-from repro.geom.angles import angle_diff
+from repro.geom.angles import normalize_angle
 from repro.trace.schema import TraceColumns, TraceRecord
 
 __all__ = [
@@ -63,34 +62,27 @@ def _intervals(t: np.ndarray, last_t: float | None) -> np.ndarray:
     return t - prev
 
 
-def _restart_sums(steps: np.ndarray, restart: np.ndarray,
-                  values: np.ndarray | None, carry) -> np.ndarray:
-    """Running sums that restart: ``out[..., i]`` is ``values[..., i]``
-    where ``restart[i]``, else ``out[..., i - 1] + steps[..., i]``
-    (``carry`` before the first record).
+def _restart_sums(sums: np.ndarray, restart: np.ndarray,
+                  values: np.ndarray | None) -> np.ndarray:
+    """Running sums that restart, in place.
 
-    ``steps`` and ``values`` are ``(n,)`` or ``(k, n)`` (k sums sharing
-    one restart pattern, ``carry`` then has k entries; ``values`` is only
-    read where ``restart`` is set).  Each run between restarts is one
-    seeded cumsum, which adds strictly left to right, so every element
-    equals the scalar ``acc += step`` / ``acc = value`` sequence bit for
-    bit.  A sum that restarts every few records costs less as
-    :func:`_stepped`.
+    ``sums`` is ``(k, n + 1)``: the carried sums in column 0, record
+    ``i``'s step in column ``i + 1``.  On return column ``i + 1`` holds
+    ``values[:, i]`` where ``restart[i]``, else column ``i`` plus the
+    step (``values`` is only read where ``restart`` is set).  Each run
+    between restarts is one cumsum, which adds strictly left to right,
+    so every element equals the scalar ``acc += step`` / ``acc =
+    value`` sequence bit for bit.  A sum that restarts every few
+    records costs less as :func:`_stepped`.  Returns ``sums[:, 1:]``.
     """
-    n = restart.size
     starts = restart.nonzero()[0].tolist()
-    out = np.empty_like(steps)
-    first = starts[0] if starts else n
-    if first:
-        head = np.empty(steps.shape[:-1] + (first + 1,))
-        head[..., 0] = carry
-        head[..., 1:] = steps[..., :first]
-        out[..., :first] = head.cumsum(axis=-1)[..., 1:]
-    for s, e in zip(starts, starts[1:] + [n]):
-        run = steps[..., s:e].copy()
-        run[..., 0] = values[..., s]
-        out[..., s:e] = run.cumsum(axis=-1)
-    return out
+    if starts:
+        sums[:, [s + 1 for s in starts]] = values[:, starts]
+    for a, b in zip([0] + [s + 1 for s in starts],
+                    starts + [restart.size]):
+        run = sums[:, a:b + 1]
+        np.add.accumulate(run, axis=1, out=run)  # cumsum, less dispatch
+    return sums[:, 1:]
 
 
 def _stepped(steps: list, flags: list, values: list, acc) -> np.ndarray:
@@ -101,20 +93,6 @@ def _stepped(steps: list, flags: list, values: list, acc) -> np.ndarray:
         acc = value if is_start else acc + step
         out.append(acc)
     return np.array(out, dtype=np.float64)
-
-
-def _window_columns(window: list, width: int) -> tuple[np.ndarray, ...]:
-    """A per-step window, a list of ``width``-tuples of floats, as one
-    array per tuple position."""
-    flat = np.fromiter(itertools.chain.from_iterable(window), np.float64,
-                       width * len(window))
-    return tuple(flat.reshape(-1, width).T)
-
-
-def _window_rows(*columns: np.ndarray) -> list[tuple]:
-    """The list of tuples :meth:`margin` keeps, from a kernel's window
-    columns (the same Python floats)."""
-    return list(zip(*(column.tolist() for column in columns)))
 
 
 def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -228,11 +206,12 @@ class GpsDeadReckoningAssertion(TraceAssertion):
         # first record ever adds nothing.
         step = cols.get("odom_speed") * dt
         mid_heading = heading - 0.5 * yaw_rate * dt
-        increments = np.empty((3, n))
-        increments[0] = step * np.cos(mid_heading)
-        increments[1] = step * np.sin(mid_heading)
-        increments[2] = np.abs(step)
+        sums = np.empty((3, n + 1))
         carry = (self._dr_x, self._dr_y, self._dist)
+        sums[:, 0] = carry
+        sums[0, 1:] = step * np.cos(mid_heading)
+        sums[1, 1:] = step * np.sin(mid_heading)
+        sums[2, 1:] = np.abs(step)
         is_anchor = np.zeros(n, dtype=bool)
         is_anchor[anchors] = True
         restart = is_anchor
@@ -245,7 +224,7 @@ class GpsDeadReckoningAssertion(TraceAssertion):
             restart[0] = True
             if not is_anchor[0]:
                 values[:, 0] = carry
-        dr_x, dr_y, dist = _restart_sums(increments, restart, values, carry)
+        dr_x, dr_y, dist = _restart_sums(sums, restart, values)
         if anchors.size:
             a = anchors[-1]
             self._anchor = (float(t[a]), float(gps_x[a]), float(gps_y[a]))
@@ -303,28 +282,26 @@ class GpsJumpAssertion(TraceAssertion):
     ) -> tuple[np.ndarray, np.ndarray]:
         margins = np.zeros(cols.n, dtype=np.float64)
         applicable = np.zeros(cols.n, dtype=bool)
-        rows = cols.gps_fresh.nonzero()[0]
+        rows = cols.get("gps_fresh").nonzero()[0]
         if not rows.size:
             return margins, applicable
         # Each fix pairs with the one before it, the first with the
-        # carried fix.
-        fix_t, fix_x, fix_y = cols.t[rows], cols.gps_x[rows], cols.gps_y[rows]
+        # carried fix: one (t, x, y) table, differenced once.
         prev = self._prev_fix
-        self._prev_fix = (float(fix_t[-1]), float(fix_x[-1]),
-                          float(fix_y[-1]))
+        fixes = np.empty((3, rows.size + 1))
+        fixes[:, 0] = prev or 0.0  # without a carried fix: dropped below
+        for row, name in enumerate(("t", "gps_x", "gps_y")):
+            fixes[row, 1:] = cols.get(name)[rows]
+        self._prev_fix = tuple(fixes[:, -1].tolist())
         if prev is None:
-            prev_t, prev_x, prev_y = fix_t[:-1], fix_x[:-1], fix_y[:-1]
-            rows, fix_t, fix_x, fix_y = rows[1:], fix_t[1:], fix_x[1:], fix_y[1:]
-        else:
-            prev_t, prev_x, prev_y = (np.concatenate(([p], c[:-1])) for p, c
-                                      in zip(prev, (fix_t, fix_x, fix_y)))
-        dt_fix = fix_t - prev_t
+            fixes, rows = fixes[:, 1:], rows[1:]
+        dt_fix, dx, dy = fixes[:, 1:] - fixes[:, :-1]
         ok = ~(dt_fix <= 0)
-        rows, dt_fix = rows[ok], dt_fix[ok]
-        dist = _hypot(fix_x[ok] - prev_x[ok], fix_y[ok] - prev_y[ok])
-        bound = ((cols.odom_speed[rows] + self.speed_margin) * dt_fix
+        if not ok.all():
+            rows, dt_fix, dx, dy = rows[ok], dt_fix[ok], dx[ok], dy[ok]
+        bound = ((cols.get("odom_speed")[rows] + self.speed_margin) * dt_fix
                  + self.base_allowance)
-        margins[rows] = 1.0 - dist / bound
+        margins[rows] = 1.0 - _hypot(dx, dy) / bound
         applicable[rows] = True
         return margins, applicable
 
@@ -412,6 +389,9 @@ class SpeedConsistencyAssertion(TraceAssertion):
     baseline (~0.7 m/s) with 3x headroom.
     """
 
+    _fixes = WindowBuffer(np.float64, np.float64, np.float64)
+    _odom = WindowBuffer(np.float64, np.float64)
+
     def __init__(self, baseline: float = 1.0, bound: float = 2.2):
         super().__init__(
             "A7", "GPS / wheel-speed consistency", "consistency",
@@ -426,51 +406,58 @@ class SpeedConsistencyAssertion(TraceAssertion):
         self._odom: list[tuple[float, float]] = []
 
     def margin(self, record: TraceRecord) -> float | None:
-        self._odom.append((record.t, record.odom_speed))
-        cutoff = record.t - 2.0 * self.baseline
-        while self._odom and self._odom[0][0] < cutoff:
-            self._odom.pop(0)
+        t = record.t
+        odom = self._odom
+        odom.append((t, record.odom_speed))
+        cutoff = t - 2.0 * self.baseline
+        while odom and odom[0][0] < cutoff:
+            odom.pop(0)
         if not record.gps_fresh:
             return None
-        self._fixes.append((record.t, record.gps_x, record.gps_y))
-        while self._fixes and self._fixes[0][0] < cutoff:
-            self._fixes.pop(0)
+        x, y = record.gps_x, record.gps_y
+        fixes = self._fixes
+        fixes.append((t, x, y))
+        while fixes and fixes[0][0] < cutoff:
+            fixes.pop(0)
+        baseline = self.baseline
         old = None
-        for fix in self._fixes:
-            if record.t - fix[0] >= self.baseline:
+        for fix in fixes:
+            if t - fix[0] >= baseline:
                 old = fix
         if old is None:
             return None
-        span = record.t - old[0]
-        v_gps = math.hypot(record.gps_x - old[1], record.gps_y - old[2]) / span
-        odom_in_span = [v for (tt, v) in self._odom if tt >= old[0]]
+        old_t = old[0]
+        span = t - old_t
+        v_gps = math.hypot(x - old[1], y - old[2]) / span
+        odom_in_span = [v for (tt, v) in odom if tt >= old_t]
         if not odom_in_span:
             return None
         v_odom = sum(odom_in_span) / len(odom_in_span)
         return 1.0 - abs(v_gps - v_odom) / self.bound
+
     def margin_chunk(
         self, cols: TraceColumns
     ) -> tuple[np.ndarray, np.ndarray]:
         t = cols.t
         n = t.size
         cutoff = t - 2.0 * self.baseline
-        tail_t, tail_v = _window_columns(self._odom, 2)
+        tail_t, tail_v = type(self)._odom.columns(self)
         odom_t = np.concatenate((tail_t, t))
         odom_v = np.concatenate((tail_v, cols.odom_speed))
         cut = int(odom_t.searchsorted(cutoff[-1], side="left"))
-        self._odom = _window_rows(odom_t[cut:], odom_v[cut:])
+        self._odom = (odom_t[cut:], odom_v[cut:])
         margins = np.zeros(n, dtype=np.float64)
         applicable = np.zeros(n, dtype=bool)
         rows = cols.gps_fresh.nonzero()[0]
         if not rows.size:
             return margins, applicable
-        tail = _window_columns(self._fixes, 3)
+        tail = type(self)._fixes.columns(self)
         fix_t, fix_x, fix_y = (
             np.concatenate((c, new[rows])) for c, new
             in zip(tail, (t, cols.gps_x, cols.gps_y)))
         lo = fix_t.searchsorted(cutoff[rows], side="left")
         cut = int(lo[-1])
-        self._fixes = _window_rows(fix_t[cut:], fix_x[cut:], fix_y[cut:])
+        self._fixes = (fix_t[cut:], fix_x[cut:], fix_y[cut:])
         # The old fix: the newest one at least a baseline back.  The
         # per-step test is ``t - fix_t >= baseline``, monotone along the
         # sorted fixes; searchsorted places the boundary and the loops
@@ -520,6 +507,8 @@ class ImuCompassConsistencyAssertion(TraceAssertion):
     compass spoof appears as a step while the window spans its onset.
     """
 
+    _buffer = WindowBuffer(np.float64, np.float64, np.float64)
+
     def __init__(self, window: float = 4.0, bound: float = 0.15):
         super().__init__(
             "A8", "IMU / compass consistency", "consistency",
@@ -536,25 +525,31 @@ class ImuCompassConsistencyAssertion(TraceAssertion):
         self._last_t: float | None = None
 
     def margin(self, record: TraceRecord) -> float | None:
+        t = record.t
+        gyro = self._gyro_integral
         if self._last_t is not None:
-            self._gyro_integral += record.imu_yaw_rate * (record.t - self._last_t)
-        self._last_t = record.t
+            gyro = self._gyro_integral = (
+                gyro + record.imu_yaw_rate * (t - self._last_t))
+        self._last_t = t
 
-        if self._compass_unwrapped is None:
-            self._compass_unwrapped = record.compass_yaw
-        else:
-            self._compass_unwrapped += angle_diff(
-                record.compass_yaw, self._compass_unwrapped
-            )
-        self._buffer.append((record.t, self._gyro_integral, self._compass_unwrapped))
-        cutoff = record.t - self.window
-        while self._buffer and self._buffer[0][0] < cutoff:
-            self._buffer.pop(0)
-        if self._buffer[-1][0] - self._buffer[0][0] < 0.75 * self.window:
+        yaw, unwrapped = record.compass_yaw, self._compass_unwrapped
+        # angle_diff(yaw, unwrapped) is normalize_angle(yaw - unwrapped).
+        self._compass_unwrapped = unwrapped = (
+            yaw if unwrapped is None
+            else unwrapped + normalize_angle(yaw - unwrapped))
+        buf = self._buffer
+        buf.append((t, gyro, unwrapped))  # never popped below: the newest
+        window = self.window
+        cutoff = t - window
+        while buf and buf[0][0] < cutoff:
+            buf.pop(0)
+        oldest = buf[0]
+        if t - oldest[0] < 0.75 * window:
             return None
-        gyro_delta = self._buffer[-1][1] - self._buffer[0][1]
-        compass_delta = self._buffer[-1][2] - self._buffer[0][2]
+        gyro_delta = gyro - oldest[1]
+        compass_delta = unwrapped - oldest[2]
         return 1.0 - abs(gyro_delta - compass_delta) / self.bound
+
     def margin_chunk(
         self, cols: TraceColumns
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -566,21 +561,22 @@ class ImuCompassConsistencyAssertion(TraceAssertion):
             increments = increments[1:]
         gyro = np.concatenate(([self._gyro_integral], increments)).cumsum()
         gyro = gyro[-t.size:]
-        # Unwrapping is a recurrence through angle_diff: a scalar loop.
+        # Unwrapping is a recurrence through angle_diff: a scalar loop
+        # (angle_diff(a, b) is normalize_angle(a - b), called directly).
         unwrapped = self._compass_unwrapped
         compass = []
         for yaw in cols.compass_yaw.tolist():
             unwrapped = (yaw if unwrapped is None
-                         else unwrapped + angle_diff(yaw, unwrapped))
+                         else unwrapped + normalize_angle(yaw - unwrapped))
             compass.append(unwrapped)
         compass = np.array(compass, dtype=np.float64)
-        tail_t, tail_gyro, tail_compass = _window_columns(self._buffer, 3)
+        tail_t, tail_gyro, tail_compass = type(self)._buffer.columns(self)
         times = np.concatenate((tail_t, t))
         gyros = np.concatenate((tail_gyro, gyro))
         compasses = np.concatenate((tail_compass, compass))
         lo = times.searchsorted(t - self.window, side="left")
         cut = int(lo[-1])
-        self._buffer = _window_rows(times[cut:], gyros[cut:], compasses[cut:])
+        self._buffer = (times[cut:], gyros[cut:], compasses[cut:])
         self._gyro_integral = float(gyro[-1])
         self._compass_unwrapped = unwrapped
         self._last_t = float(t[-1])
@@ -655,19 +651,18 @@ class RouteProgressAssertion(TraceAssertion):
         margins = np.zeros(n, dtype=np.float64)
         applicable = np.zeros(n, dtype=bool)
         tail = type(self)._buffer.columns(self)
-        cum, prev = self._cum, self._prev_cum
-        wraps = np.flatnonzero(station[1:] < station[:-1] - 10.0) + 1
+        prev = self._prev_cum
+        wraps = (station[1:] < station[:-1] - 10.0).nonzero()[0] + 1
         bounds = [0, *wraps.tolist(), n]
         for a, b in zip(bounds[:-1], bounds[1:]):
             tail_t, tail_station, tail_target = tail
             if tail_t.size and station[a] < tail_station[-1] - 10.0:
                 # The per-step wrap test against the previous record.
                 tail_t, tail_station, tail_target = (c[:0] for c in tail)
-                cum = prev = 0.0
-            tail_cum = np.cumsum(np.concatenate(([prev], tail_target)))[1:]
+                prev = 0.0
             mean_target, lo, times, cums = window_means(
-                t[a:b], target[a:b], tail_t, tail_cum, cum, prev,
-                self.window)
+                t[a:b], target[a:b], tail_t, tail_target, prev,
+                self.window, summed=False)
             stations = np.concatenate((tail_station, station[a:b]))
             span = t[a:b] - times[lo]
             ok = (~(span < 0.75 * self.window)
@@ -677,7 +672,7 @@ class RouteProgressAssertion(TraceAssertion):
             with np.errstate(divide="ignore", invalid="ignore"):
                 margins[a:b] = np.where(ok, actual / expected - 1.0, 0.0)
             applicable[a:b] = ok
-            cum, prev, cut = carry_sums(cums, prev, lo)
+            cum, prev, cut = carry_sums(cums, lo)
             targets = np.concatenate((tail_target, target[a:b]))
             tail = (times[cut:], stations[cut:], targets[cut:])
         self._cum, self._prev_cum = cum, prev
@@ -742,24 +737,21 @@ class SteeringOscillationAssertion(TraceAssertion):
         t = cols.t
         steer = np.asarray(cols.steer_cmd, dtype=np.float64)
         tail_t, tail_steer = type(self)._buffer.columns(self)
-        tail_cum = np.cumsum(
-            np.concatenate(([self._prev_cum], tail_steer)))[1:]
         means, lo, times, cums = window_means(
-            t, steer, tail_t, tail_cum, self._cum, self._prev_cum,
-            self.window)
+            t, steer, tail_t, tail_steer, self._prev_cum, self.window,
+            summed=False)
         values = np.concatenate((tail_steer, steer))
         span = t - times[lo]
         applicable = (~(span < 0.75 * self.window)
                       & ~(cols.est_v < self.min_speed))
         margins = np.zeros(t.size, dtype=np.float64)
-        rows = np.flatnonzero(applicable)
+        rows = applicable.nonzero()[0]
         if rows.size:
             changes = self._sign_changes(values, means[rows], lo[rows],
                                          rows + tail_t.size)
             rate = changes / span[rows]
             margins[rows] = 1.0 - rate / self.max_rate_hz
-        self._cum, self._prev_cum, cut = carry_sums(
-            cums, self._prev_cum, lo)
+        self._cum, self._prev_cum, cut = carry_sums(cums, lo)
         self._buffer = (times[cut:], values[cut:])
         return margins, applicable
 
@@ -769,26 +761,24 @@ class SteeringOscillationAssertion(TraceAssertion):
         ``values[lo:end + 1]`` around its mean.
 
         The count depends on the window *mean*, which moves every step
-        (no shared prefix structure), so this builds one right-aligned 2D
-        view of the windows.  Out-of-window cells are forced to sign 0,
-        which the skip-zeros semantics ignores, exactly like the per-step
-        deadband does; NaN deviations compare False on both sides -> sign
-        0 there too.  The per-step count is then the number of adjacent
-        unequal pairs among each row's nonzero signs, counted on the
-        compressed nonzero cells alone.
+        (no shared prefix structure), so this gathers one right-aligned
+        2D array of the windows.  Out-of-window cells are forced to sign
+        0, which the skip-zeros semantics ignores, exactly like the
+        per-step deadband does; NaN deviations compare False on both
+        sides -> sign 0 there too.  The per-step count is then the
+        number of adjacent unequal pairs among each row's nonzero signs,
+        counted on the compressed nonzero cells alone.
         """
         width = int((ends - lo).max()) + 1
-        padded = np.concatenate((np.zeros(width - 1), values))
-        windows = np.lib.stride_tricks.sliding_window_view(
-            padded, width)[ends]
-        dev = windows - means[:, None]
-        in_window = (np.arange(width)[None, :]
-                     >= (lo - ends + width - 1)[:, None])
-        signs = (((dev > self.deadband).astype(np.int8)
-                  - (dev < -self.deadband).astype(np.int8)) * in_window)
-        cells = np.flatnonzero(signs)
-        row = cells // width
-        held = signs.ravel()[cells]
+        cells = (ends - (width - 1))[:, None] + np.arange(width)
+        # A cell before its window may index below 0 (wrapping): masked.
+        dev = values[cells] - means[:, None]
+        signs = ((dev > self.deadband).view(np.int8)
+                 - (dev < -self.deadband).view(np.int8))
+        signs *= cells >= lo[:, None]
+        held = signs.ravel().nonzero()[0]
+        row = held // width
+        held = signs.ravel()[held]
         change = (held[1:] != held[:-1]) & (row[1:] == row[:-1])
         return np.bincount(row[1:][change], minlength=means.size)
 
@@ -837,8 +827,8 @@ class SteeringSaturationAssertion(TraceAssertion):
         times = np.concatenate((tail_t, t))
         flags = np.concatenate((
             tail_flags, np.abs(cols.get("steer_cmd")) >= self.threshold))
-        cum = np.cumsum(flags.astype(np.int64))
-        lo = np.searchsorted(times, t - self.window, side="left")
+        cum = flags.astype(np.int64).cumsum()
+        lo = times.searchsorted(t - self.window, side="left")
         ends = np.arange(tail_t.size, times.size)
         prev = np.where(lo > 0, cum[lo - 1], 0)
         fraction = (cum[ends] - prev) / (ends - lo + 1)
@@ -920,19 +910,18 @@ class SpeedTrackingAssertion(TraceAssertion):
         # Alternating runs of cleared and kept records; the window state
         # restarts at each clear, so a kept run resumes the carried state
         # only when it opens the block.
-        flips = np.flatnonzero(clear[1:] != clear[:-1]) + 1
+        flips = (clear[1:] != clear[:-1]).nonzero()[0] + 1
         bounds = [0, *flips.tolist(), n]
         for s, e in zip(bounds[:-1], bounds[1:]):
             if clear[s]:
                 tail_t, tail_cum, cum, prev = tail_t[:0], tail_cum[:0], 0.0, 0.0
                 continue
             mean, lo, times, cums = window_means(
-                t[s:e], errors[s:e], tail_t, tail_cum, cum, prev,
-                self.window)
+                t[s:e], errors[s:e], tail_t, tail_cum, prev, self.window)
             margins[s:e] = 1.0 - mean / self.bound
             applicable[s:e] = ~(t[s:e] - times[lo] < 0.75 * self.window)
-            cum, prev, cut = carry_sums(cums, prev, lo)
-            tail_t, tail_cum = times[cut:], cums[cut:]
+            cum, prev, cut = carry_sums(cums, lo)
+            tail_t, tail_cum = times[cut:], cums[cut + 1:]
         self._cum, self._prev_cum = cum, prev
         self._buffer = (tail_t, tail_cum)
         return margins, applicable
@@ -1016,7 +1005,7 @@ class SafeHeadwayAssertion(TraceAssertion):
             cols.get("true_v") < self.min_speed
         )
         margins = np.zeros(applicable.size, dtype=np.float64)
-        idx = np.flatnonzero(applicable)
+        idx = applicable.nonzero()[0]
         if idx.size:
             headway = cols.get("gap_true")[idx] / cols.get("true_v")[idx]
             margins[idx] = headway / self.min_headway - 1.0
@@ -1103,6 +1092,8 @@ class RadarRateConsistencyAssertion(TraceAssertion):
     whenever the relative speed is non-zero.
     """
 
+    _tracks = WindowBuffer(np.float64, np.float64, np.float64)
+
     def __init__(self, window: float = 1.5, bound: float = 0.9):
         super().__init__(
             "A19", "radar range-rate consistency", "consistency",
@@ -1140,7 +1131,7 @@ class RadarRateConsistencyAssertion(TraceAssertion):
         rows = (cols.lead_present & cols.radar_fresh).nonzero()[0]
         if not rows.size:
             return margins, applicable
-        tail = _window_columns(self._tracks, 3)
+        tail = type(self)._tracks.columns(self)
         times, ranges, rates = (
             np.concatenate((c, new[rows])) for c, new
             in zip(tail, (cols.t, cols.radar_range, cols.radar_range_rate)))
@@ -1154,7 +1145,7 @@ class RadarRateConsistencyAssertion(TraceAssertion):
         lo = np.maximum(
             times.searchsorted(now - self.window, side="left"), restart)
         cut = int(lo[-1])
-        self._tracks = _window_rows(times[cut:], ranges[cut:], rates[cut:])
+        self._tracks = (times[cut:], ranges[cut:], rates[cut:])
         span = now - times[lo]
         ok = ~(span < 0.75 * self.window)
         rows, here, lo, span = rows[ok], here[ok], lo[ok], span[ok]
@@ -1224,11 +1215,9 @@ class ControlResponsivenessAssertion(TraceAssertion):
         cte_abs = np.abs(np.asarray(cols.cte_est, dtype=np.float64))
         steer_abs = np.abs(np.asarray(cols.steer_cmd, dtype=np.float64))
         tail_t, tail_cte, tail_steer = type(self)._buffer.columns(self)
-        tail_cum = np.cumsum(
-            np.concatenate(([self._prev_cum], tail_cte)))[1:]
         mean_cte, lo, times, cums = window_means(
-            t, cte_abs, tail_t, tail_cum, self._cum, self._prev_cum,
-            self.window)
+            t, cte_abs, tail_t, tail_cte, self._prev_cum, self.window,
+            summed=False)
         span = t - times[lo]
         applicable = (~(span < 0.75 * self.window)
                       & ~(cols.est_v < self.min_speed)
@@ -1240,12 +1229,11 @@ class ControlResponsivenessAssertion(TraceAssertion):
         # max does — unless the window *starts* on NaN, which Python max
         # propagates, so mirror that case explicitly.
         k = tail_t.size
-        for i in np.flatnonzero(applicable).tolist():
+        for i in applicable.nonzero()[0].tolist():
             seg = steers[lo[i]:k + i + 1]
             mx = seg[0] if np.isnan(seg[0]) else np.fmax.reduce(seg)
             margins[i] = mx / self.min_response - 1.0
-        self._cum, self._prev_cum, cut = carry_sums(
-            cums, self._prev_cum, lo)
+        self._cum, self._prev_cum, cut = carry_sums(cums, lo)
         ctes = np.concatenate((tail_cte, cte_abs))
         self._buffer = (times[cut:], ctes[cut:], steers[cut:])
         return margins, applicable
@@ -1460,18 +1448,24 @@ class SafeStopEngagementAssertion(TraceAssertion):
     ) -> tuple[np.ndarray, np.ndarray]:
         t = cols.t
         idx = np.arange(t.size)
+        channels = [channel for channel, _ in self._FLAG_CHANNELS]
         if self._last_fresh is None:
             # The first record seeds every channel, as per step.
             self._last_fresh = {ch: float(t[0]) for ch in self._STALE_AFTER}
-        stale_cnt = np.zeros(t.size, dtype=np.int64)
-        for channel, flag in self._FLAG_CHANNELS:
-            # Time of the most recent fresh sample, carried into the block.
-            latest = np.maximum.accumulate(np.where(cols.get(flag), idx, -1))
-            last = np.where(latest >= 0, t[latest],
-                            self._last_fresh[channel])
-            stale_cnt += (t - last) > self._STALE_AFTER[channel]
-            self._last_fresh[channel] = float(last[-1])
+        # One row per channel: the time of its most recent fresh sample,
+        # carried into the block.
+        flags = np.array([cols.get(flag) for _, flag in self._FLAG_CHANNELS])
+        latest = np.maximum.accumulate(np.where(flags, idx, -1), axis=1)
+        fresh_at = np.array([self._last_fresh[ch] for ch in channels])
+        last = np.where(latest >= 0, t[latest], fresh_at[:, None])
+        budgets = np.array([self._STALE_AFTER[ch] for ch in channels])
+        stale_cnt = np.add.reduce((t - last) > budgets[:, None], axis=0,
+                                  dtype=np.int64)
+        self._last_fresh = dict(zip(channels, last[:, -1].tolist()))
         active = stale_cnt >= self.lost_channels
+        if not active.any():  # no loss: nothing applies
+            self._stale_since = None
+            return np.zeros(t.size), active
         starts = active.copy()
         starts[1:] &= ~active[:-1]
         carried = self._stale_since

@@ -21,10 +21,11 @@ The same objects serve two engines:
   :meth:`TraceAssertion.margins_of`),
   and :meth:`TraceAssertion.advance` runs the debounce over the
   run-length encoding of the bad/good margin signs, resuming the
-  per-step episode state.  The ingest service checks each streamed chunk
-  this way; the offline checker
-  (:meth:`TraceAssertion.evaluate_offline`) is one block over the whole
-  trace.
+  per-step episode state.  :func:`debounce_block` does that for a whole
+  assertion set at once, calling ``advance`` only where an episode can
+  open or close.  The ingest service checks each streamed chunk this
+  way; the offline checker (:meth:`TraceAssertion.evaluate_offline`) is
+  one block over the whole trace.
 
 Both paths produce byte-identical verdicts, and they leave the same state
 behind, so they interleave freely.  That is an engineered property, not
@@ -35,15 +36,16 @@ differences* on both paths — ``np.cumsum`` seeded with the carried running
 sum reproduces a sequential running sum exactly, whereas pairwise
 summation (``np.add.reduceat``) would not.  Equivalence is enforced by
 ``tests/test_checker_equivalence.py`` (whole traces),
-``tests/test_monitor_chunks.py`` (every chunk split and interleaving) and
+``tests/test_monitor_chunks.py`` (every chunk split and interleaving),
 ``tests/test_catalog_kernels.py`` (each stateful kernel against its
-scalar margin on adversarial columns).
+scalar margin on adversarial columns) and ``tests/test_debounce_block.py``
+(the set-wide debounce against ``advance`` per assertion).
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -57,6 +59,7 @@ __all__ = [
     "FunctionAssertion",
     "WindowBuffer",
     "carry_sums",
+    "debounce_block",
     "window_means",
 ]
 
@@ -75,7 +78,9 @@ class WindowBuffer:
     Declare it on the class (``_buffer = WindowBuffer(np.float64,
     np.float64)``, one dtype per tuple position); assign a list or a
     tuple of arrays; read the list as ``self._buffer`` and the arrays
-    as ``type(self)._buffer.columns(self)``.
+    as ``type(self)._buffer.columns(self)``.  A per-step margin should
+    read the attribute once into a local: each read is a call into
+    Python here.
     """
 
     def __init__(self, *dtypes):
@@ -84,62 +89,131 @@ class WindowBuffer:
     def __set_name__(self, owner, name: str) -> None:
         self._key = name + "_store"
 
+    # getattr/setattr, never ``obj.__dict__``: touching the instance
+    # dict turns off CPython's fast path for every other attribute of
+    # the object, which made each per-step margin of a window assertion
+    # about 1.5x slower.
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        value = obj.__dict__[self._key]
+        value = getattr(obj, self._key)
         if not isinstance(value, list):
             value = list(zip(*(column.tolist() for column in value)))
-            obj.__dict__[self._key] = value
+            setattr(obj, self._key, value)
         return value
 
     def __set__(self, obj, value) -> None:
-        obj.__dict__[self._key] = value
+        setattr(obj, self._key, value)
 
     def columns(self, obj) -> tuple[np.ndarray, ...]:
-        value = obj.__dict__[self._key]
+        value = getattr(obj, self._key)
         if isinstance(value, list):
             rows = list(zip(*value)) or [()] * len(self.dtypes)
             value = tuple(np.array(column, dtype=dtype)
                           for column, dtype in zip(rows, self.dtypes))
-            obj.__dict__[self._key] = value
+            setattr(obj, self._key, value)
         return value
+
+
+def debounce_block(
+    assertions: Sequence["TraceAssertion"], t: np.ndarray,
+    computed: Sequence[tuple[np.ndarray, np.ndarray | None]],
+) -> list[tuple[int, int, Violation]]:
+    """:meth:`TraceAssertion.advance` of every assertion over one block,
+    in one pass over the whole set.
+
+    ``computed[i]`` is assertion ``i``'s ``(margins, applicable)`` over
+    the block's records at times ``t``.  The rows are stacked, and every
+    assertion that is *quiet* in this block (no valid margin below zero
+    and no open episode: nothing can open or close) takes the state
+    :meth:`~TraceAssertion.advance` would leave from a few array
+    reductions over the stack.  Only the others run ``advance``'s
+    debounce over their valid rows of the stack.
+
+    Returns ``(row, index, violation)`` for each episode that closed,
+    ``index`` being the assertion's position in ``assertions``, in
+    ``advance``'s order per assertion.
+    """
+    k = len(assertions)
+    everywhere = ~np.zeros(t.size, dtype=bool)
+    margins = np.concatenate([m for m, _ in computed],
+                             dtype=np.float64).reshape(k, -1)
+    valid = np.concatenate(
+        [everywhere if applicable is None else applicable
+         for _, applicable in computed], dtype=bool).reshape(k, -1)
+    for i, assertion in enumerate(assertions):
+        if assertion.bound_scale != 1.0:
+            margins[i] = 1.0 - (1.0 - margins[i]) / assertion.bound_scale
+    settle = [assertion.settle_time for assertion in assertions]
+    if not t.min() >= max(settle):  # a NaN time takes the mask too
+        valid &= ~(t < np.array(settle)[:, None])
+    counts = np.add.reduce(valid, axis=1, dtype=np.intp).tolist()
+    # fmin skips NaN (and +inf stands in for a row with no valid sample),
+    # so a row's worst is below zero iff one of its valid margins is.
+    worst = np.fmin.reduce(margins, axis=1, where=valid,
+                           initial=np.inf).tolist()
+    last_t = float(t[-1])
+    closed = []
+    for i, (assertion, count, low) in enumerate(zip(assertions, counts,
+                                                    worst)):
+        assertion._last_step_t = last_t
+        if not count:
+            continue
+        if low < 0.0 or assertion._episode_start is not None:
+            rows = valid[i].nonzero()[0]
+            closed.extend((row, i, v) for row, v in assertion._debounce_runs(
+                t, rows, margins[i][rows]))
+        else:  # one good run: nothing opens or closes
+            assertion._evaluated = True
+            if low < assertion._worst_overall:
+                assertion._worst_overall = low
+            assertion._bad_streak = 0
+            assertion._pending_worst = 0.0
+            assertion._good_streak += count
+    return closed
 
 
 def window_means(
     t: np.ndarray, values: np.ndarray, tail_t: np.ndarray,
-    tail_cum: np.ndarray, cum: float, prev_cum: float, window: float,
+    tail: np.ndarray, prev_cum: float, window: float, *,
+    summed: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sliding-window means of a block, resumed from per-step state.
 
     The per-step form of a windowed mean keeps the records still inside
-    the window (times ``tail_t``, running sums ``tail_cum``), the
-    running sum ``cum`` through the last record and ``prev_cum``, the
-    running sum just before the tail.  Seeding ``np.cumsum`` with
-    ``cum`` continues the sequential sum bit for bit, so the block's
-    means equal the per-step ``(cum - prev_cum) / len(window)``.
+    the window (times ``tail_t``), the running sum ``cum`` through the
+    last record and ``prev_cum``, the running sum just before the
+    tail; ``tail`` holds the tail's running sums (``summed``, the last
+    of which is ``cum``) or its values.  One ``np.cumsum`` over
+    ``prev_cum``, the tail and the block continues the sequential sum
+    bit for bit, so the block's means equal the per-step
+    ``(cum - prev_cum) / len(window)``.
 
-    Returns ``(mean, lo, times, cums)``: ``times``/``cums`` are the tail
-    followed by the block, and ``lo[i]`` indexes the oldest record still
-    inside block record ``i``'s window.
+    Returns ``(mean, lo, times, cums)``: ``times`` is the tail followed
+    by the block, ``lo[i]`` indexes the oldest record still inside
+    block record ``i``'s window, and ``cums[j + 1]`` is the running sum
+    through ``times[j]`` (``cums[0]`` is ``prev_cum``).
     """
-    block = np.cumsum(np.concatenate(([cum], values)))[1:]
+    k = tail_t.size
+    cums = np.empty(k + 1 + t.size)
+    cums[0] = prev_cum
+    cums[1:k + 1] = tail
+    cums[k + 1:] = values
+    run = cums[k:] if summed else cums  # from cum, or from prev_cum
+    np.add.accumulate(run, out=run)  # cumsum, less dispatch
     times = np.concatenate((tail_t, t))
-    cums = np.concatenate((tail_cum, block))
-    lo = np.searchsorted(times, t - window, side="left")
-    prev = np.where(lo > 0, cums[lo - 1], prev_cum)
-    first = tail_t.size + 1
-    mean = (block - prev) / (np.arange(first, first + t.size) - lo)
+    lo = times.searchsorted(t - window, side="left")
+    mean = (cums[k + 1:] - cums[lo]) / (np.arange(k + 1, k + 1 + t.size) - lo)
     return mean, lo, times, cums
 
 
-def carry_sums(cums: np.ndarray, prev_cum: float,
+def carry_sums(cums: np.ndarray,
                lo: np.ndarray) -> tuple[float, float, int]:
     """The per-step ``(cum, prev_cum)`` after a :func:`window_means`
-    block, and the index where the carried tail now starts."""
+    block, and the index where the carried tail now starts (its running
+    sums are ``cums[cut + 1:]``)."""
     cut = int(lo[-1])
-    return (float(cums[-1]), float(cums[cut - 1]) if cut else prev_cum,
-            cut)
+    return float(cums[-1]), float(cums[cut]), cut
 
 
 class TraceAssertion(abc.ABC):
@@ -428,6 +502,14 @@ class TraceAssertion(abc.ABC):
             mv = mv[rows]
         if self.bound_scale != 1.0:
             mv = 1.0 - (1.0 - mv) / self.bound_scale
+        return self._debounce_runs(t, rows, mv)
+
+    def _debounce_runs(self, t: np.ndarray, rows: np.ndarray,
+                       mv: np.ndarray) -> list[tuple[int, Violation]]:
+        """:meth:`advance` past the validity mask: ``rows`` indexes the
+        block's valid records (at least one) and ``mv`` holds their
+        margins, bound scale applied."""
+        n = rows.size
         self._evaluated = True
         # Python's min() skips a NaN in the second slot, so the per-step
         # worst is the min over the non-NaN margins.
@@ -436,7 +518,7 @@ class TraceAssertion(abc.ABC):
             self._worst_overall = min(self._worst_overall, worst)
         if worst < 0.0:
             bad = mv < 0.0
-            edges = (np.flatnonzero(bad[1:] != bad[:-1]) + 1).tolist()
+            edges = ((bad[1:] != bad[:-1]).nonzero()[0] + 1).tolist()
             is_bad = bool(bad[0])
         else:  # no bad sample (NaN is never the worst)
             edges, is_bad = [], False
@@ -624,11 +706,9 @@ class WindowMeanBoundAssertion(TraceAssertion):
         values = np.abs(np.asarray(cols.get(self.channel), dtype=np.float64))
         tail_t, tail_cum = type(self)._buffer.columns(self)
         mean, lo, times, cums = window_means(
-            t, values, tail_t, tail_cum, self._cum, self._prev_cum,
-            self.window)
-        self._cum, self._prev_cum, cut = carry_sums(
-            cums, self._prev_cum, lo)
-        self._buffer = (times[cut:], cums[cut:])
+            t, values, tail_t, tail_cum, self._prev_cum, self.window)
+        self._cum, self._prev_cum, cut = carry_sums(cums, lo)
+        self._buffer = (times[cut:], cums[cut + 1:])
         return (1.0 - mean / self.bound,
                 ~(t - times[lo] < 0.5 * self.window))
 

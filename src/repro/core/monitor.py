@@ -11,9 +11,10 @@ state:
   state; only an assertion without one (a user
   :class:`~repro.core.dsl.FunctionAssertion`) steps its scalar margin over
   light :class:`~repro.trace.schema.TraceRow` rows, built only then.
-  This is the production path: the ingest service feeds every
-  chunk through it, and the offline checker is the same code run over
-  the whole trace as one block.
+  One :func:`~repro.core.dsl.debounce_block` pass then runs the
+  debounce of the whole set.  This is the production path: the ingest
+  service feeds every chunk through it, and the offline checker runs
+  the same kernels over the whole trace as one block.
 * :meth:`OnlineMonitor.feed` steps one record through every assertion.
   It is the on-vehicle API (E7, ``examples/online_monitoring.py``) and
   the oracle the block path is differential-tested against
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.core.dsl import TraceAssertion
+from repro.core.dsl import TraceAssertion, debounce_block
 from repro.core.verdicts import CheckReport, Violation
 from repro.trace.schema import Trace, TraceColumns, TraceMeta, TraceRecord
 
@@ -142,17 +143,16 @@ class OnlineMonitor:
         if self._first_record is None:
             self._first_record = cols.row(0)
         self._last_record = cols.row(cols.n - 1)
-        t = cols.get("t")
         rows = None
-        closed: list[tuple[int, int, Violation]] = []
-        for index, assertion in enumerate(self.assertions):
-            computed = assertion.margin_chunk(cols)
-            if computed is None:  # no column kernel: the scalar margin
+        computed = []
+        for assertion in self.assertions:
+            margins = assertion.margin_chunk(cols)
+            if margins is None:  # no column kernel: the scalar margin
                 if rows is None:
                     rows = cols.rows()
-                computed = assertion.margins_of(rows)
-            closed.extend((row_index, index, v) for row_index, v
-                          in assertion.advance(t, *computed))
+                margins = assertion.margins_of(rows)
+            computed.append(margins)
+        closed = debounce_block(self.assertions, cols.get("t"), computed)
         # Per-record feed order: by record, then catalog order.
         closed.sort(key=lambda c: (c[0], c[1]))
         return [v for _, _, v in closed]

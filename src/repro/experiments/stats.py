@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -272,9 +273,26 @@ STATS = StatsCollector()
 """Process-wide collector the runner reports into."""
 
 
+def _git(*args: str) -> str | None:
+    """A git command's output in this checkout, ``None`` outside one."""
+    try:
+        proc = subprocess.run(
+            ["git", *args], capture_output=True, text=True, timeout=10,
+            cwd=Path(__file__).resolve().parent)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def _host_info() -> dict:
+    """Where a measurement ran: interpreter, machine, core count, the
+    checkout's git sha and whether tracked files differ from it
+    (``None`` for both outside a git checkout)."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
     return {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
+        "git_sha": _git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
     }

@@ -6,15 +6,14 @@ Every message is one **frame**::
     0       4     magic  b"ADSV"
     4       1     protocol version (readers reject anything else)
     5       1     frame type (FrameType)
-    6       2     reserved (zero)
+    6       2     reserved (readers reject anything but zero)
     8       4     header length  H  (big-endian u32)
     12      4     payload length P  (big-endian u32)
-    16      4     CRC-32 over header + payload
+    16      4     CRC-32 over frame type + header + payload
     20      H     header: UTF-8 JSON object (seq numbers, session ids, ...)
-    20+H    P     payload: raw bytes (CHUNK frames carry a binary trace
-                  chunk in the ``.npz`` format of :mod:`repro.trace.io`,
-                  version 2, so the server decodes it with the same
-                  magic-sniffing reader the run cache uses)
+    20+H    P     payload: raw bytes (CHUNK frames carry one column
+                  block of trace records, laid out by
+                  :func:`repro.service.session.chunk_to_bytes`)
 
 Design notes:
 
@@ -23,14 +22,17 @@ Design notes:
   parser, and a disconnect is detected as an *incomplete read* at a known
   boundary (:class:`FrameTruncated`), which the server treats as
   "session suspended, checkpoint and wait for resume".
-* **CRC-guarded** — a torn or bit-flipped frame fails the checksum and
-  raises :class:`ProtocolError` instead of feeding garbage records into a
-  monitor.  Trace payloads additionally self-validate through the npz
-  reader's own structure checks.
+* **CRC-guarded** — a torn or bit-flipped frame fails the checksum (or
+  the magic, version, type, reserved or length checks the CRC does not
+  cover) and raises :class:`ProtocolError` instead of feeding garbage
+  records into a monitor.  A CHUNK payload has no checksum of its own:
+  this CRC covers it on the wire, and the session log's record CRC in
+  the store.
 * **Versioned** — the version byte follows the same contract as the
   binary trace format: bump on any incompatible change, readers reject
   foreign versions with an actionable error.  Version 2 changed the
-  CHUNK payload to binary trace format version 2.
+  CHUNK payload to binary trace format version 2; version 3 to a bare
+  column block, with the trace meta sent once, in HELLO/RESUME.
 
 Frame size limits bound a malicious or broken peer's memory cost before
 any allocation happens.
@@ -59,16 +61,20 @@ __all__ = [
 ]
 
 FRAME_MAGIC = b"ADSV"
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 """Wire format version; incompatible changes bump this.
 
 2: CHUNK payloads are binary trace format version 2 (one column block).
+3: CHUNK payloads are a bare column block (record count, string
+itemsizes, columns); the trace meta travels once, in HELLO/RESUME.  The
+frame CRC also covers the frame type, and the reserved bytes must be
+zero, so every single-byte flip of a frame is refused.
 """
 
 MAX_HEADER_BYTES = 1 << 20        # 1 MiB of JSON is already pathological
 MAX_PAYLOAD_BYTES = 64 << 20      # one chunk must stay far below this
 
-_PREFIX = struct.Struct("!4sBBxxIII")
+_PREFIX = struct.Struct("!4sBBHIII")
 PREFIX_BYTES = _PREFIX.size
 
 
@@ -125,14 +131,20 @@ def encode_frame(ftype: FrameType | int, header: dict | None = None,
         raise ProtocolError(
             f"frame payload of {len(payload)} bytes exceeds the "
             f"{MAX_PAYLOAD_BYTES}-byte limit")
-    crc = zlib.crc32(payload, zlib.crc32(header_bytes))
-    prefix = _PREFIX.pack(FRAME_MAGIC, PROTOCOL_VERSION, int(ftype),
+    crc = _crc(int(ftype), header_bytes, payload)
+    prefix = _PREFIX.pack(FRAME_MAGIC, PROTOCOL_VERSION, int(ftype), 0,
                           len(header_bytes), len(payload), crc)
     return prefix + header_bytes + payload
 
 
+def _crc(ftype: int, header_bytes: bytes, payload: bytes) -> int:
+    """The frame's CRC-32: over its type byte, header and payload."""
+    return zlib.crc32(payload, zlib.crc32(header_bytes,
+                                          zlib.crc32(bytes((ftype,)))))
+
+
 def _decode_prefix(prefix: bytes) -> tuple[FrameType, int, int, int]:
-    magic, version, ftype, header_len, payload_len, crc = \
+    magic, version, ftype, reserved, header_len, payload_len, crc = \
         _PREFIX.unpack(prefix)
     if magic != FRAME_MAGIC:
         raise ProtocolError(
@@ -147,6 +159,9 @@ def _decode_prefix(prefix: bytes) -> tuple[FrameType, int, int, int]:
         ftype = FrameType(ftype)
     except ValueError:
         raise ProtocolError(f"unknown frame type {ftype}") from None
+    if reserved:
+        raise ProtocolError(f"{ftype.name} frame has reserved bytes "
+                            f"{reserved:#06x}, not zero")
     if header_len > MAX_HEADER_BYTES:
         raise ProtocolError(f"frame header length {header_len} exceeds "
                             f"the {MAX_HEADER_BYTES}-byte limit")
@@ -158,7 +173,7 @@ def _decode_prefix(prefix: bytes) -> tuple[FrameType, int, int, int]:
 
 def _decode_body(ftype: FrameType, header_bytes: bytes, payload: bytes,
                  crc: int) -> Frame:
-    if zlib.crc32(payload, zlib.crc32(header_bytes)) != crc:
+    if _crc(ftype, header_bytes, payload) != crc:
         raise ProtocolError(
             f"{ftype.name} frame failed its CRC check (torn or corrupted "
             "in transit)")

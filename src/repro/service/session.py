@@ -5,7 +5,10 @@ session:
 
 * the **record log** — every chunk received so far, in order, as the
   decoded column blocks (the trace the verdict describes, and what a
-  resumed session replays into a fresh monitor).  No
+  resumed session replays into a fresh monitor).  A chunk arrives as a
+  bare column block (:func:`chunk_to_bytes`) and is decoded against the
+  trace meta its session's HELLO/RESUME carried (:func:`decode_chunk`):
+  its columns are views into the payload, and no
   :class:`~repro.trace.schema.TraceRecord` is built while serving;
   :attr:`SessionState.records` materialises them for tests and tools;
 * the **pending chunks** — the ``(seq, payload)`` pairs accepted since
@@ -37,6 +40,8 @@ one block over the whole trace), so the verdict is dict-equal to
 
 from __future__ import annotations
 
+import functools
+import struct
 from collections.abc import Sequence
 
 import numpy as np
@@ -47,7 +52,6 @@ from repro.core.diagnosis import diagnose
 from repro.core.monitor import OnlineMonitor
 from repro.core.verdicts import CheckReport, Violation
 from repro.trace.io import (
-    TraceIOError,
     columns_to_npz_bytes,
     trace_from_bytes,
     trace_to_npz_bytes,
@@ -70,44 +74,120 @@ class ChunkRejected(ValueError):
     """A chunk cannot be applied to this session (gap, overlap, garbage)."""
 
 
+_CHUNK_STRINGS = tuple(name for name in Trace.field_names
+                       if name in Trace.string_channels)
+"""The string channels, in field order: the chunk header gives each
+one's itemsize."""
+
+_CHUNK_HEAD = struct.Struct("<" + "I" * (1 + len(_CHUNK_STRINGS)))
+"""A chunk payload's header: the record count, then the itemsize of
+each of :data:`_CHUNK_STRINGS` (little-endian u32s)."""
+
+
+def _fixed_dtype(name: str) -> np.dtype:
+    if name in Trace.bool_channels:
+        return np.dtype(np.bool_)
+    if name in Trace.int_channels:
+        return np.dtype("<i8")
+    return np.dtype("<f8")
+
+
+@functools.lru_cache(maxsize=64)
+def _chunk_layout(widths: tuple[int, ...]) -> tuple[tuple, int]:
+    """``([(name, dtype), ...], bytes per record)`` of a chunk whose
+    string channels have the itemsizes ``widths``.  Cached: a session's
+    chunks repeat a handful of widths.
+
+    Raises:
+        ChunkRejected: a width is not a whole, positive number of
+            UCS-4 characters.
+    """
+    itemsizes = dict(zip(_CHUNK_STRINGS, widths))
+    layout = []
+    for name in Trace.field_names:
+        width = itemsizes.get(name)
+        if width is None:
+            dtype = _fixed_dtype(name)
+        elif width and not width % 4:
+            dtype = np.dtype(f"<U{width // 4}")
+        else:
+            raise ChunkRejected(
+                f"undecodable chunk payload: channel {name!r} has "
+                f"itemsize {width}, not a positive multiple of 4")
+        layout.append((name, dtype))
+    return tuple(layout), sum(dtype.itemsize for _, dtype in layout)
+
+
 def chunk_to_bytes(meta: TraceMeta, records: Sequence[TraceRecord]) -> bytes:
-    """Serialize a slice of records as one binary chunk payload.
+    """Serialize a slice of records as one CHUNK payload.
 
-    The payload *is* a complete binary trace (the ``.npz`` format of
-    :mod:`repro.trace.io`, version 2), so the server decodes it with the
-    same magic-sniffing, version-checked reader the run cache uses — torn
-    or corrupt chunks fail its checksum and schema checks instead of
-    smuggling garbage records into a monitor.  The records are encoded as
-    given, steps unchecked: rejecting a bad chunk is the server's job.
+    The payload carries the records alone: a :data:`_CHUNK_HEAD` (record
+    count, string itemsizes), then every channel's values back to back
+    in :attr:`Trace.field_names` order, little-endian.  ``meta`` is not
+    encoded: HELLO/RESUME carries it once per session, and the server
+    decodes every chunk against it.  No checksum of its own: the frame's
+    CRC covers the payload on the wire, the log record's CRC in the
+    store.  The records are encoded as given, steps unchecked:
+    rejecting a bad chunk is the server's job.
     """
-    return columns_to_npz_bytes(meta, TraceColumns.from_records(records))
+    cols = TraceColumns.from_records(records)
+    widths = tuple(cols.get(name).dtype.itemsize for name in _CHUNK_STRINGS)
+    layout, _ = _chunk_layout(widths)
+    return _CHUNK_HEAD.pack(cols.n, *widths) + b"".join(
+        cols.get(name).astype(dtype, copy=False).tobytes()
+        for name, dtype in layout)
 
 
-def decode_chunk(data: bytes) -> Trace:
-    """Decode one chunk payload into a columnar trace; builds no record.
+def decode_chunk(data: bytes, meta: TraceMeta) -> Trace:
+    """Decode one CHUNK payload into a columnar trace of the session's
+    ``meta``; builds no record and copies no column (each is a
+    read-only view into ``data``).
 
     Raises:
-        ChunkRejected: the payload does not decode (torn, corrupt, or
-            steps that do not strictly increase), or holds no records.
+        ChunkRejected: the payload is not a whole chunk (a header that
+            does not match its size, a string itemsize that is not whole
+            characters), holds no records, or its steps do not strictly
+            increase.
     """
-    try:
-        chunk = trace_from_bytes(data)
-    except TraceIOError as exc:
-        raise ChunkRejected(f"undecodable chunk payload: {exc}") from exc
-    if not len(chunk):
+    if len(data) < _CHUNK_HEAD.size:
+        raise ChunkRejected(
+            f"undecodable chunk payload: {len(data)} byte(s), shorter "
+            f"than the {_CHUNK_HEAD.size}-byte chunk header")
+    n, *widths = _CHUNK_HEAD.unpack_from(data)
+    if not n:
         raise ChunkRejected("chunk carries no records")
-    return chunk
+    if max(widths) > len(data):
+        raise ChunkRejected(
+            f"undecodable chunk payload: a string itemsize of "
+            f"{max(widths)} bytes, in a payload of {len(data)}")
+    layout, row_bytes = _chunk_layout(tuple(widths))
+    if len(data) != _CHUNK_HEAD.size + n * row_bytes:
+        raise ChunkRejected(
+            f"undecodable chunk payload: header claims {n} record(s) "
+            f"({_CHUNK_HEAD.size + n * row_bytes} bytes), payload holds "
+            f"{len(data)}")
+    arrays = {}
+    offset = _CHUNK_HEAD.size
+    for name, dtype in layout:
+        arrays[name] = np.frombuffer(data, dtype, n, offset)
+        offset += n * dtype.itemsize
+    steps = arrays["step"]
+    stalls = np.flatnonzero(steps[1:] <= steps[:-1])
+    if stalls.size:
+        i = stalls[0]
+        raise ChunkRejected(
+            f"chunk steps must strictly increase (got step "
+            f"{steps[i + 1]} after step {steps[i]})")
+    return Trace.of_columns(meta, TraceColumns(arrays))
 
 
-def records_from_chunk(data: bytes) -> tuple[TraceMeta, list[TraceRecord]]:
-    """Decode one chunk payload back into its metadata and records.
+def records_from_chunk(data: bytes) -> list[TraceRecord]:
+    """Decode one CHUNK payload back into its records.
 
     Raises:
-        TraceIOError: the payload does not decode, or its steps do not
-            strictly increase.
+        ChunkRejected: as :func:`decode_chunk`.
     """
-    trace = trace_from_bytes(data)
-    return trace.meta, list(trace.records)
+    return list(decode_chunk(data, TraceMeta()).records)
 
 
 def verdict_of(report: CheckReport, *, n_records: int,
@@ -218,7 +298,7 @@ class SessionState:
             raise ChunkRejected(
                 f"chunk seq {seq} arrived but {self.next_seq} is next; "
                 "resume to learn the server's cursor")
-        chunk = decode_chunk(payload)
+        chunk = decode_chunk(payload, self.meta)
         first = int(chunk.columns().get("step")[0])
         if self._last_step is not None and first <= self._last_step:
             raise ChunkRejected(

@@ -8,10 +8,12 @@ sessions.  Each session's checkpoint is one append-only **log**,
 the CRC-32 cover ``kind + body``):
 
 * ``H`` — the **head**, first and once: UTF-8 JSON with the exact
-  ``session_id`` and the trace ``meta``;
+  ``session_id``, the trace ``meta`` and the wire ``protocol`` the
+  chunks arrived in;
 * ``C`` — one **chunk record** per accepted chunk: its ``seq`` (u32)
-  and the payload exactly as it arrived (a version-stamped binary trace
-  the session already decoded and checked);
+  and the CHUNK payload exactly as it arrived (a column block the
+  session already decoded and checked; it has no checksum of its own,
+  the record's CRC covers it here as the frame's did on the wire);
 * ``V`` — the **verdict record**, UTF-8 JSON, written at FINISH.
 
 A checkpoint (:meth:`SessionStore.save`) is one append: one open and
@@ -45,8 +47,11 @@ Older builds wrote a JSON manifest ``<name>.session.json`` (plus
 segment files) under a lossy name.  Such a manifest is only read, when
 no log exists, and only if its ``session_id`` is the one asked for: a
 finished session replays its stored verdict, an unfinished one resumes
-fresh.  Chunk payloads in binary trace format version 1 likewise fail
-to load and the session resumes fresh.
+fresh.  A log whose head names another protocol (protocol 2 logged
+binary traces as chunk payloads, and its heads name none) likewise
+replays a stored verdict, but :meth:`SessionStore.load` reads it as
+absent, so an unfinished session there resumes fresh; so does one
+whose payloads do not decode.
 
 The whole store directory is guarded by an advisory
 :class:`~repro.locking.FileLease` (same machinery as the campaign
@@ -69,7 +74,11 @@ from pathlib import Path
 
 from repro.config import default_cache_dir
 from repro.locking import FileLease, LeaseConflict
-from repro.trace.io import trace_from_bytes
+from repro.service.protocol import PROTOCOL_VERSION
+from repro.service.session import decode_chunk
+# Unused since protocol 3 (its chunk payloads are not binary traces),
+# but kept importable here: tests count decodes by patching this name.
+from repro.trace.io import trace_from_bytes  # noqa: F401
 from repro.trace.schema import Trace, TraceMeta, TraceRecord
 
 __all__ = ["MAX_NAME_BYTES", "LeaseConflict", "SessionCheckpoint",
@@ -164,10 +173,13 @@ class _Log:
     """A log's readable prefix: the head, the in-order chunk payloads,
     the verdict if one landed, and the byte length of that prefix."""
 
-    __slots__ = ("meta", "payloads", "verdict", "finished", "end")
+    __slots__ = ("meta", "protocol", "payloads", "verdict", "finished",
+                 "end")
 
-    def __init__(self, meta: TraceMeta):
+    def __init__(self, meta: TraceMeta, protocol):
         self.meta = meta
+        self.protocol = protocol
+        """The wire protocol its chunk payloads arrived in."""
         self.payloads: list[memoryview] = []
         self.verdict: dict | None = None
         self.finished = False
@@ -194,7 +206,8 @@ def _parse_log(data: bytes, session_id: str) -> _Log | None:
                 if (not isinstance(head, dict)
                         or head.get("session_id") != session_id):
                     return None
-                log = _Log(TraceMeta.from_dict(head.get("meta", {})))
+                log = _Log(TraceMeta.from_dict(head.get("meta", {})),
+                           head.get("protocol"))
             elif kind == _CHUNK and len(body) >= _SEQ.size and \
                     _SEQ.unpack_from(body)[0] == len(log.payloads):
                 log.payloads.append(body[_SEQ.size:])
@@ -290,7 +303,8 @@ class SessionStore:
         self._heartbeat()
         end = self._ends.get(session_id)
         records = [] if end is not None else [_json_record(
-            _HEAD, {"session_id": session_id, "meta": meta.to_dict()})]
+            _HEAD, {"session_id": session_id, "meta": meta.to_dict(),
+                    "protocol": PROTOCOL_VERSION})]
         records += [_record(_CHUNK, _SEQ.pack(seq) + payload)
                     for seq, payload in segments]
         if finished:
@@ -370,9 +384,9 @@ class SessionStore:
 
         Cuts the file back to the end of its last whole record first,
         so the session's next append lands right behind it.  An
-        unreadable checkpoint (bit rot, a format-1 payload, a store
-        from before the log layout) is treated as absent: the client is
-        told to restart the stream, which costs a resend, not
+        unreadable checkpoint (bit rot, a log of another protocol, a
+        store from before the log layout) is treated as absent: the
+        client is told to restart the stream, which costs a resend, not
         correctness — never a shortened trace.
         """
         path = self._log_path(session_id)
@@ -380,9 +394,9 @@ class SessionStore:
         try:
             data = path.read_bytes()
             log = _parse_log(data, session_id)
-            if log is None:
+            if log is None or log.protocol != PROTOCOL_VERSION:
                 return None
-            blocks = [trace_from_bytes(bytes(payload))
+            blocks = [decode_chunk(payload, log.meta)
                       for payload in log.payloads]
             if log.end < len(data):
                 os.truncate(path, log.end)

@@ -3,10 +3,10 @@
 Three formats, by role:
 
 * **Binary** (:func:`write_trace_npz` / :func:`trace_to_npz_bytes`) —
-  the run cache's payload, the service's CHUNK payload and checkpoint
-  segment.  Exact round-trip of every channel, and loading yields the
-  *columnar* trace form directly (no per-record parsing), which is what
-  the vectorized checker consumes.  Layout, format version 2: a zip of
+  the run cache's payload and the preferred trace file
+  (``adassure run --save t.npz``).  Exact round-trip of every channel,
+  and loading yields the *columnar* trace form directly (no per-record
+  parsing), which is what the vectorized checker consumes.  Layout, format version 2: a zip of
   exactly two members, both **stored** (not deflated), readable by
   ``numpy.load``:
 

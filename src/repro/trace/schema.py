@@ -313,9 +313,18 @@ class Trace:
         if stalls.size:
             i = stalls[0]
             raise _step_error(steps[i].item(), steps[i + 1].item())
+        return cls.of_columns(meta, TraceColumns(coerced))
+
+    @classmethod
+    def of_columns(cls, meta: TraceMeta | None,
+                   cols: TraceColumns) -> "Trace":
+        """A trace over ``cols`` exactly as given: no coercion, copy or
+        step check.  For callers that validated them already (read-only
+        arrays of the schema's dtypes, steps strictly increasing), such
+        as :meth:`from_columns` and the service's chunk decoder."""
         trace = cls(meta)
         trace._records = None
-        trace._columns = TraceColumns(coerced)
+        trace._columns = cols
         return trace
 
     # --- storage management ---------------------------------------------

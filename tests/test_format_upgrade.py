@@ -140,14 +140,17 @@ class TestSessionStoreSegments:
 
 class TestProtocolVersion:
     def v1_frame(self, ftype, header):
+        """A frame of the previous protocol (version 2: CHUNK payloads
+        were binary traces)."""
         wire = bytearray(encode_frame(ftype, header))
         wire[4] = PROTOCOL_VERSION - 1
         return bytes(wire)
 
     def test_previous_version_frame_rejected_actionably(self):
+        assert PROTOCOL_VERSION == 3
         with pytest.raises(ProtocolError,
-                           match=r"unsupported protocol version 1 .*"
-                                 r"speaks version 2; run client and server "
+                           match=r"unsupported protocol version 2 .*"
+                                 r"speaks version 3; run client and server "
                                  r"from the same release"):
             decode_frames(self.v1_frame(FrameType.ACK, {}))
 
@@ -171,6 +174,6 @@ class TestProtocolVersion:
         reply, tail, errors = asyncio.run(go())
         assert reply.type is FrameType.ERROR
         assert reply.header["fatal"]
-        assert "unsupported protocol version 1" in reply.header["message"]
+        assert "unsupported protocol version 2" in reply.header["message"]
         assert tail is None
         assert errors == 1

@@ -513,6 +513,51 @@ class TestManifestOnlyReads:
         assert decodes == []
         assert replay.resumed_finished and replay.verdict == first.verdict
 
+    def test_hello_and_finished_resume_decode_no_chunks(
+            self, tmp_path, monkeypatch):
+        """The same reads, counted at the chunk decoder itself: chunks
+        decode through ``decode_chunk`` (the store's load and the
+        session's apply), not through ``trace_from_bytes``.  A resumed
+        unfinished session shows the counter does count."""
+        trace = attacked_trace()
+        decodes = []
+
+        def counting(real):
+            def wrapper(data, meta):
+                decodes.append(len(data))
+                return real(data, meta)
+            return wrapper
+
+        async def go():
+            async with serving(tmp_path) as server:
+                first = await stream_trace(
+                    trace, "127.0.0.1", server.port, "veh-done",
+                    chunk_records=50)
+                await _stream_partial(server.port, "veh-open", trace.meta,
+                                      _payloads(trace, 50)[:2])
+                for module in (store_module, session_module):
+                    monkeypatch.setattr(module, "decode_chunk",
+                                        counting(module.decode_chunk))
+                _, writer = await _open_session(
+                    server.port, "veh-new", trace.meta)
+                writer.close()
+                replay = await stream_trace(
+                    trace, "127.0.0.1", server.port, "veh-done",
+                    chunk_records=50)
+                quiet = list(decodes)
+                resumed = await stream_trace(
+                    trace, "127.0.0.1", server.port, "veh-open",
+                    chunk_records=50)
+                return first, replay, quiet, resumed
+
+        first, replay, quiet, resumed = asyncio.run(go())
+        assert quiet == []
+        assert replay.resumed_finished and replay.verdict == first.verdict
+        # RESUME decoded the two logged chunks; the stream sent two more.
+        assert len(decodes) == 4
+        assert resumed.chunks_applied == 2
+        assert resumed.verdict["report"] == offline_verdict(trace)
+
     def test_store_without_segments_replays_finished_verdicts(
             self, tmp_path):
         """A store holding only manifests and whole-log payloads (the

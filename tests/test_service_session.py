@@ -34,7 +34,7 @@ def _chunks(trace, size):
 class TestChunkCodec:
     def test_roundtrip_exact(self):
         trace = make_trace(30)
-        meta, records = records_from_chunk(
+        records = records_from_chunk(
             chunk_to_bytes(trace.meta, list(trace.records)[5:15]))
         assert len(records) == 10
         # float64-exact: the byte-identical verdict contract rests on this
@@ -44,7 +44,7 @@ class TestChunkCodec:
         trace = make_trace(50)
         rebuilt = []
         for _, payload in _chunks(trace, 7):
-            rebuilt.extend(records_from_chunk(payload)[1])
+            rebuilt.extend(records_from_chunk(payload))
         assert rebuilt == list(trace.records)
 
 
