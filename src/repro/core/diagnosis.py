@@ -11,6 +11,18 @@ the false-positive rate) and ``e_a`` the binarized evidence.  Evidence
 strengths refine the binary model: a weakly fired assertion contributes a
 fractional exponent, so marginal blips neither fully confirm nor fully
 contradict a profile.
+
+Ranking is a lookup and a sum.  Each knowledge base keeps one
+:meth:`~repro.core.knowledge.KnowledgeBase.likelihood_row` per
+assertion id (``log p`` and ``log(1 - p)`` per cause, and which causes
+an assertion supports or contradicts), built the first time the id is
+seen and dropped by :meth:`~repro.core.knowledge.KnowledgeBase.add`.
+:func:`diagnose` then walks the evidence once, in its order, adding
+``w * log p + (1 - w) * log(1 - p)`` (``w`` the capped strength) or
+``log(1 - p)`` to every cause's running log-likelihood, and builds each
+:class:`Diagnosis` once, posterior included.  Without a ``kb`` it ranks
+against one private default knowledge base, so the rows of the built-in
+profiles are built once per process.
 """
 
 from __future__ import annotations
@@ -27,8 +39,9 @@ __all__ = ["Diagnosis", "DiagnosisResult", "MultiDiagnosis",
 _EVIDENCE_THRESHOLD = 0.12
 """Minimum strength for an assertion to count as (partially) fired."""
 
-_PROB_FLOOR = 0.02
-_PROB_CEIL = 0.98
+_DEFAULT_KB = default_knowledge_base()
+"""What :func:`diagnose` and :func:`diagnose_multi` rank against when no
+``kb`` is given; never handed to a caller, so nothing can extend it."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,10 +99,6 @@ class DiagnosisResult:
         return len(self.ranking) >= 2 and not self.confident
 
 
-def _clip(p: float) -> float:
-    return min(max(p, _PROB_FLOOR), _PROB_CEIL)
-
-
 def diagnose(
     report: CheckReport, kb: KnowledgeBase | None = None
 ) -> DiagnosisResult:
@@ -103,52 +112,47 @@ def diagnose(
     Returns:
         A :class:`DiagnosisResult`, ranked most likely cause first.
     """
-    if kb is None:
-        kb = default_knowledge_base()
-    return _rank_evidence(report.evidence(), kb)
+    return _rank_evidence(report.evidence(),
+                          _DEFAULT_KB if kb is None else kb)
 
 
 def _rank_evidence(evidence: dict[str, float],
                    kb: KnowledgeBase) -> DiagnosisResult:
-    scored: list[Diagnosis] = []
-    for profile in kb.profiles():
-        log_l = 0.0
-        supporting: list[str] = []
-        contradicting: list[str] = []
-        for assertion_id, strength in evidence.items():
-            p = _clip(profile.prob(assertion_id))
-            if strength >= _EVIDENCE_THRESHOLD:
-                # Fractional-exponent interpolation between "fired" and
-                # "not fired" keeps weak evidence weak.
-                w = min(strength, 1.0)
-                log_l += w * math.log(p) + (1.0 - w) * math.log(1.0 - p)
-                if profile.prob(assertion_id) > 0.3:
-                    supporting.append(assertion_id)
-            else:
-                log_l += math.log(1.0 - p)
-                if profile.prob(assertion_id) >= 0.6:
-                    contradicting.append(assertion_id)
-        scored.append(
-            Diagnosis(
-                cause=profile.cause,
-                description=profile.description,
-                log_likelihood=log_l,
-                posterior=0.0,  # filled in below
-                supporting=tuple(supporting),
-                contradicting=tuple(contradicting),
-            )
-        )
+    profiles = kb.profiles()
+    log_ls = [0.0] * len(profiles)
+    supporting: list[list[str]] = [[] for _ in profiles]
+    contradicting: list[list[str]] = [[] for _ in profiles]
+    for assertion_id, strength in evidence.items():
+        log_p, log_q, supports, contradicts = kb.likelihood_row(assertion_id)
+        if strength >= _EVIDENCE_THRESHOLD:
+            # Fractional-exponent interpolation between "fired" and
+            # "not fired" keeps weak evidence weak.
+            w = min(strength, 1.0)
+            v = 1.0 - w
+            log_ls = [ll + (w * a + v * b)
+                      for ll, a, b in zip(log_ls, log_p, log_q)]
+            for i in supports:
+                supporting[i].append(assertion_id)
+        else:
+            log_ls = [ll + b for ll, b in zip(log_ls, log_q)]
+            for i in contradicts:
+                contradicting[i].append(assertion_id)
 
     # Posterior under a uniform prior (log-sum-exp for stability).
-    max_ll = max(d.log_likelihood for d in scored)
-    total = sum(math.exp(d.log_likelihood - max_ll) for d in scored)
-    import dataclasses
-
+    max_ll = max(log_ls)
+    weights = [math.exp(ll - max_ll) for ll in log_ls]
+    total = sum(weights)
     scored = [
-        dataclasses.replace(
-            d, posterior=math.exp(d.log_likelihood - max_ll) / total
+        Diagnosis(
+            cause=profile.cause,
+            description=profile.description,
+            log_likelihood=ll,
+            posterior=weight / total,
+            supporting=tuple(sup),
+            contradicting=tuple(con),
         )
-        for d in scored
+        for profile, ll, weight, sup, con in zip(
+            profiles, log_ls, weights, supporting, contradicting)
     ]
     # Exact ties are broken by cause name so the ranking is deterministic
     # (dict insertion order of the knowledge base is an implementation
@@ -230,7 +234,7 @@ def diagnose_multi(
         ``cause_set`` matches the single-cause top-1.
     """
     if kb is None:
-        kb = default_knowledge_base()
+        kb = _DEFAULT_KB
     if max_causes < 1:
         raise ValueError("max_causes must be >= 1")
 

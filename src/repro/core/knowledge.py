@@ -9,10 +9,26 @@ first-principles profiles identify injected ground truth.
 
 The knowledge base is the methodology's second extension point (after the
 assertion DSL): debugging a new platform means adding cause profiles.
+
+Diagnosis (:mod:`repro.core.diagnosis`) does not read the profiles cell
+by cell.  It asks :meth:`KnowledgeBase.likelihood_row` for one row per
+assertion id, which holds, over the causes in profile order, what the
+likelihood model needs of each (cause, assertion) cell: ``log(p)`` and
+``log(1 - p)`` of the clipped fire probability ``p``, and whether the
+cause would count the assertion as supporting (``prob > 0.3``) or as
+contradicting (``prob >= 0.6``) evidence.  A row is built through
+:meth:`CauseProfile.prob` the first time its id is asked for, so ids no
+profile names (user assertions, a :meth:`~KnowledgeBase.restricted`
+copy) get the false-positive floor like any other; every later
+diagnosis only looks it up.  :meth:`KnowledgeBase.add` drops the rows.
+Profiles are read when a row is built, so a profile's ``fire_probs``
+must not be edited in place once the knowledge base has diagnosed: build
+a new knowledge base (or :meth:`~KnowledgeBase.add` a cause) instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -24,6 +40,17 @@ __all__ = [
 
 FALSE_POSITIVE_RATE = 0.06
 """Probability an assertion fires for reasons unrelated to the cause."""
+
+_PROB_FLOOR = 0.02
+_PROB_CEIL = 0.98
+"""The likelihood model clips every fire probability into
+``[_PROB_FLOOR, _PROB_CEIL]``: no single assertion is ever proof."""
+
+_SUPPORT_PROB = 0.3
+"""A fired assertion supports a cause that predicts it above this."""
+_CONTRADICT_PROB = 0.6
+"""A silent assertion contradicts a cause that predicts it at least
+this strongly."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,6 +67,13 @@ class CauseProfile:
         return self.fire_probs.get(assertion_id, FALSE_POSITIVE_RATE)
 
 
+LikelihoodRow = tuple[tuple[float, ...], tuple[float, ...],
+                      tuple[int, ...], tuple[int, ...]]
+"""One assertion's row: ``log(p)`` and ``log(1 - p)`` per cause, then
+the indices of the causes it supports when fired and contradicts when
+silent (causes in :meth:`KnowledgeBase.profiles` order)."""
+
+
 class KnowledgeBase:
     """A set of cause profiles over a common assertion vocabulary."""
 
@@ -48,6 +82,7 @@ class KnowledgeBase:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate cause names: {names}")
         self._profiles = {p.cause: p for p in profiles}
+        self._rows: dict[str, LikelihoodRow] = {}
 
     @property
     def causes(self) -> list[str]:
@@ -66,6 +101,21 @@ class KnowledgeBase:
         if profile.cause in self._profiles:
             raise ValueError(f"cause {profile.cause!r} already present")
         self._profiles[profile.cause] = profile
+        self._rows = {}
+
+    def likelihood_row(self, assertion_id: str) -> LikelihoodRow:
+        """The assertion's :data:`LikelihoodRow`, built on first use."""
+        row = self._rows.get(assertion_id)
+        if row is None:
+            probs = [p.prob(assertion_id) for p in self._profiles.values()]
+            clipped = [min(max(q, _PROB_FLOOR), _PROB_CEIL) for q in probs]
+            row = self._rows[assertion_id] = (
+                tuple(math.log(q) for q in clipped),
+                tuple(math.log(1.0 - q) for q in clipped),
+                tuple(i for i, q in enumerate(probs) if q > _SUPPORT_PROB),
+                tuple(i for i, q in enumerate(probs)
+                      if q >= _CONTRADICT_PROB))
+        return row
 
     def restricted(self, assertion_ids: set[str] | frozenset[str]) -> "KnowledgeBase":
         """A copy whose profiles only mention the given assertions.

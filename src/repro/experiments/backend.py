@@ -211,7 +211,8 @@ class CacheResultStore(ResultStore):
     resume ledger — in that order, so a crash between steps loses
     bookkeeping, never results.  Its values are
     :class:`~repro.experiments.runner.GridRun` objects, so a grid point
-    is diagnosed before it is stored.
+    is diagnosed before it is stored, and diagnosed again when it is read
+    back from disk.
     """
 
     def __init__(self, cache, catalog: str | None, manifest,
@@ -245,19 +246,20 @@ class CacheResultStore(ResultStore):
         return None
 
     def load(self, point: tuple):
-        """Disk-only lookup (no memo, no manifest side effects)."""
+        """Disk-only lookup (no memo, no manifest side effects).
+
+        The entry's stored diagnosis is not served: the point is
+        re-diagnosed from its stored report, because the salts do not
+        cover the knowledge base, and a diagnosis is a pure function of
+        the two (see :meth:`value`).
+        """
         if self.cache is None:
             return None
         entry = self.cache.load(self.key(point))
         if entry is None:
             return None
-        from repro.experiments.runner import GridRun
-        result, report, diagnosis = entry
-        return GridRun(
-            scenario=point[0], controller=point[1], attack=point[2],
-            intensity=point[3], seed=point[4],
-            result=result, report=report, diagnosis=diagnosis,
-        )
+        result, report, _stored_diagnosis = entry
+        return self.value(point, result, report)
 
     def value(self, point: tuple, result, report):
         from repro.core.diagnosis import diagnose

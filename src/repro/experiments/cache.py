@@ -170,7 +170,9 @@ class RunCache:
     The value side is the ``(result, report, diagnosis)`` triple the grid
     runner produces: the trace travels as the columnar binary format
     (exact float round-trip), everything derived (scenario object,
-    metrics, outcome, check report, diagnosis) as one pickle.
+    metrics, outcome, check report, diagnosis) as one pickle.  The grid
+    does not serve the stored diagnosis: it re-diagnoses the stored
+    report on every read, since no salt covers the knowledge base.
     """
 
     def __init__(self, root: str | Path | None = None):

@@ -57,6 +57,7 @@ __all__ = [
     "FrameType",
     "ProtocolError",
     "encode_frame",
+    "encode_header",
     "read_frame",
 ]
 
@@ -118,11 +119,22 @@ class Frame:
                 f"payload={len(self.payload)}B)")
 
 
-def encode_frame(ftype: FrameType | int, header: dict | None = None,
+def encode_header(header: dict | None) -> bytes:
+    """A frame header's wire bytes: compact, key-sorted UTF-8 JSON."""
+    return json.dumps(header or {}, separators=(",", ":"),
+                      sort_keys=True).encode("utf-8")
+
+
+def encode_frame(ftype: FrameType | int, header: dict | bytes | None = None,
                  payload: bytes = b"") -> bytes:
-    """Serialize one frame to wire bytes."""
-    header_bytes = json.dumps(header or {}, separators=(",", ":"),
-                              sort_keys=True).encode("utf-8")
+    """Serialize one frame to wire bytes.
+
+    ``header`` is a dict, or its bytes already encoded by
+    :func:`encode_header` (the server encodes a verdict once, for its
+    log record and its frame).
+    """
+    header_bytes = (header if isinstance(header, bytes)
+                    else encode_header(header))
     if len(header_bytes) > MAX_HEADER_BYTES:
         raise ProtocolError(
             f"frame header of {len(header_bytes)} bytes exceeds the "

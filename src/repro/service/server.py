@@ -59,6 +59,7 @@ from repro.service.protocol import (
     FrameType,
     ProtocolError,
     encode_frame,
+    encode_header,
     read_frame,
 )
 from repro.service.session import ChunkRejected, MonitorPool, SessionState
@@ -438,7 +439,9 @@ class TraceIngestServer:
         t0 = time.perf_counter()
         verdict = await self.scorer.score(session)
         session.finished = True
-        session.verdict = verdict
+        # Encoded once: the log's verdict record and the VERDICT frame
+        # carry the same bytes.
+        session.verdict = encode_header(verdict)
         # Persist BEFORE sending: if the VERDICT frame is lost to a
         # disconnect, the resume re-delivers this stored verdict — the
         # client can never observe two different verdicts for one
@@ -450,7 +453,7 @@ class TraceIngestServer:
         self.verdicts_issued += 1
         self.sessions.pop(session.session_id, None)
         self._release_monitor(session)
-        await self._send(writer, FrameType.VERDICT, dict(verdict))
+        await self._send(writer, FrameType.VERDICT, session.verdict)
         return None  # connection may HELLO/RESUME another session
 
     # -- session plumbing -------------------------------------------------
@@ -519,7 +522,7 @@ class TraceIngestServer:
 
     # -- wire helpers ------------------------------------------------------
     async def _send(self, writer: asyncio.StreamWriter, ftype: FrameType,
-                    header: dict, payload: bytes = b"") -> None:
+                    header: dict | bytes, payload: bytes = b"") -> None:
         writer.write(encode_frame(ftype, header, payload))
         await writer.drain()
 

@@ -266,7 +266,9 @@ class SessionState:
         self._last_step: int | None = None
         self.next_seq = 0
         self.finished = False
-        self.verdict: dict | None = None
+        self.verdict: bytes | None = None
+        """The verdict as the VERDICT frame's header bytes, set at
+        FINISH; the checkpoint log stores these same bytes."""
         self.live_violations: list[Violation] = []
         self.pending: list[tuple[int, bytes]] = []
         """Chunks accepted but not yet checkpointed, as ``(seq,

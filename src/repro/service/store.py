@@ -14,7 +14,11 @@ the CRC-32 cover ``kind + body``):
   and the CHUNK payload exactly as it arrived (a column block the
   session already decoded and checked; it has no checksum of its own,
   the record's CRC covers it here as the frame's did on the wire);
-* ``V`` — the **verdict record**, UTF-8 JSON, written at FINISH.
+* ``V`` — the **verdict record**, UTF-8 JSON, written at FINISH: the
+  VERDICT frame's header bytes (:func:`~repro.service.protocol.encode_header`),
+  so the verdict is encoded once for the log and the wire.  A reader
+  takes any JSON object, so records in an older build's spacing and key
+  order replay unchanged.
 
 A checkpoint (:meth:`SessionStore.save`) is one append: one open and
 one write, no temp file, no rename, so it costs O(chunk), not
@@ -74,7 +78,7 @@ from pathlib import Path
 
 from repro.config import default_cache_dir
 from repro.locking import FileLease, LeaseConflict
-from repro.service.protocol import PROTOCOL_VERSION
+from repro.service.protocol import PROTOCOL_VERSION, encode_header
 from repro.service.session import decode_chunk
 # Unused since protocol 3 (its chunk payloads are not binary traces),
 # but kept importable here: tests count decodes by patching this name.
@@ -287,9 +291,11 @@ class SessionStore:
 
     def save(self, session_id: str, *, meta: TraceMeta,
              segments: Iterable[tuple[int, bytes]], next_seq: int,
-             finished: bool, verdict: dict | None) -> None:
+             finished: bool, verdict: dict | bytes | None) -> None:
         """Append one chunk record per ``(seq, payload)`` of
-        ``segments``, then the verdict record if ``finished``.
+        ``segments``, then the verdict record if ``finished``: the
+        ``verdict`` bytes as given, or a dict as
+        :func:`~repro.service.protocol.encode_header` encodes it.
 
         ``segments`` must continue the log at its cursor, which then
         reads ``next_seq``.  The records go in one write; if it fails,
@@ -308,7 +314,8 @@ class SessionStore:
         records += [_record(_CHUNK, _SEQ.pack(seq) + payload)
                     for seq, payload in segments]
         if finished:
-            records.append(_json_record(_VERDICT, verdict))
+            records.append(_record(_VERDICT, verdict if isinstance(
+                verdict, bytes) else encode_header(verdict)))
         data = b"".join(records)
         if end is None:
             self.root.mkdir(parents=True, exist_ok=True)

@@ -136,6 +136,53 @@ class TestDiskRoundTrip:
         assert not any(fresh_cache.rglob("*.scored.pkl"))
 
 
+class TestStaleDiagnosis:
+    """No salt covers the knowledge base, so a grid entry read from disk
+    is re-diagnosed from its stored report: an edited knowledge base is
+    served at once, without re-simulating."""
+
+    @staticmethod
+    def refined(report):
+        """The built-in profiles plus one that predicts exactly what
+        fired (the refine step adding a cause)."""
+        from repro.core.knowledge import CauseProfile, default_knowledge_base
+
+        kb = default_knowledge_base()
+        kb.add(CauseProfile("refined", "added after the cold run",
+                            {aid: 0.98 for aid in report.fired_ids}))
+        return kb
+
+    @staticmethod
+    def higher_false_positive_rate(report, monkeypatch):
+        """A source edit of the false-positive rate, 0.06 -> 0.30."""
+        import repro.core.knowledge as knowledge
+
+        monkeypatch.setattr(knowledge, "FALSE_POSITIVE_RATE", 0.30)
+        return knowledge.default_knowledge_base()
+
+    @pytest.mark.parametrize("edit", ["refined", "higher_false_positive_rate"])
+    def test_warm_grid_serves_the_edited_knowledge_base(
+            self, fresh_cache, monkeypatch, edit):
+        import repro.core.diagnosis as diagnosis
+
+        cold = run_grid(**POINT)[0]
+        assert STATS.last.executed == 1
+        kb = (self.refined(cold.report) if edit == "refined" else
+              self.higher_false_positive_rate(cold.report, monkeypatch))
+        monkeypatch.setattr(diagnosis, "_DEFAULT_KB", kb)
+        clear_cache()  # memo gone, disk stays: a new process's view
+        warm = run_grid(**POINT)[0]
+        assert STATS.last.executed == 0
+        assert STATS.last.disk_hits == 1
+
+        want = diagnosis.diagnose(warm.report, kb).ranking
+        assert warm.diagnosis.ranking == want
+        assert warm.diagnosis.ranking != cold.diagnosis.ranking
+        if edit == "refined":
+            assert warm.diagnosis.rank_of("refined") is not None
+            assert cold.diagnosis.rank_of("refined") is None
+
+
 class TestRunScored:
     """Off-grid runs (E10-E13 style) go through the same cache layers."""
 
